@@ -31,6 +31,7 @@ from .geom2d import Line, build_domain, domain_spec_from_json, domain_spec_to_js
 from .geom2d.domain import DomainSpec
 
 COMMANDS = ("solve", "eigen", "check", "flow", "branch", "report")
+THEOREMS = ("T4", "T5", "L3R", "T8")
 
 
 @dataclass
@@ -105,6 +106,13 @@ _KNOWN_KEYS = {
 
 
 def load_config(data: dict, command: str | None = None, out_dir: str | None = None) -> RunConfig:
+    try:
+        return _load_config(data, command, out_dir)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad config value: {exc!r}") from exc
+
+
+def _load_config(data: dict, command: str | None, out_dir: str | None) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigInvalid("config must be a JSON object")
     unknown = set(data) - _KNOWN_KEYS
@@ -142,6 +150,10 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
         alpha = float(alpha)
         if alpha >= 0:
             raise ConfigInvalid("alpha target must be negative")
+
+    theorems = data.get("theorems", [])
+    if not isinstance(theorems, list) or not set(theorems) <= set(THEOREMS):
+        raise ConfigInvalid(f"theorems must be a list drawn from {THEOREMS}, got {theorems!r}")
 
     extra_keys = _KNOWN_KEYS - {
         "command", "domain", "nonlinearity", "alpha", "h", "tolerances", "out_dir", "seed"
@@ -187,6 +199,7 @@ class _Outputs:
         self.manifest: list[dict] = []
 
     def write(self, name: str, content: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         data = content.encode()
         path.write_bytes(data)
@@ -221,17 +234,24 @@ def _boundary_csv(mesh) -> str:
     return _csv(["loop", "x", "y"], rows)
 
 
-def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
-    mesh = build_domain(cfg.domain, cfg.h)
+def _eigen_solution(cfg: RunConfig, mesh):
+    """First Dirichlet eigenpair and its flux report, with the eigenfunction
+    rescaled to the configured flux target when one is set."""
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(
         k, m, fem.dirichlet_mask(mesh), mesh, tol=cfg.tolerances.get("eigen_tol", 1e-10)
     )
-    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
     u = ep.u1
+    rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values)
     if cfg.alpha is not None:
-        u = fem.ScalarField(mesh, ep.u1.values * (cfg.alpha / rep.alpha_hat))
+        u = fem.ScalarField(mesh, u.values * (cfg.alpha / rep.alpha_hat))
         rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values)
+    return ep, u, rep
+
+
+def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
+    mesh = build_domain(cfg.domain, cfg.h)
+    ep, u, rep = _eigen_solution(cfg, mesh)
     out.write("u.csv", u.export_csv())
     out.write("boundary.csv", _boundary_csv(mesh))
     digest = cfg.digest()
@@ -343,20 +363,14 @@ def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
     if lam <= 0:
         raise ConfigInvalid("check needs lambda > 0")
     grid = float(cfg.extra.get("grid", cfg.h / 2))
-    theorems = cfg.extra.get("theorems", ["T4", "T5", "L3R", "T8"])
+    theorems = cfg.extra.get("theorems", THEOREMS)
     checks = []
     mesh = build_domain(cfg.domain, cfg.h)
     if "T4" in theorems:
         checks.append(overdet.check_T4(cfg.domain, lam, grid))
     needs_solution = {"T5", "L3R", "T8"} & set(theorems)
     if needs_solution:
-        k, m = fem.assemble(mesh)
-        ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-        rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
-        u = ep.u1
-        if cfg.alpha is not None:
-            u = fem.ScalarField(mesh, ep.u1.values * (cfg.alpha / rep.alpha_hat))
-            rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values)
+        ep, u, rep = _eigen_solution(cfg, mesh)
         if "T5" in theorems:
             checks.append(overdet.check_T5(mesh, u, lam, rep.alpha_hat))
         if "L3R" in theorems:
@@ -450,7 +464,6 @@ def _run_branch(cfg: RunConfig, out: _Outputs) -> dict:
 def run(cfg: RunConfig) -> ExperimentRecord:
     """Execute the configured pipeline and write outputs plus a record."""
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = _Outputs(out_dir)
     t0 = time.perf_counter()
     error = None
@@ -480,6 +493,7 @@ def run(cfg: RunConfig) -> ExperimentRecord:
         manifest=out.manifest,
         error=error,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "record.json").write_text(_json_dumps(record.to_json()))
     return record
 
@@ -490,8 +504,11 @@ def _run_report(cfg: RunConfig, out: _Outputs) -> dict:
         raise ConfigInvalid("report needs a list of record paths")
     records = []
     for p in paths:
-        with open(p) as fh:
-            records.append((Path(p).parent, json.load(fh)))
+        try:
+            with open(p) as fh:
+                records.append((Path(p).parent, json.load(fh)))
+        except (OSError, TypeError, json.JSONDecodeError) as exc:
+            raise ConfigInvalid(f"cannot read record {p!r}: {exc}") from exc
     return report(records, out, cfg.digest())
 
 
@@ -548,7 +565,7 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
         conv_rows.append([dom, errs[-1][0], errs[-1][1], ""])
     out.write("convergence.csv", _csv(["domain", "h", "lambda1_error", "observed_order"], conv_rows))
     if conv_rows:
-        hs = np.array([r[1] for r in conv_rows if r[3] != "" or True], dtype=float)
+        hs = np.array([r[1] for r in conv_rows], dtype=float)
         es = np.array([max(float(r[2]), 1e-16) for r in conv_rows], dtype=float)
         out.write(
             "convergence.svg",
@@ -571,7 +588,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default: config or cwd)")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for interface parity; solvers are single-threaded")
     args = parser.parse_args(argv)
 
     try:

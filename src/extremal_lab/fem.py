@@ -51,30 +51,13 @@ class ScalarField:
 
 @dataclass
 class SparseSym:
-    """Symmetric sparse matrix in CSR storage with definiteness flags."""
+    """Symmetric sparse matrix in CSR storage."""
 
     mat: sparse.csr_matrix
-    symmetric: bool = True
-    positive_semidefinite: bool = True
 
     @property
     def n(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.mat.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.mat.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.mat.data
-
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.mat @ other
 
     def export_matrix_market(self) -> str:
         coo = self.mat.tocoo()
@@ -97,20 +80,22 @@ class EigenPair:
     iterations: int
 
 
+def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle P1 gradient coefficients and signed areas.
+
+    The gradient of the hat function of local vertex i is (b_i, c_i) / (2 area).
+    """
+    p = mesh.vertices[mesh.triangles]
+    x, y = p[:, :, 0], p[:, :, 1]
+    b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)  # y1 - y2, y2 - y0, y0 - y1
+    c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)  # x2 - x1, x0 - x2, x1 - x0
+    area = 0.5 * (c[:, 2] * b[:, 1] - b[:, 2] * c[:, 1])
+    return b, c, area
+
+
 def assemble(mesh: Mesh) -> tuple[SparseSym, SparseSym]:
     """P1 stiffness and consistent mass matrices on the mesh's DOFs."""
-    tri = mesh.triangles
-    p = mesh.vertices[tri]
-    b = np.stack(
-        [p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], axis=1
-    )
-    c = np.stack(
-        [p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], axis=1
-    )
-    area = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
+    b, c, area = p1_gradients(mesh)
     if np.any(area < 1e-14):
         raise DegenerateTriangle(f"triangle area below 1e-14 (min {area.min():.3e})")
 
@@ -119,7 +104,7 @@ def assemble(mesh: Mesh) -> tuple[SparseSym, SparseSym]:
     ]
     me = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
 
-    dof = mesh.dof_of_vertex[tri]
+    dof = mesh.dof_of_vertex[mesh.triangles]
     rows = np.repeat(dof, 3, axis=1).ravel()
     cols = np.tile(dof, (1, 3)).ravel()
     n = mesh.n_dofs
@@ -363,40 +348,23 @@ class NeumannTrace:
 
     ``nodal`` holds one flux value per boundary vertex (walk order per loop,
     concatenated as in ``vertex_ids``); ``per_edge`` averages the two
-    endpoint values of each boundary edge, aligned with mesh.boundary_edges.
+    endpoint values of each boundary edge, aligned with mesh.boundary_edges;
+    ``lumped_weights`` gives each boundary vertex half the length of its two
+    boundary edges (the row sums of the boundary mass matrix).
     """
 
     vertex_ids: np.ndarray
     nodal: np.ndarray
     per_edge: np.ndarray
     edge_lengths: np.ndarray
+    lumped_weights: np.ndarray
     loop_slices: list[slice] = field(default_factory=list)
-
-    def value_at_vertex(self, vertex_id: int) -> float:
-        return float(self.nodal[self._index[int(vertex_id)]])
-
-    def __post_init__(self) -> None:
-        self._index = {int(v): i for i, v in enumerate(self.vertex_ids)}
-
-
-def boundary_mass_matrix(mesh: Mesh, boundary_dofs: np.ndarray) -> sparse.csr_matrix:
-    """1D P1 mass matrix over the boundary loops (periodic loops close)."""
-    pos = {int(d): i for i, d in enumerate(boundary_dofs)}
-    nb = len(boundary_dofs)
-    rows, cols, vals = [], [], []
-    for e, (a, b) in enumerate(mesh.boundary_edges):
-        length = mesh.boundary_lengths[e]
-        ia = pos[int(mesh.dof_of_vertex[a])]
-        ib = pos[int(mesh.dof_of_vertex[b])]
-        rows += [ia, ib, ia, ib]
-        cols += [ia, ib, ib, ia]
-        vals += [length / 3.0, length / 3.0, length / 6.0, length / 6.0]
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
 
 
 def neumann_trace(mesh: Mesh, u: ScalarField, source: np.ndarray | None = None) -> NeumannTrace:
     """Variational boundary flux: solve M_b g = (K u - M s) on boundary rows,
-    where s holds the per-vertex reaction values f(u) (None for pure Laplace)."""
+    where s holds the per-vertex reaction values f(u) (None for pure Laplace)
+    and M_b is the 1D P1 mass matrix over the boundary loops."""
     k, m = assemble(mesh)
     ured = mesh.reduce(u.values)
     rhs_full = k.mat @ ured
@@ -407,29 +375,30 @@ def neumann_trace(mesh: Mesh, u: ScalarField, source: np.ndarray | None = None) 
     ids = np.concatenate([mesh.loop_vertex_ids(i) for i in range(len(mesh.boundary_loops))])
     slices = []
     off = 0
-    for i in range(len(mesh.boundary_loops)):
-        n = len(mesh.boundary_loops[i])
-        slices.append(slice(off, off + n))
-        off += n
+    for loop in mesh.boundary_loops:
+        slices.append(slice(off, off + len(loop)))
+        off += len(loop)
     dofs = mesh.dof_of_vertex[ids]
-    mb = boundary_mass_matrix(mesh, dofs)
-    g = splu(mb.tocsc()).solve(rhs_full[dofs])
-
-    nodal_by_dof = {int(d): g[i] for i, d in enumerate(dofs)}
-    per_edge = np.array(
-        [
-            0.5
-            * (
-                nodal_by_dof[int(mesh.dof_of_vertex[a])]
-                + nodal_by_dof[int(mesh.dof_of_vertex[b])]
-            )
-            for a, b in mesh.boundary_edges
-        ]
+    nb = len(dofs)
+    # trace position of each boundary edge's endpoints (periodic loops close)
+    pos = np.empty(mesh.n_dofs, dtype=int)
+    pos[dofs] = np.arange(nb)
+    ia, ib = pos[mesh.dof_of_vertex[mesh.boundary_edges]].T
+    length = mesh.boundary_lengths
+    mb = sparse.coo_matrix(
+        (
+            np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0]),
+            (np.concatenate([ia, ib, ia, ib]), np.concatenate([ia, ib, ib, ia])),
+        ),
+        shape=(nb, nb),
     )
+    g = splu(mb.tocsc()).solve(rhs_full[dofs])
+    half = np.concatenate([0.5 * length, 0.5 * length])
     return NeumannTrace(
         vertex_ids=ids,
         nodal=g,
-        per_edge=per_edge,
-        edge_lengths=mesh.boundary_lengths.copy(),
+        per_edge=0.5 * (g[ia] + g[ib]),
+        edge_lengths=length.copy(),
+        lumped_weights=np.bincount(np.concatenate([ia, ib]), weights=half, minlength=nb),
         loop_slices=slices,
     )

@@ -30,12 +30,6 @@ class BoundaryGeometry:
     corner_flags: np.ndarray
     degenerate_flags: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._index = {int(v): i for i, v in enumerate(self.vertex_ids)}
-
-    def index_of(self, vertex_id: int) -> int:
-        return self._index[int(vertex_id)]
-
 
 def _circle_fit_curvature(stencil: np.ndarray, normal: np.ndarray) -> tuple[float, bool]:
     """Signed curvature from a least-squares circle through the stencil."""

@@ -308,26 +308,32 @@ def _signed_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
+        c[..., 0] - a[..., 0]
+    )
 
 
 def _is_simple(v: np.ndarray) -> bool:
+    """No two non-adjacent edges of the closed polygon properly cross.
+
+    Edge i runs from v[i] to v[i + 1]; all pairs are tested at once, in
+    row chunks so that memory stays bounded.
+    """
     n = len(v)
-    for i in range(n):
-        a1, a2 = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_properly_intersect(a1, a2, v[j], v[(j + 1) % n]):
-                return False
+    a, b = v, np.roll(v, -1, axis=0)
+    j = np.arange(n)
+    step = max(1, 1_000_000 // n)
+    for lo in range(0, n, step):
+        i = np.arange(lo, min(lo + step, n))[:, None]
+        p1, p2 = a[i], b[i]
+        d1, d2 = _orient(a, b, p1), _orient(a, b, p2)
+        d3, d4 = _orient(p1, p2, a), _orient(p1, p2, b)
+        cross = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+        # skip each pair once, and pairs of edges that share a vertex
+        cross &= (j > i + 1) & ~((i == 0) & (j == n - 1))
+        if cross.any():
+            return False
     return True
 
 

@@ -98,20 +98,22 @@ class Mesh:
         """Closed vertex polylines, one per loop, in walk order."""
         return [self.vertices[self.loop_vertex_ids(i)] for i in range(len(self.boundary_loops))]
 
-    def unrolled(self, copies: tuple[int, ...] = (-1, 0, 1)) -> "Mesh":
-        """Planar cover of a periodic mesh over the given period copies.
+    def unrolled(self) -> "Mesh":
+        """Planar cover of a periodic mesh over the period copies -1, 0, 1.
 
         Duplicate-column vertices are stitched onto the next copy so that
         adjacent copies share vertices; for non-periodic meshes returns self.
+        The cover is built on the first call and kept on the mesh.
         """
         if not self.is_periodic_x:
             return self
+        if getattr(self, "_cover", None) is not None:
+            return self._cover
         base_of = np.arange(len(self.vertices))
         shift_of = np.zeros(len(self.vertices), dtype=int)
         for dup, base in self.periodic_pairs:
             base_of[dup] = base
             shift_of[dup] = 1
-        nb = len(self.vertices)
         tri_list = []
         used: dict[tuple[int, int], int] = {}
         coords = []
@@ -125,13 +127,14 @@ class Mesh:
                 bases.append(key[0])
             return used[key]
 
-        for copy in copies:
+        for copy in (-1, 0, 1):
             for t in self.triangles:
                 tri_list.append([uid(int(v), copy) for v in t])
         verts = np.asarray(coords)
         tris = np.asarray(tri_list, dtype=int)
         out = mesh_from_arrays(verts, tris, quality_floor=None)
         out.unroll_base = np.asarray(bases, dtype=int)
+        self._cover = out
         return out
 
     def export_text(self) -> str:

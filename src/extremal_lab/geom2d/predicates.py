@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from ..errors import EmptyDomain, NonTransversal
 from .domain import (
@@ -105,7 +107,7 @@ def component_diameter(points: np.ndarray) -> float:
         v = hull[j] - hull[i]
         return float(v @ v)
 
-    best = 0.0
+    best, pair = 0.0, (0, 0)
     j = 1
     for i in range(m):
         ni = (i + 1) % m
@@ -116,8 +118,10 @@ def component_diameter(points: np.ndarray) -> float:
                 j = nj
             else:
                 break
-        best = max(best, d2(i, j), d2(ni, j))
-    return math.sqrt(best)
+        for cand in ((i, j), (ni, j)):
+            if d2(*cand) > best:
+                best, pair = d2(*cand), cand
+    return float(np.hypot(*(hull[pair[1]] - hull[pair[0]])))
 
 
 def _circumcircle(a, b, c) -> tuple[np.ndarray, float] | None:
@@ -324,20 +328,33 @@ class CapReport:
         return [c for c in self.components if c.bounded]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def superlevel_triangle_components(
+    mesh: Mesh, values: np.ndarray, level: float
+) -> list[np.ndarray]:
+    """Triangles of {values > level}, grouped by connectivity.
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    A triangle is kept when its largest vertex value is above the level; two
+    kept triangles are joined across a shared edge whose larger endpoint value
+    is above the level.  Components come ordered by their lowest triangle
+    index and list their triangles in ascending order.
+    """
+    kept = np.nonzero(values[mesh.triangles].max(axis=1) > level)[0]
+    if len(kept) == 0:
+        return []
+    edges = np.sort(mesh.triangles[kept][:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(kept)), 3)
+    live = values[edges].max(axis=1) > level
+    key = edges[live, 0] * len(mesh.vertices) + edges[live, 1]
+    owner = owner[live]
+    order = np.argsort(key, kind="stable")
+    key, owner = key[order], owner[order]
+    shared = np.nonzero(key[1:] == key[:-1])[0]
+    adjacency = sparse.coo_matrix(
+        (np.ones(len(shared)), (owner[shared], owner[shared + 1])), shape=(len(kept), len(kept))
+    )
+    n_comp, labels = connected_components(adjacency, directed=False)
+    by_label = np.argsort(labels, kind="stable")
+    return np.split(kept[by_label], np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
 
 
 def _clip_triangle(p: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
@@ -356,7 +373,7 @@ def _clip_triangle(p: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
 def cap_reflect(mesh: Mesh, line: Line, tol: float = 1e-10) -> CapReport:
     """Connected components of the domain on the positive side of the line,
     with the graph-over-chord and reflected-containment predicates."""
-    work = mesh.unrolled() if mesh.is_periodic_x else mesh
+    work = mesh.unrolled()
     scale = float(
         max(
             work.vertices[:, 0].max() - work.vertices[:, 0].min(),
@@ -382,39 +399,13 @@ def cap_reflect(mesh: Mesh, line: Line, tol: float = 1e-10) -> CapReport:
         if np.any(sin_angle < 1e-6):
             raise NonTransversal("a boundary edge meets the cutting line at angle < 1e-6")
 
-    tri_s = s_all[work.triangles]
-    kept = np.nonzero(tri_s.max(axis=1) > tol)[0]
-    if len(kept) == 0:
-        return CapReport(line=line)
-
-    kept_pos = {int(t): i for i, t in enumerate(kept)}
-    uf = _UnionFind(len(kept))
-    edge_map: dict[tuple[int, int], int] = {}
-    for t in kept:
-        a, b, c = work.triangles[t]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            su, sv = s_all[key[0]], s_all[key[1]]
-            hi = max(su, sv)
-            if hi <= tol:
-                continue  # edge has no positive part
-            if key in edge_map:
-                uf.union(kept_pos[int(t)], kept_pos[edge_map[key]])
-            else:
-                edge_map[key] = int(t)
-
     boundary_keys = {
         (min(int(u), int(v)), max(int(u), int(v))) for u, v in work.boundary_edges
     }
     domain_polys = work.boundary_polygons()
 
-    comp_tris: dict[int, list[int]] = {}
-    for t in kept:
-        root = uf.find(kept_pos[int(t)])
-        comp_tris.setdefault(root, []).append(int(t))
-
     report = CapReport(line=line)
-    for tris in comp_tris.values():
+    for tris in superlevel_triangle_components(work, s_all, tol):
         pieces = []
         bnd_segs: list[tuple[np.ndarray, np.ndarray]] = []
         for t in tris:

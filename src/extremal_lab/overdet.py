@@ -29,6 +29,7 @@ from .geom2d.predicates import (
     component_diameter,
     inscribed_ball,
     min_enclosing_circle,
+    superlevel_triangle_components,
 )
 
 # -- Neumann residual -------------------------------------------------------------
@@ -65,9 +66,9 @@ def overdet_residual(mesh: Mesh, u: fem.ScalarField, source: np.ndarray | None) 
     spread = math.sqrt(float((((tr.per_edge - mean) ** 2) * w).sum() / total)) / abs(mean)
     max_dev = float(np.max(np.abs(tr.per_edge - mean)))
     loop_means = []
-    for sl, loop in zip(tr.loop_slices, range(len(mesh.boundary_loops))):
-        lw = mesh.boundary_lengths[mesh.boundary_loops[loop]]
-        le = tr.per_edge[mesh.boundary_loops[loop]]
+    for loop in mesh.boundary_loops:
+        lw = mesh.boundary_lengths[loop]
+        le = tr.per_edge[loop]
         loop_means.append(float((le * lw).sum() / lw.sum()))
     return OverdetReport(
         alpha_hat=mean,
@@ -98,16 +99,10 @@ def patch_recover(mesh: Mesh, values: np.ndarray) -> Recovery:
     back to the area-weighted mean gradient with zero Hessian.
     """
     tri = mesh.triangles
-    p = mesh.vertices[tri]
     v = np.asarray(values)[tri]
-    b = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], 1)
-    c = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], 1)
-    area2 = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
-    grad = np.stack(
-        [(v * b).sum(axis=1) / area2, (v * c).sum(axis=1) / area2], axis=1
-    )
-    areas = 0.5 * area2
-    cents = p.mean(axis=1)
+    b, c, areas = fem.p1_gradients(mesh)
+    grad = np.stack([(v * b).sum(axis=1), (v * c).sum(axis=1)], axis=1) / (2.0 * areas)[:, None]
+    cents = mesh.vertices[tri].mean(axis=1)
 
     # stars keyed by dof so periodic duplicates share one patch
     ndof = mesh.n_dofs
@@ -243,17 +238,14 @@ def p_function(
     interior_max = float(p_vals[interior_max_idx]) if interior_max_idx >= 0 else -math.inf
     boundary_p = p_vals[b_ids]
     boundary_max = float(boundary_p.max())
+    # both walk boundary_edges[loop, 0] in loop order, so rows align
     bg = boundary_geometry(mesh)
+    assert np.array_equal(bg.vertex_ids, b_ids)
 
     # tangential second derivative from the recovered Hessian, sign fixed so
     # that u_tt / (-alpha_hat) reproduces the geometric curvature
-    u_tt = np.empty(len(b_ids))
-    k_geom = np.empty(len(b_ids))
-    for i, vid in enumerate(b_ids):
-        gi = bg.index_of(int(vid))
-        t = bg.tangent[gi]
-        u_tt[i] = -float(t @ rec.hessian[int(vid)] @ t)
-        k_geom[i] = bg.curvature[gi]
+    u_tt = -np.einsum("ni,nij,nj->n", bg.tangent, rec.hessian[b_ids], bg.tangent)
+    k_geom = bg.curvature
     # one 5-point tangential averaging pass (same stencil width as the
     # curvature fit) knocks down the per-vertex recovery noise
     for sl in tr.loop_slices:
@@ -338,41 +330,10 @@ def check_T4(target, lam: float, g: float) -> TheoremCheck:
 def _superlevel_components(mesh: Mesh, values: np.ndarray, level: float):
     """Connected (by triangle adjacency) components of {u > level}; each
     component yields its vertices above the level plus the edge crossings."""
-    work = mesh.unrolled() if mesh.is_periodic_x else mesh
-    vals = values[work.unroll_base] if mesh.is_periodic_x else values
-    above_tri = np.nonzero(vals[work.triangles].max(axis=1) > level)[0]
-    if len(above_tri) == 0:
-        return [], work
-    pos = {int(t): i for i, t in enumerate(above_tri)}
-    parent = list(range(len(above_tri)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edge_seen: dict[tuple[int, int], int] = {}
-    for t in above_tri:
-        tri = work.triangles[t]
-        for i in range(3):
-            u_, v_ = int(tri[i]), int(tri[(i + 1) % 3])
-            if max(vals[u_], vals[v_]) <= level:
-                continue
-            key = (min(u_, v_), max(u_, v_))
-            if key in edge_seen:
-                ra, rb = find(pos[int(t)]), find(edge_seen[key])
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                edge_seen[key] = pos[int(t)]
-
-    comps: dict[int, list[int]] = {}
-    for t in above_tri:
-        comps.setdefault(find(pos[int(t)]), []).append(int(t))
-
+    work = mesh.unrolled()
+    vals = values if work is mesh else values[work.unroll_base]
     out = []
-    for tris in comps.values():
+    for tris in superlevel_triangle_components(work, vals, level):
         pts = []
         for t in tris:
             tri = work.triangles[t]
@@ -387,7 +348,7 @@ def _superlevel_components(mesh: Mesh, values: np.ndarray, level: float):
                         work.vertices[a_] + t_cross * (work.vertices[b_] - work.vertices[a_])
                     )
         out.append(np.unique(np.asarray(pts), axis=0))
-    return out, work
+    return out
 
 
 def check_T5(mesh: Mesh, u: fem.ScalarField, lam: float, alpha_hat: float) -> TheoremCheck:
@@ -397,7 +358,7 @@ def check_T5(mesh: Mesh, u: fem.ScalarField, lam: float, alpha_hat: float) -> Th
         raise NonNegativeAlpha("the measured flux must be negative")
     h0 = ball_solution(lam, alpha_hat).h0
     radius = r_lambda(lam)
-    comps, _ = _superlevel_components(mesh, u.values, h0)
+    comps = _superlevel_components(mesh, u.values, h0)
     if mesh.is_periodic_x:
         comps = _dedupe_periodic_components(comps, mesh.period)
     if not comps:

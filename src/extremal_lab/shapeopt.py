@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem
+from . import fem, overdet
 from .errors import (
     InvalidSpec,
     MeshQualityFailure,
@@ -25,7 +25,7 @@ from .errors import (
     StagnatedFlow,
     TruncationInsufficient,
 )
-from .geom2d.domain import DomainSpec, PeriodicStrip, Polygon
+from .geom2d.domain import DomainSpec, PeriodicStrip, Polygon, _is_simple
 from .geom2d.meshing import Mesh, build_domain, structured_strip
 
 # -- eigenvalue shape derivative ----------------------------------------------------
@@ -41,20 +41,9 @@ def shape_derivative(mesh: Mesh, eigenpair: fem.EigenPair) -> tuple[np.ndarray, 
     """
     tr = fem.neumann_trace(mesh, eigenpair.u1, source=eigenpair.lambda1 * eigenpair.u1.values)
     q2 = tr.nodal**2
-    weights = _lumped_boundary_weights(mesh, tr)
+    weights = tr.lumped_weights
     mean = float((q2 * weights).sum() / weights.sum())
     return tr.vertex_ids, q2 - mean
-
-
-def _lumped_boundary_weights(mesh: Mesh, tr: fem.NeumannTrace) -> np.ndarray:
-    w = np.zeros(len(tr.vertex_ids))
-    idx = {int(v): i for i, v in enumerate(tr.vertex_ids)}
-    dof_idx = {int(mesh.dof_of_vertex[v]): i for v, i in idx.items()}
-    for e, (a, b) in enumerate(mesh.boundary_edges):
-        half = 0.5 * mesh.boundary_lengths[e]
-        w[dof_idx[int(mesh.dof_of_vertex[a])]] += half
-        w[dof_idx[int(mesh.dof_of_vertex[b])]] += half
-    return w
 
 
 # -- descent flow --------------------------------------------------------------------
@@ -100,27 +89,6 @@ def _polygon_area_centroid(pts: np.ndarray) -> tuple[float, np.ndarray]:
     return area, np.array([cx, cy])
 
 
-def _self_intersects(pts: np.ndarray) -> bool:
-    n = len(pts)
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    for i in range(n):
-        d1 = b[i] - a[i]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            d2 = b[j] - a[j]
-            r = a[j] - a[i]
-            den = d1[0] * d2[1] - d1[1] * d2[0]
-            if abs(den) < 1e-30:
-                continue
-            t = (r[0] * d2[1] - r[1] * d2[0]) / den
-            s = (r[0] * d1[1] - r[1] * d1[0]) / den
-            if 1e-12 < t < 1 - 1e-12 and 1e-12 < s < 1 - 1e-12:
-                return True
-    return False
-
-
 def _vertex_normals(pts: np.ndarray) -> np.ndarray:
     # CCW polygon: outward normal is the right-hand rotation of the tangent
     tang = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
@@ -147,18 +115,14 @@ class _FlowEval:
     mesh: Mesh
     eigen: fem.EigenPair
     spread: float
-    alpha: float
 
 
 def _evaluate(pts: np.ndarray, h: float) -> _FlowEval:
-    mesh = build_domain(Polygon(tuple(map(tuple, pts))), h)
+    mesh = build_domain(_poly(pts), h)
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-    tr = fem.neumann_trace(mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
-    w = tr.edge_lengths
-    mean = float((tr.per_edge * w).sum() / w.sum())
-    spread = math.sqrt(float((((tr.per_edge - mean) ** 2) * w).sum() / w.sum())) / abs(mean)
-    return _FlowEval(pts=pts, mesh=mesh, eigen=ep, spread=spread, alpha=mean)
+    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    return _FlowEval(pts=pts, mesh=mesh, eigen=ep, spread=rep.rel_spread)
 
 
 def flow_to_extremal(
@@ -183,9 +147,7 @@ def flow_to_extremal(
     pts = _rescale(pts, area0)
 
     cur = _evaluate(pts, h)
-    states = [
-        FlowState(0, _poly(cur.pts), area0, cur.eigen.lambda1, cur.spread, 0.0)
-    ]
+    states = [_state(0, cur, 0.0)]
     reason = "max_steps"
     for step in range(1, max_steps + 1):
         if cur.spread < spread_tol:
@@ -206,7 +168,7 @@ def flow_to_extremal(
             trial = cur.pts + dt * v[:, None] * normals
             trial = _resample_closed(trial, n)
             trial = _rescale(trial, area0)
-            if _self_intersects(trial):
+            if not _is_simple(trial):
                 raise_tangled = True
             else:
                 raise_tangled = False
@@ -230,14 +192,17 @@ def flow_to_extremal(
             reason = "stagnated"
             break
         cur = accepted
-        states.append(
-            FlowState(step, _poly(cur.pts), area0, cur.eigen.lambda1, cur.spread, dt)
-        )
+        states.append(_state(step, cur, dt))
     return FlowResult(states=states, reason=reason)
 
 
 def _poly(pts: np.ndarray) -> Polygon:
     return Polygon(tuple(map(tuple, pts)))
+
+
+def _state(step: int, ev: _FlowEval, dt: float) -> FlowState:
+    spec = _poly(ev.pts)
+    return FlowState(step, spec, spec.area(), ev.eigen.lambda1, ev.spread, dt)
 
 
 def _rescale(pts: np.ndarray, target_area: float) -> np.ndarray:
@@ -271,10 +236,8 @@ def _strip_flux_modes(
     ep = fem.eigen_smallest(
         k, m, fem.dirichlet_mask(mesh), mesh, tol=1e-11, shift=0.98 * lam
     )
-    tr = fem.neumann_trace(mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
-    w = tr.edge_lengths
-    mean = float((tr.per_edge * w).sum() / w.sum())
-    spread = math.sqrt(float((((tr.per_edge - mean) ** 2) * w).sum() / w.sum())) / abs(mean)
+    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    tr = rep.trace
 
     # top wall nodal flux on the uniform column grid
     ids = tr.vertex_ids
@@ -289,13 +252,12 @@ def _strip_flux_modes(
         [2.0 * float(np.mean(dev * np.cos(2 * math.pi * k_ * xs / T))) for k_ in range(1, n_modes + 1)]
     )
     return {
-        "mean": mean,
+        "mean": rep.alpha_hat,
         "dev_coeffs": coeffs_out,
         "lambda1": ep.lambda1,
-        "spread": spread,
+        "spread": rep.rel_spread,
         "mesh": mesh,
         "eigen": ep,
-        "trace": tr,
     }
 
 

@@ -116,6 +116,33 @@ def test_config_validation():
         cli.load_config({"command": "flow", "domain": DISK}, command="eigen")
 
 
+_MALFORMED = {
+    "linear_without_lam": {"command": "solve", "domain": DISK, "h": 0.1,
+                           "nonlinearity": {"kind": "linear"}},
+    "decreasing_breakpoints": {"command": "solve", "domain": DISK, "h": 0.1,
+                               "nonlinearity": {"kind": "tabulated", "breakpoints": [1.0, 0.0],
+                                                "values": [0.0, 1.0], "lipschitz": 2.0}},
+    "h_not_a_number": {"command": "eigen", "domain": DISK, "h": "abc"},
+    "tolerance_not_a_number": {"command": "eigen", "domain": DISK, "h": 0.1,
+                               "tolerances": {"eigen_tol": "tight"}},
+    "missing_record": {"command": "report", "records": ["no/such/run/record.json"]},
+    "theorems_as_string": {"command": "check", "domain": DISK, "h": 0.1, "theorems": "T4"},
+    "unknown_theorem": {"command": "check", "domain": DISK, "h": 0.1, "theorems": ["T4", "T9"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_config_is_a_config_error(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
+    data = _MALFORMED[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main([data["command"], "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_aggregation(tmp_path):
     recs = []
     for h in (0.08, 0.04):

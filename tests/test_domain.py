@@ -16,6 +16,7 @@ from extremal_lab.geom2d import (
     domain_spec_from_json,
     domain_spec_to_json,
 )
+from extremal_lab.geom2d.domain import _is_simple
 
 ALL_SPECS = [
     Disk(1.0),
@@ -96,3 +97,53 @@ def test_polygon_signed_distance_sign():
     d = p.signed_distance(np.array([[0.5, 0.5], [2.0, 0.5]]))
     assert d[0] == pytest.approx(-0.5)
     assert d[1] == pytest.approx(1.0)
+
+
+# -- polygon simplicity ----------------------------------------------------------
+
+
+def _is_simple_pairwise(v):
+    """Reference: every pair of non-adjacent edges, one orientation test each."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    n = len(v)
+    for i in range(n):
+        p1, p2 = v[i], v[(i + 1) % n]
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            q1, q2 = v[j], v[(j + 1) % n]
+            d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+            d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+                return False
+    return True
+
+
+_COORD = st.one_of(
+    st.integers(-3, 3).map(float),  # small grid: collinear, touching, repeated
+    st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@given(
+    st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=14),
+    st.sampled_from([0.0, 1e-15, 1e-9]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_is_simple_matches_pairwise_loop(points, jitter, seed):
+    v = np.asarray(points, dtype=float)
+    v = v + jitter * np.random.default_rng(seed).standard_normal(v.shape)
+    assert _is_simple(v) == _is_simple_pairwise(v)
+
+
+def test_is_simple_across_row_chunks():
+    # 2500 edges span several row chunks; the one crossing sits near the end
+    theta = 2 * math.pi * np.arange(2500) / 2500
+    v = np.column_stack([np.cos(theta), np.sin(theta)])
+    assert _is_simple(v)
+    v[[2400, 2401]] = v[[2401, 2400]]
+    assert not _is_simple(v)

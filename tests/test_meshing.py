@@ -132,3 +132,22 @@ def test_mesh_from_arrays_single_triangle():
     assert len(mesh.boundary_edges) == 3
     assert len(mesh.boundary_loops) == 1
     assert mesh.triangle_areas()[0] == pytest.approx(0.5)
+
+
+def test_unrolled_cover_is_built_once(monkeypatch):
+    from extremal_lab import overdet
+    from extremal_lab.geom2d import Line, meshing
+
+    mesh = build_domain(PeriodicStrip(2 * math.pi, (math.pi / 2, 0.3)), 0.3)
+    builds = []
+    real = meshing.mesh_from_arrays
+    monkeypatch.setattr(
+        meshing, "mesh_from_arrays", lambda *a, **k: builds.append(1) or real(*a, **k)
+    )
+    lines = [Line((0.0, y), (1.0, 0.0)) for y in (1.5, 1.6, 1.7)]
+    overdet.check_cap_heights(mesh, 1.0, lines)
+    assert len(builds) == 1
+    assert mesh.unrolled() is mesh.unrolled()
+    assert len(builds) == 1
+    flat = build_domain(Disk(1.0), 0.2)
+    assert flat.unrolled() is flat

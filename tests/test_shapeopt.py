@@ -24,7 +24,7 @@ def test_disk_velocity_near_zero_and_mean_free(disk_mesh_h05, disk_eigen):
     tr = fem.neumann_trace(
         disk_mesh_h05, disk_eigen.u1, source=disk_eigen.lambda1 * disk_eigen.u1.values
     )
-    w = shapeopt._lumped_boundary_weights(disk_mesh_h05, tr)
+    w = tr.lumped_weights
     q2_mean = float((tr.nodal**2 * w).sum() / w.sum())
     # the disk is critical: the velocity is zero at the trace-noise level
     assert float(np.abs(vel).max()) <= 0.05 * q2_mean
@@ -53,7 +53,7 @@ def test_shape_derivative_against_morph_fd():
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
     tr = fem.neumann_trace(mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
-    w = shapeopt._lumped_boundary_weights(mesh, tr)
+    w = tr.lumped_weights
     th = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
     eps = 1e-3
 
@@ -68,11 +68,23 @@ def test_shape_derivative_against_morph_fd():
 
     bg = boundary_geometry(mesh)
     ids = tr.vertex_ids
-    nu = np.array([bg.normal[bg.index_of(int(v))] for v in ids])
+    assert np.array_equal(bg.vertex_ids, ids)
+    nu = bg.normal
     disp = mesh.vertices[ids] * (eps * np.cos(2 * th[ids]))[:, None]
     v_normal = np.einsum("ij,ij->i", disp, nu)
     predicted = -float((tr.nodal**2 * v_normal * w).sum())
     assert fd == pytest.approx(predicted, rel=0.05)
+
+
+def test_lumped_weights_are_half_edge_lengths(strip_mesh):
+    # periodic loops close across the seam: every vertex has two edges
+    k, m = fem.assemble(strip_mesh)
+    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(strip_mesh), strip_mesh)
+    tr = fem.neumann_trace(strip_mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
+    assert tr.lumped_weights.sum() == pytest.approx(strip_mesh.boundary_lengths.sum(), rel=1e-14)
+    for sl, loop in zip(tr.loop_slices, strip_mesh.boundary_loops):
+        lengths = strip_mesh.boundary_lengths[loop]
+        assert np.allclose(tr.lumped_weights[sl], 0.5 * (lengths + np.roll(lengths, 1)), rtol=1e-14)
 
 
 # -- descent flow ----------------------------------------------------------------
@@ -83,6 +95,14 @@ def test_disk_flow_terminates_immediately():
     assert res.reason == "converged"
     assert len(res.states) == 1
     assert res.final.spread < 1e-3
+
+
+def test_flow_states_record_polygon_area():
+    res = shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.08, max_steps=2)
+    assert len(res.states) == 3
+    for s in res.states:
+        shoelace, _ = shapeopt._polygon_area_centroid(np.asarray(s.spec.vertices))
+        assert s.area == shoelace
 
 
 @pytest.mark.slow
