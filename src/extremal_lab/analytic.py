@@ -6,6 +6,10 @@ special-function library and are reproducible digit-for-digit from the
 source.  ``j01`` pins the first zero of J0; ``ball_solution`` and
 ``strip_solution`` turn a pair (lambda, alpha) into the exact constant-flux
 profiles on the critical disk and on the flat strip.
+``strip_flux_linearization`` is the flat strip's Dirichlet-to-Neumann
+linearization (Sicbaldi 2010, Schlenk-Sicbaldi 2012): the flux deviation per
+unit cos(2 pi x / T) wall perturbation, which changes sign at the
+bifurcation period T* = 2 pi / sqrt(lambda).
 """
 
 from __future__ import annotations
@@ -209,3 +213,27 @@ def strip_solution(lam: float, alpha: float) -> StripSolution:
         raise NonNegativeAlpha(f"alpha must be negative, got {alpha}")
     s = math.sqrt(lam)
     return StripSolution(lam=lam, alpha=alpha, width=math.pi / s, max_value=abs(alpha) / s)
+
+
+def strip_flux_linearization(lam: float, T: float) -> float:
+    """Flux deviation per unit cos(2 pi x / T) perturbation of both walls of
+    the flat strip of half-width a = pi / (2 sqrt(lam)), for the eigenfunction
+    of unit L2 norm on one period cell.
+
+    With A = (T a)^(-1/2), k = 2 pi / T and w^2 = k^2 - lam this is
+    A sqrt(lam) w tanh(w a); for k^2 < lam it continues as
+    -A sqrt(lam) s tan(s a) with s^2 = lam - k^2.  Positive for T < T*,
+    zero at T* = 2 pi / sqrt(lam), negative above.
+    """
+    if lam <= 0:
+        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    if T <= 0:
+        raise ValueError(f"period must be positive, got {T}")
+    a = math.pi / (2.0 * math.sqrt(lam))
+    scale = math.sqrt(lam / (T * a))
+    w2 = (2.0 * math.pi / T) ** 2 - lam
+    if w2 >= 0:
+        w = math.sqrt(w2)
+        return scale * w * math.tanh(w * a)
+    s = math.sqrt(-w2)
+    return -scale * s * math.tan(s * a)

@@ -97,6 +97,13 @@ def _nonlinearity_from_json(data) -> fem.NonlinearitySpec | None:
     raise ConfigInvalid(f"unknown nonlinearity kind {kind!r}")
 
 
+# command keys read as numbers by the runners; "T": null asks branch for T*
+_NUMBER_KEYS = {
+    "lambda": float, "grid": float, "T": float, "s_max": float, "ds": float,
+    "seed_amplitude": float, "n_lines": int, "max_steps": int, "n_modes": int,
+    "resolution": int,
+}
+
 _KNOWN_KEYS = {
     "command", "domain", "nonlinearity", "alpha", "h", "tolerances", "out_dir",
     "seed", "lambda", "grid", "theorems", "n_lines", "max_steps", "spread_tol",
@@ -108,7 +115,7 @@ _KNOWN_KEYS = {
 def load_config(data: dict, command: str | None = None, out_dir: str | None = None) -> RunConfig:
     try:
         return _load_config(data, command, out_dir)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad config value: {exc!r}") from exc
 
 
@@ -154,6 +161,10 @@ def _load_config(data: dict, command: str | None, out_dir: str | None) -> RunCon
     theorems = data.get("theorems", [])
     if not isinstance(theorems, list) or not set(theorems) <= set(THEOREMS):
         raise ConfigInvalid(f"theorems must be a list drawn from {THEOREMS}, got {theorems!r}")
+
+    for key, kind in _NUMBER_KEYS.items():
+        if key in data and not (key == "T" and data[key] is None):
+            kind(data[key])
 
     extra_keys = _KNOWN_KEYS - {
         "command", "domain", "nonlinearity", "alpha", "h", "tolerances", "out_dir", "seed"
@@ -242,10 +253,10 @@ def _eigen_solution(cfg: RunConfig, mesh):
         k, m, fem.dirichlet_mask(mesh), mesh, tol=cfg.tolerances.get("eigen_tol", 1e-10)
     )
     u = ep.u1
-    rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values)
+    rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values, (k, m))
     if cfg.alpha is not None:
         u = fem.ScalarField(mesh, u.values * (cfg.alpha / rep.alpha_hat))
-        rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values)
+        rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values, (k, m))
     return ep, u, rep
 
 
@@ -312,7 +323,7 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
     digest = cfg.digest()
     out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), digest))
     if not trivial:
-        rep = overdet.overdet_residual(mesh, u, cfg.nonlinearity.f(u.values))
+        rep = overdet.overdet_residual(mesh, u, cfg.nonlinearity.f(u.values), (k, m))
         pr = overdet.p_function(mesh, u, cfg.nonlinearity, rep.alpha_hat)
         out.write("p.csv", pr.field.export_csv())
         out.write(
@@ -363,6 +374,8 @@ def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
     if lam <= 0:
         raise ConfigInvalid("check needs lambda > 0")
     grid = float(cfg.extra.get("grid", cfg.h / 2))
+    if not grid > 0:
+        raise ConfigInvalid("check needs grid > 0")
     theorems = cfg.extra.get("theorems", THEOREMS)
     checks = []
     mesh = build_domain(cfg.domain, cfg.h)
@@ -415,12 +428,16 @@ def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
 
 def _run_branch(cfg: RunConfig, out: _Outputs) -> dict:
     lam = float(cfg.extra.get("lambda", 1.0))
+    if lam <= 0:
+        raise ConfigInvalid("branch needs lambda > 0")
     n_modes = int(cfg.extra.get("n_modes", 10))
     resolution = int(cfg.extra.get("resolution", 16))
+    if resolution < 1:
+        raise ConfigInvalid("branch needs resolution >= 1")
     t0 = cfg.extra.get("T")
     tstar = None
     if t0 is None:
-        tstar = shapeopt.bifurcation_period(lam)
+        tstar = shapeopt.bifurcation_period(lam, resolution)
         t0 = tstar
     s_max = float(cfg.extra.get("s_max", 0.05))
     ds = float(cfg.extra.get("ds", 0.005))

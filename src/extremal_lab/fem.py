@@ -361,11 +361,17 @@ class NeumannTrace:
     loop_slices: list[slice] = field(default_factory=list)
 
 
-def neumann_trace(mesh: Mesh, u: ScalarField, source: np.ndarray | None = None) -> NeumannTrace:
+def neumann_trace(
+    mesh: Mesh,
+    u: ScalarField,
+    source: np.ndarray | None = None,
+    matrices: tuple[SparseSym, SparseSym] | None = None,
+) -> NeumannTrace:
     """Variational boundary flux: solve M_b g = (K u - M s) on boundary rows,
     where s holds the per-vertex reaction values f(u) (None for pure Laplace)
-    and M_b is the 1D P1 mass matrix over the boundary loops."""
-    k, m = assemble(mesh)
+    and M_b is the 1D P1 mass matrix over the boundary loops.  `matrices` is
+    the mesh's assembled (K, M); it is assembled here when not given."""
+    k, m = matrices or assemble(mesh)
     ured = mesh.reduce(u.values)
     rhs_full = k.mat @ ured
     if source is not None:

@@ -12,7 +12,6 @@ statements.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,10 +53,16 @@ class OverdetReport:
         }
 
 
-def overdet_residual(mesh: Mesh, u: fem.ScalarField, source: np.ndarray | None) -> OverdetReport:
+def overdet_residual(
+    mesh: Mesh,
+    u: fem.ScalarField,
+    source: np.ndarray | None,
+    matrices: tuple[fem.SparseSym, fem.SparseSym] | None = None,
+) -> OverdetReport:
     """Flux statistics for a Dirichlet solution with reaction values `source`
-    (f(u) per vertex; None for pure Laplace)."""
-    tr = fem.neumann_trace(mesh, u, source=source)
+    (f(u) per vertex; None for pure Laplace).  `matrices` is the mesh's
+    assembled (K, M), when the caller already has it."""
+    tr = fem.neumann_trace(mesh, u, source=source, matrices=matrices)
     w = tr.edge_lengths
     total = float(w.sum())
     mean = float((tr.per_edge * w).sum() / total)
@@ -306,9 +311,6 @@ class TheoremCheck:
             "margin": self.margin,
             "flags": self.flags,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def check_T4(target, lam: float, g: float) -> TheoremCheck:

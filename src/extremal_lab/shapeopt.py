@@ -121,7 +121,7 @@ def _evaluate(pts: np.ndarray, h: float) -> _FlowEval:
     mesh = build_domain(_poly(pts), h)
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values, (k, m))
     return _FlowEval(pts=pts, mesh=mesh, eigen=ep, spread=rep.rel_spread)
 
 
@@ -236,7 +236,7 @@ def _strip_flux_modes(
     ep = fem.eigen_smallest(
         k, m, fem.dirichlet_mask(mesh), mesh, tol=1e-11, shift=0.98 * lam
     )
-    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values, (k, m))
     tr = rep.trace
 
     # top wall nodal flux on the uniform column grid
@@ -270,15 +270,23 @@ def _strip_counts(lam: float, T: float, resolution: int) -> tuple[int, int]:
     return nx, ny
 
 
-def bifurcation_mu(lam: float, T: float, resolution: int = 12, eps_rel: float = 1e-5) -> float:
+def bifurcation_mu(
+    lam: float,
+    T: float,
+    resolution: int = 12,
+    eps_rel: float = 1e-5,
+    counts: tuple[int, int] | None = None,
+) -> float:
     """Linearized flux deviation per unit cos(2 pi x / T) wall perturbation.
 
     Finite difference of the Dirichlet eigen-solve at relative amplitudes
     eps_rel and 2*eps_rel, Richardson-extrapolated.  The straight strip's own
     deviation is subtracted, so structured-mesh discretization error cancels.
+    The cell mesh has the given (nx, ny) counts, or counts sized from T and
+    resolution when none are given.
     """
     a = math.pi / (2.0 * math.sqrt(lam))
-    nx, ny = _strip_counts(lam, T, resolution)
+    nx, ny = counts or _strip_counts(lam, T, resolution)
     base = _strip_flux_modes(lam, T, (a,), nx, ny, 1)
     eps = eps_rel * a
     c1 = _strip_flux_modes(lam, T, (a, eps), nx, ny, 1)["dev_coeffs"][0]
@@ -286,41 +294,51 @@ def bifurcation_mu(lam: float, T: float, resolution: int = 12, eps_rel: float = 
     c0 = base["dev_coeffs"][0]
     mu1 = (c1 - c0) / eps
     mu2 = (c2 - c0) / (2 * eps)
-    return 2.0 * mu1 - mu2
+    return float(2.0 * mu1 - mu2)
 
 
-def bifurcation_period(
-    lam: float,
-    resolution: int = 12,
-    scan_points: int = 48,
-    rel_tol: float = 1e-6,
-) -> float:
-    """Period at which the straight strip's flux linearization changes sign,
-    located by a scan over [0.1, 50]/sqrt(lam) and bisection."""
+def bifurcation_period(lam: float, resolution: int = 16, rel_tol: float = 1e-6) -> float:
+    """Period at which the straight strip's discrete flux linearization
+    changes sign.
+
+    The closed form (analytic.strip_flux_linearization) vanishes at
+    2 pi / sqrt(lam); the FEM mu is bracketed at 0.99 and 1.01 times that
+    period, on the mesh counts that continue_branch uses there, and its zero
+    is found by a secant that bisects whenever a step would leave the
+    bracket.  A bracket without a sign change is widened geometrically until
+    it covers [0.1, 50] / sqrt(lam).
+    """
     if lam <= 0:
         raise InvalidSpec("lambda must be positive")
     s = math.sqrt(lam)
-    ts = np.linspace(0.1 / s, 50.0 / s, scan_points)
-    mus = [bifurcation_mu(lam, float(t), resolution) for t in ts]
-    bracket = None
-    for i in range(len(ts) - 1):
-        if mus[i] == 0.0:
-            return float(ts[i])
-        if mus[i] * mus[i + 1] < 0:
-            bracket = (float(ts[i]), float(ts[i + 1]), mus[i])
-            break
-    if bracket is None:
-        raise NoSignChange("no sign change of the flux linearization on the scanned periods")
-    lo, hi, flo = bracket
-    while (hi - lo) > rel_tol * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        fmid = bifurcation_mu(lam, mid, resolution)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
+    t_lin = 2.0 * math.pi / s
+    counts = _strip_counts(lam, t_lin, resolution)
+
+    def mu(t: float) -> float:
+        return bifurcation_mu(lam, t, resolution, counts=counts)
+
+    lo, hi = 0.99 * t_lin, 1.01 * t_lin
+    flo, fhi = mu(lo), mu(hi)
+    while flo * fhi > 0:
+        if lo < 0.1 / s and hi > 50.0 / s:
+            raise NoSignChange("no sign change of the flux linearization on [0.1, 50]/sqrt(lam)")
+        lo, hi = 0.5 * lo, 2.0 * hi
+        flo, fhi = mu(lo), mu(hi)
+    if 0.0 in (flo, fhi):
+        return lo if flo == 0.0 else hi
+    x0, f0, x1, f1 = lo, flo, hi, fhi
+    while hi - lo > rel_tol * 0.5 * (lo + hi):
+        t = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else lo
+        if not lo < t < hi:  # the secant left the bracket (or is flat): bisect
+            t = 0.5 * (lo + hi)
+        ft = mu(t)
+        if ft == 0.0 or abs(t - x1) <= rel_tol * t:
+            return t
+        if flo * ft < 0:
+            hi = t
         else:
-            lo, flo = mid, fmid
+            lo, flo = t, ft
+        x0, f0, x1, f1 = x1, f1, t, ft
     return 0.5 * (lo + hi)
 
 

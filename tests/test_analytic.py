@@ -155,3 +155,45 @@ def test_h0_monotone():
     assert analytic.ball_solution(1.0, -1.5).h0 > h
     assert analytic.ball_solution(0.5, -1.0).h0 > h
     assert analytic.ball_solution(2.0, -1.0).h0 < h
+
+
+# -- strip flux linearization ------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+def test_strip_flux_linearization_vanishes_at_bifurcation_period(lam):
+    tstar = 2 * math.pi / math.sqrt(lam)
+    assert abs(analytic.strip_flux_linearization(lam, tstar)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+def test_strip_flux_linearization_continuous_across_crossover(lam):
+    # k^2 = lam at T*; the tanh branch (T < T*) and the tan branch (T > T*)
+    # must meet with matching values and slopes
+    tstar = 2 * math.pi / math.sqrt(lam)
+    mu = analytic.strip_flux_linearization
+    for d in (1e-4, 1e-6):
+        below, above = mu(lam, tstar * (1 - d)), mu(lam, tstar * (1 + d))
+        assert below > 0 > above
+        slope_below = (mu(lam, tstar) - below) / (tstar * d)
+        slope_above = (above - mu(lam, tstar)) / (tstar * d)
+        assert slope_above == pytest.approx(slope_below, rel=10 * d)
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+def test_strip_flux_linearization_sign(lam):
+    s = math.sqrt(lam)
+    tstar = 2 * math.pi / s
+    for t in np.linspace(0.1 / s, 50.0 / s, 97):
+        value = analytic.strip_flux_linearization(lam, float(t))
+        if t < tstar:
+            assert value > 0
+        else:
+            assert value < 0
+
+
+def test_strip_flux_linearization_rejects_bad_input():
+    with pytest.raises(NonPositiveLambda):
+        analytic.strip_flux_linearization(0.0, 6.0)
+    with pytest.raises(ValueError):
+        analytic.strip_flux_linearization(1.0, 0.0)

@@ -114,6 +114,8 @@ def test_config_validation():
         cli.load_config({"command": "eigen", "domain": DISK, "bogus_key": 1})
     with pytest.raises(ConfigInvalid):
         cli.load_config({"command": "flow", "domain": DISK}, command="eigen")
+    # a null period asks branch to compute the bifurcation period
+    assert cli.load_config({"command": "branch", "T": None}).extra["T"] is None
 
 
 _MALFORMED = {
@@ -128,6 +130,19 @@ _MALFORMED = {
     "missing_record": {"command": "report", "records": ["no/such/run/record.json"]},
     "theorems_as_string": {"command": "check", "domain": DISK, "h": 0.1, "theorems": "T4"},
     "unknown_theorem": {"command": "check", "domain": DISK, "h": 0.1, "theorems": ["T4", "T9"]},
+    "lambda_not_a_number": {"command": "check", "domain": DISK, "h": 0.1, "lambda": "abc"},
+    "n_lines_not_a_number": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": "many"},
+    "grid_not_a_number": {"command": "check", "domain": DISK, "h": 0.1, "grid": "fine"},
+    "grid_zero": {"command": "check", "domain": DISK, "h": 0.1, "grid": 0},
+    "n_lines_infinite": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": 1e400},
+    "max_steps_not_a_number": {"command": "flow", "domain": DISK, "h": 0.1, "max_steps": "x"},
+    "s_max_not_a_number": {"command": "branch", "s_max": "x"},
+    "ds_not_a_number": {"command": "branch", "ds": [0.005]},
+    "n_modes_not_a_number": {"command": "branch", "n_modes": "ten"},
+    "resolution_not_a_number": {"command": "branch", "resolution": "x"},
+    "T_not_a_number": {"command": "branch", "T": "abc"},
+    "branch_lambda_negative": {"command": "branch", "lambda": -1.0, "T": 6.0},
+    "branch_resolution_zero": {"command": "branch", "resolution": 0, "T": 6.0},
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extremal_lab import analytic, fem, shapeopt
+from extremal_lab.errors import NoSignChange
 from extremal_lab.geom2d import Disk, Ellipse, Polygon, boundary_geometry, build_domain
 from extremal_lab.geom2d.meshing import mesh_from_arrays
 
@@ -157,6 +158,13 @@ def test_mu_has_exactly_one_sign_change():
     assert changes == 1
 
 
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_bifurcation_mu_matches_closed_form(lam):
+    for t in (2.0, 4.0, 8.0, 12.0):
+        ref = analytic.strip_flux_linearization(lam, t)
+        assert shapeopt.bifurcation_mu(lam, t) == pytest.approx(ref, rel=0.03)
+
+
 @pytest.mark.slow
 def test_bifurcation_period_scaling_law():
     t1 = shapeopt.bifurcation_period(1.0)
@@ -164,6 +172,43 @@ def test_bifurcation_period_scaling_law():
     assert abs(t4 - t1 / 2) / (t1 / 2) <= 1e-4
     # the numerical zero sits at the separable-mode crossover 2*pi/sqrt(lam)
     assert t1 == pytest.approx(2 * math.pi, rel=1e-3)
+    # a 48-point scan over [0.1, 50] plus bisection found 6.2825790 here
+    assert shapeopt.bifurcation_period(1.0, resolution=12) == pytest.approx(6.2825790, rel=1e-6)
+
+
+def _counting(monkeypatch, fn):
+    calls = []
+
+    def mu(lam, t, resolution=12, eps_rel=1e-5, counts=None):
+        calls.append(counts)
+        return fn(t)
+
+    monkeypatch.setattr(shapeopt, "bifurcation_mu", mu)
+    return calls
+
+
+def test_bifurcation_period_widens_the_bracket(monkeypatch):
+    calls = _counting(monkeypatch, lambda t: (3.0 - t) * (1.0 + 0.1 * t))
+    assert shapeopt.bifurcation_period(1.0) == pytest.approx(3.0, rel=1e-9)
+    # one mesh family for every evaluation
+    assert set(calls) == {shapeopt._strip_counts(1.0, 2 * math.pi, 16)}
+
+
+def test_bifurcation_period_without_sign_change(monkeypatch):
+    calls = _counting(monkeypatch, lambda t: 1.0 + t)
+    with pytest.raises(NoSignChange):
+        shapeopt.bifurcation_period(4.0)
+    # two for the first bracket and two per doubling; the sixth passes [0.1, 50]/sqrt(4)
+    assert len(calls) == 14
+
+
+@pytest.mark.slow
+def test_branch_leaves_its_bifurcation_period_downward():
+    tstar = shapeopt.bifurcation_period(1.0)
+    # the branch meshes its start with the counts the search used
+    assert shapeopt._strip_counts(1.0, tstar, 16) == shapeopt._strip_counts(1.0, 2 * math.pi, 16)
+    points = shapeopt.continue_branch(1.0, tstar, s_max=0.004, ds=0.005)
+    assert -2e-5 < points[1].period - tstar < 0
 
 
 # -- branch continuation --------------------------------------------------------------
