@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from . import __version__, analytic, fem, overdet, shapeopt, svgfig
 from .errors import ConfigInvalid, ExtremalLabError, VersionMismatch
@@ -80,27 +81,35 @@ def _nonlinearity_to_json(f) -> dict | None:
     raise ConfigInvalid(f"unknown nonlinearity {f!r}")
 
 
+def _finite(value) -> float:
+    """The value as a float that is neither NaN nor infinite (JSON allows both)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
 def _nonlinearity_from_json(data) -> fem.NonlinearitySpec | None:
     if data is None:
         return None
     kind = data.get("kind")
     if kind == "linear":
-        return fem.Linear(float(data["lam"]))
+        return fem.Linear(_finite(data["lam"]))
     if kind == "allen_cahn":
         return fem.AllenCahn()
     if kind == "tabulated":
         return fem.Tabulated(
-            tuple(map(float, data["breakpoints"])),
-            tuple(map(float, data["values"])),
-            float(data["lipschitz"]),
+            tuple(map(_finite, data["breakpoints"])),
+            tuple(map(_finite, data["values"])),
+            _finite(data["lipschitz"]),
         )
     raise ConfigInvalid(f"unknown nonlinearity kind {kind!r}")
 
 
 # command keys read as numbers by the runners; "T": null asks branch for T*
 _NUMBER_KEYS = {
-    "lambda": float, "grid": float, "T": float, "s_max": float, "ds": float,
-    "seed_amplitude": float, "n_lines": int, "max_steps": int, "n_modes": int,
+    "lambda": _finite, "grid": _finite, "T": _finite, "s_max": _finite, "ds": _finite,
+    "seed_amplitude": _finite, "n_lines": int, "max_steps": int, "n_modes": int,
     "resolution": int,
 }
 
@@ -133,14 +142,14 @@ def _load_config(data: dict, command: str | None, out_dir: str | None) -> RunCon
     if cmd not in COMMANDS:
         raise ConfigInvalid(f"command must be one of {COMMANDS}, got {cmd!r}")
 
-    h = float(data.get("h", 0.05))
+    h = _finite(data.get("h", 0.05))
     if cmd != "report" and not (1e-4 < h < 1.0):
         raise ConfigInvalid(f"mesh size h must lie in (1e-4, 1), got {h}")
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigInvalid("tolerances must be an object")
     for key, val in tolerances.items():
-        if not (1e-14 <= float(val) <= 1e-1):
+        if not (1e-14 <= _finite(val) <= 1e-1):
             raise ConfigInvalid(f"tolerance override {key}={val} outside [1e-14, 1e-1]")
 
     domain = None
@@ -154,7 +163,7 @@ def _load_config(data: dict, command: str | None, out_dir: str | None) -> RunCon
 
     alpha = data.get("alpha")
     if alpha is not None:
-        alpha = float(alpha)
+        alpha = _finite(alpha)
         if alpha >= 0:
             raise ConfigInvalid("alpha target must be negative")
 
@@ -249,14 +258,12 @@ def _eigen_solution(cfg: RunConfig, mesh):
     """First Dirichlet eigenpair and its flux report, with the eigenfunction
     rescaled to the configured flux target when one is set."""
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(
-        k, m, fem.dirichlet_mask(mesh), mesh, tol=cfg.tolerances.get("eigen_tol", 1e-10)
-    )
+    ep = fem.eigen_smallest(k, m, mesh, tol=cfg.tolerances.get("eigen_tol", 1e-10))
     u = ep.u1
-    rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values, (k, m))
+    rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
     if cfg.alpha is not None:
         u = fem.ScalarField(mesh, u.values * (cfg.alpha / rep.alpha_hat))
-        rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values, (k, m))
+        rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
     return ep, u, rep
 
 
@@ -296,19 +303,15 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
     mesh = build_domain(cfg.domain, cfg.h)
     k, m = fem.assemble(mesh)
     # universal positive seed: the torsion function scaled to a set amplitude
-    from scipy.sparse.linalg import splu
-
-    mask = fem.dirichlet_mask(mesh)
-    interior = np.nonzero(~mask)[0]
-    ki = k.mat[interior][:, interior].tocsc()
-    ones = np.ones(len(interior))
-    tors = splu(ki).solve(m.mat[interior][:, interior] @ ones)
+    interior = np.nonzero(~fem.dirichlet_mask(mesh))[0]
+    ki = k[interior][:, interior].tocsc()
+    tors = splu(ki).solve(m[interior][:, interior] @ np.ones(len(interior)))
     amp = float(cfg.extra.get("seed_amplitude", 0.5))
     seed_dof = np.zeros(mesh.n_dofs)
     seed_dof[interior] = tors * (amp / float(tors.max()))
     u0 = fem.ScalarField(mesh, mesh.expand(seed_dof))
     u = fem.solve_semilinear(
-        mesh, cfg.nonlinearity, u0, tol=cfg.tolerances.get("newton_tol", 1e-10)
+        k, m, mesh, cfg.nonlinearity, u0, tol=cfg.tolerances.get("newton_tol", 1e-10)
     )
     trivial = bool(float(np.max(np.abs(u.values))) < 1e-8)
     report: dict = {
@@ -323,8 +326,8 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
     digest = cfg.digest()
     out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), digest))
     if not trivial:
-        rep = overdet.overdet_residual(mesh, u, cfg.nonlinearity.f(u.values), (k, m))
-        pr = overdet.p_function(mesh, u, cfg.nonlinearity, rep.alpha_hat)
+        rep = overdet.overdet_residual(k, m, mesh, u, cfg.nonlinearity.f(u.values))
+        pr = overdet.p_function(mesh, u, cfg.nonlinearity, rep)
         out.write("p.csv", pr.field.export_csv())
         out.write(
             "levels.svg",
@@ -390,7 +393,7 @@ def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
             checks.append(overdet.check_cap_heights(mesh, lam, _sample_lines(cfg, mesh)))
         if "T8" in theorems:
             checks.append(
-                overdet.check_T8_convexity(mesh, u, fem.Linear(ep.lambda1), rep.alpha_hat)
+                overdet.check_T8_convexity(mesh, u, fem.Linear(ep.lambda1), rep)
             )
     out.write("boundary.csv", _boundary_csv(mesh))
     out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), cfg.digest()))
@@ -431,16 +434,20 @@ def _run_branch(cfg: RunConfig, out: _Outputs) -> dict:
     if lam <= 0:
         raise ConfigInvalid("branch needs lambda > 0")
     n_modes = int(cfg.extra.get("n_modes", 10))
+    if n_modes < 8:
+        raise ConfigInvalid("branch needs n_modes >= 8")
     resolution = int(cfg.extra.get("resolution", 16))
     if resolution < 1:
         raise ConfigInvalid("branch needs resolution >= 1")
+    s_max = float(cfg.extra.get("s_max", 0.05))
+    ds = float(cfg.extra.get("ds", 0.005))
+    if ds == 0:
+        raise ConfigInvalid("branch needs ds != 0")
     t0 = cfg.extra.get("T")
     tstar = None
     if t0 is None:
         tstar = shapeopt.bifurcation_period(lam, resolution)
         t0 = tstar
-    s_max = float(cfg.extra.get("s_max", 0.05))
-    ds = float(cfg.extra.get("ds", 0.005))
     points = shapeopt.continue_branch(
         lam, float(t0), s_max, ds, n_modes=n_modes, resolution=resolution
     )

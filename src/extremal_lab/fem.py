@@ -1,12 +1,14 @@
 """Piecewise-linear finite elements on the geometry layer's meshes.
 
-Assembly produces exactly symmetric stiffness/mass pairs (periodic meshes are
-folded onto one degree of freedom per physical vertex), the smallest Dirichlet
-eigenpair comes from shift-inverted iteration with Rayleigh acceleration on a
-sparse direct factorization, the semilinear solver is a damped Newton
-iteration, and boundary fluxes are recovered variationally (lumped through the
-one-dimensional boundary mass matrix), which is markedly more accurate than
-sampling raw element gradients.
+`assemble` gives the exactly symmetric P1 stiffness and mass matrices as scipy
+CSR matrices (periodic meshes are folded onto one degree of freedom per
+physical vertex); callers assemble once per mesh and pass the same K and M to
+the eigen solve, the Newton solve and the Neumann trace.  The smallest
+Dirichlet eigenpair comes from shift-inverted iteration with Rayleigh
+acceleration on a sparse direct factorization, the semilinear solver is a
+damped Newton iteration, and boundary fluxes are recovered variationally
+(lumped through the one-dimensional boundary mass matrix), which is markedly
+more accurate than sampling raw element gradients.
 """
 
 from __future__ import annotations
@@ -50,27 +52,6 @@ class ScalarField:
 
 
 @dataclass
-class SparseSym:
-    """Symmetric sparse matrix in CSR storage."""
-
-    mat: sparse.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    def export_matrix_market(self) -> str:
-        coo = self.mat.tocoo()
-        lines = [
-            "%%MatrixMarket matrix coordinate real general",
-            f"{self.n} {self.n} {coo.nnz}",
-        ]
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            lines.append(f"{i + 1} {j + 1} {float(v)!r}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
 class EigenPair:
     """Smallest Dirichlet eigenvalue with its mass-normalized eigenfunction."""
 
@@ -93,7 +74,15 @@ def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, c, area
 
 
-def assemble(mesh: Mesh) -> tuple[SparseSym, SparseSym]:
+def export_matrix_market(mat: sparse.spmatrix) -> str:
+    """The matrix in MatrixMarket coordinate format (1-based indices)."""
+    coo = mat.tocoo()
+    lines = ["%%MatrixMarket matrix coordinate real general", "{} {} {}".format(*coo.shape, coo.nnz)]
+    lines += [f"{i + 1} {j + 1} {float(v)!r}" for i, j, v in zip(coo.row, coo.col, coo.data)]
+    return "\n".join(lines) + "\n"
+
+
+def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """P1 stiffness and consistent mass matrices on the mesh's DOFs."""
     b, c, area = p1_gradients(mesh)
     if np.any(area < 1e-14):
@@ -112,7 +101,7 @@ def assemble(mesh: Mesh) -> tuple[SparseSym, SparseSym]:
     m = sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     k.sum_duplicates()
     m.sum_duplicates()
-    return SparseSym(k), SparseSym(m)
+    return k, m
 
 
 def dirichlet_mask(mesh: Mesh) -> np.ndarray:
@@ -123,9 +112,8 @@ def dirichlet_mask(mesh: Mesh) -> np.ndarray:
 
 
 def eigen_smallest(
-    k: SparseSym,
-    m: SparseSym,
-    dirichlet: np.ndarray,
+    k: sparse.csr_matrix,
+    m: sparse.csr_matrix,
     mesh: Mesh,
     tol: float = 1e-10,
     max_iter: int = 500,
@@ -136,11 +124,11 @@ def eigen_smallest(
     Shift-inverted power iteration; a shift just below the target eigenvalue
     (e.g. 0.98 * an analytic estimate) speeds up nearly-degenerate spectra,
     and the factorization is re-shifted at the current Rayleigh quotient
-    whenever plain iteration converges slowly.
-    """
-    interior = np.nonzero(~np.asarray(dirichlet))[0]
-    ki = k.mat[interior][:, interior].tocsc()
-    mi = m.mat[interior][:, interior].tocsc()
+    whenever plain iteration converges slowly.  `k` and `m` are the mesh's
+    assembled matrices; the mesh's boundary vertices are Dirichlet DOFs."""
+    interior = np.nonzero(~dirichlet_mask(mesh))[0]
+    ki = k[interior][:, interior].tocsc()
+    mi = m[interior][:, interior].tocsc()
 
     lu = splu((ki - shift * mi).tocsc() if shift else ki)
     v = np.ones(len(interior))
@@ -282,6 +270,8 @@ def satisfies_p2(f: NonlinearitySpec, lam: float, umax: float, npts: int = 10_00
 
 
 def solve_semilinear(
+    k: sparse.csr_matrix,
+    m: sparse.csr_matrix,
     mesh: Mesh,
     f: NonlinearitySpec,
     u0: ScalarField,
@@ -289,12 +279,12 @@ def solve_semilinear(
     max_newton: int = 60,
 ) -> ScalarField:
     """Damped Newton for the discrete residual M f(u) - K u with u = 0 on the
-    boundary; returns a nonnegative field or raises NonPositiveSolution."""
-    k, m = assemble(mesh)
+    boundary, on the mesh's assembled matrices `k` and `m`; returns a
+    nonnegative field or raises NonPositiveSolution."""
     mask = dirichlet_mask(mesh)
     interior = np.nonzero(~mask)[0]
-    ki = k.mat[interior][:, interior].tocsc()
-    mi = m.mat[interior][:, interior].tocsc()
+    ki = k[interior][:, interior].tocsc()
+    mi = m[interior][:, interior].tocsc()
 
     u = mesh.reduce(u0.values)
     u[mask] = 0.0
@@ -362,28 +352,24 @@ class NeumannTrace:
 
 
 def neumann_trace(
+    k: sparse.csr_matrix,
+    m: sparse.csr_matrix,
     mesh: Mesh,
     u: ScalarField,
     source: np.ndarray | None = None,
-    matrices: tuple[SparseSym, SparseSym] | None = None,
 ) -> NeumannTrace:
     """Variational boundary flux: solve M_b g = (K u - M s) on boundary rows,
-    where s holds the per-vertex reaction values f(u) (None for pure Laplace)
-    and M_b is the 1D P1 mass matrix over the boundary loops.  `matrices` is
-    the mesh's assembled (K, M); it is assembled here when not given."""
-    k, m = matrices or assemble(mesh)
-    ured = mesh.reduce(u.values)
-    rhs_full = k.mat @ ured
+    where K and M are the mesh's assembled matrices, s holds the per-vertex
+    reaction values f(u) (None for pure Laplace) and M_b is the 1D P1 mass
+    matrix over the boundary loops."""
+    rhs_full = k @ mesh.reduce(u.values)
     if source is not None:
-        rhs_full = rhs_full - m.mat @ mesh.reduce(np.asarray(source, dtype=float))
+        rhs_full = rhs_full - m @ mesh.reduce(np.asarray(source, dtype=float))
 
     # walk-ordered boundary vertices (concatenated loops)
     ids = np.concatenate([mesh.loop_vertex_ids(i) for i in range(len(mesh.boundary_loops))])
-    slices = []
-    off = 0
-    for loop in mesh.boundary_loops:
-        slices.append(slice(off, off + len(loop)))
-        off += len(loop)
+    off = np.cumsum([0] + [len(loop) for loop in mesh.boundary_loops]).tolist()
+    slices = [slice(a, b) for a, b in zip(off, off[1:])]
     dofs = mesh.dof_of_vertex[ids]
     nb = len(dofs)
     # trace position of each boundary edge's endpoints (periodic loops close)

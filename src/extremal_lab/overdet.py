@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import fem
 from .analytic import ball_solution, r_lambda
@@ -54,15 +55,16 @@ class OverdetReport:
 
 
 def overdet_residual(
+    k: sparse.csr_matrix,
+    m: sparse.csr_matrix,
     mesh: Mesh,
     u: fem.ScalarField,
     source: np.ndarray | None,
-    matrices: tuple[fem.SparseSym, fem.SparseSym] | None = None,
 ) -> OverdetReport:
     """Flux statistics for a Dirichlet solution with reaction values `source`
-    (f(u) per vertex; None for pure Laplace).  `matrices` is the mesh's
-    assembled (K, M), when the caller already has it."""
-    tr = fem.neumann_trace(mesh, u, source=source, matrices=matrices)
+    (f(u) per vertex; None for pure Laplace), traced on the mesh's assembled
+    matrices `k` and `m`.  The report keeps the trace for later consumers."""
+    tr = fem.neumann_trace(k, m, mesh, u, source=source)
     w = tr.edge_lengths
     total = float(w.sum())
     mean = float((tr.per_edge * w).sum() / total)
@@ -201,24 +203,29 @@ def p_function(
     mesh: Mesh,
     u: fem.ScalarField,
     f: fem.NonlinearitySpec,
-    alpha_hat: float,
+    report: OverdetReport,
     critical_fraction: float = 0.02,
 ) -> PReport:
+    """P-function of the Dirichlet solution u of -Delta u = f(u).
+
+    `report` must be the overdet_residual report of this same u with source
+    f(u): its trace gives |grad u| on the boundary and its alpha_hat the
+    flux level of the convexity criterion.
+    """
     rec = patch_recover(mesh, u.values)
     grad_sq = np.einsum("ij,ij->i", rec.gradient, rec.gradient)
     p_vals = grad_sq + 2.0 * f.antiderivative(u.values)
+    alpha_hat = report.alpha_hat
 
     # on the boundary u = 0, so |grad u| is the variational flux magnitude
-    tr = fem.neumann_trace(mesh, u, source=f.f(u.values))
+    tr = report.trace
     b_ids = tr.vertex_ids
     p_vals = p_vals.copy()
     p_vals[b_ids] = tr.nodal**2 + 2.0 * f.antiderivative(0.0)
     for dup, base in mesh.periodic_pairs:
         p_vals[dup] = p_vals[base]
 
-    is_boundary = np.zeros(len(mesh.vertices), dtype=bool)
-    is_boundary[mesh.boundary_vertex_ids()] = True
-    interior_ids = np.nonzero(~is_boundary)[0]
+    interior_ids = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertex_ids())
 
     flags: list[str] = []
     gnorm = np.sqrt(grad_sq)
@@ -439,12 +446,13 @@ def check_T8_convexity(
     mesh: Mesh,
     u: fem.ScalarField,
     f: fem.NonlinearitySpec,
-    alpha_hat: float,
+    report: OverdetReport,
     tau_k: float | None = None,
 ) -> TheoremCheck:
     """If 2 max F(u) < alpha^2, the complement components must be convex:
     boundary curvature of the domain <= tau_k everywhere (complement-side
-    curvature > -tau_k).  Only meaningful on periodic meshes."""
+    curvature > -tau_k).  Only meaningful on periodic meshes.  `report` is
+    the overdet_residual report of u with source f(u), as for p_function."""
     if not mesh.is_periodic_x:
         return TheoremCheck(
             tag="T8",
@@ -454,7 +462,7 @@ def check_T8_convexity(
             margin=None,
             flags=["not_applicable"],
         )
-    prep = p_function(mesh, u, f, alpha_hat)
+    prep = p_function(mesh, u, f, report)
     k = prep.geometric_curvature
     finite = np.isfinite(k)
     complement_curv = -k[finite]
@@ -474,13 +482,12 @@ def check_T8_convexity(
         "identity_scale": scale,
         "tau_k": tau_k,
     }
-    flags = list(prep.flags)
     return TheoremCheck(
         tag="T8",
         passed=bool(passed),
         measured=min_cc,
         bound=0.0,
         margin=min_cc + tau_k,
-        flags=flags,
+        flags=list(prep.flags),
         details=details,
     )

@@ -31,15 +31,16 @@ from .geom2d.meshing import Mesh, build_domain, structured_strip
 # -- eigenvalue shape derivative ----------------------------------------------------
 
 
-def shape_derivative(mesh: Mesh, eigenpair: fem.EigenPair) -> tuple[np.ndarray, np.ndarray]:
+def shape_derivative(tr: fem.NeumannTrace) -> tuple[np.ndarray, np.ndarray]:
     """Steepest-descent normal velocity for lambda1 at fixed area.
 
-    Returns (vertex_ids, velocity): per boundary vertex, the squared flux of
-    the mass-normalized eigenfunction minus its length-weighted mean, so the
-    weighted mean of the output is zero (area preserved to first order).
-    Positive velocity moves the boundary outward.
+    `tr` must be the Neumann trace of the mass-normalized eigenfunction u1
+    with source lambda1 * u1, the same pair the eigen solve returned.
+    Returns (vertex_ids, velocity): per boundary vertex, the squared flux
+    minus its length-weighted mean, so the weighted mean of the output is
+    zero (area preserved to first order).  Positive velocity moves the
+    boundary outward.
     """
-    tr = fem.neumann_trace(mesh, eigenpair.u1, source=eigenpair.lambda1 * eigenpair.u1.values)
     q2 = tr.nodal**2
     weights = tr.lumped_weights
     mean = float((q2 * weights).sum() / weights.sum())
@@ -112,17 +113,17 @@ def _boundary_points(spec: DomainSpec, n: int) -> np.ndarray:
 @dataclass
 class _FlowEval:
     pts: np.ndarray
-    mesh: Mesh
-    eigen: fem.EigenPair
+    lambda1: float
     spread: float
+    trace: fem.NeumannTrace
 
 
 def _evaluate(pts: np.ndarray, h: float) -> _FlowEval:
     mesh = build_domain(_poly(pts), h)
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values, (k, m))
-    return _FlowEval(pts=pts, mesh=mesh, eigen=ep, spread=rep.rel_spread)
+    ep = fem.eigen_smallest(k, m, mesh)
+    rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    return _FlowEval(pts=pts, lambda1=ep.lambda1, spread=rep.rel_spread, trace=rep.trace)
 
 
 def flow_to_extremal(
@@ -153,7 +154,7 @@ def flow_to_extremal(
         if cur.spread < spread_tol:
             reason = "converged"
             break
-        ids, vel = shape_derivative(cur.mesh, cur.eigen)
+        ids, vel = shape_derivative(cur.trace)
         v = np.empty(n)
         v[ids] = vel  # boundary vertex ids are the polygon indices
         v = _fourier_filter(v, filter_modes)
@@ -177,7 +178,7 @@ def flow_to_extremal(
                 except (MeshQualityFailure, InvalidSpec):
                     dt *= 0.5
                     continue
-                if cand.eigen.lambda1 <= cur.eigen.lambda1 * (1.0 + 1e-12):
+                if cand.lambda1 <= cur.lambda1 * (1.0 + 1e-12):
                     accepted = cand
                     break
             dt *= 0.5
@@ -202,7 +203,7 @@ def _poly(pts: np.ndarray) -> Polygon:
 
 def _state(step: int, ev: _FlowEval, dt: float) -> FlowState:
     spec = _poly(ev.pts)
-    return FlowState(step, spec, spec.area(), ev.eigen.lambda1, ev.spread, dt)
+    return FlowState(step, spec, spec.area(), ev.lambda1, ev.spread, dt)
 
 
 def _rescale(pts: np.ndarray, target_area: float) -> np.ndarray:
@@ -233,10 +234,8 @@ def _strip_flux_modes(
     spec = PeriodicStrip(T, coeffs)
     mesh = structured_strip(spec, nx, ny)
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(
-        k, m, fem.dirichlet_mask(mesh), mesh, tol=1e-11, shift=0.98 * lam
-    )
-    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values, (k, m))
+    ep = fem.eigen_smallest(k, m, mesh, tol=1e-11, shift=0.98 * lam)
+    rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
     tr = rep.trace
 
     # top wall nodal flux on the uniform column grid

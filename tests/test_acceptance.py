@@ -39,7 +39,7 @@ def disk_eigens(disk_mesh_h08, disk_mesh_h04, disk_mesh_h02):
     for h, mesh in ((0.08, disk_mesh_h08), (0.04, disk_mesh_h04), (0.02, disk_mesh_h02)):
         t0 = time.perf_counter()
         k, m = fem.assemble(mesh)
-        ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
+        ep = fem.eigen_smallest(k, m, mesh)
         out[h] = (ep, mesh, time.perf_counter() - t0)
     return out
 
@@ -49,10 +49,10 @@ def critical_disk_solution():
     """FEM eigenfunction on Disk(R_1), rescaled so the measured flux is -1."""
     mesh = build_domain(Disk(analytic.r_lambda(1.0)), 0.02 * analytic.r_lambda(1.0))
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-    rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    ep = fem.eigen_smallest(k, m, mesh)
+    rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
     u = fem.ScalarField(mesh, ep.u1.values * (-1.0 / rep.alpha_hat))
-    rep = overdet.overdet_residual(mesh, u, 1.0 * u.values)
+    rep = overdet.overdet_residual(k, m, mesh, u, 1.0 * u.values)
     return mesh, u, rep
 
 
@@ -80,11 +80,11 @@ def test_criterion_1_disk_eigen_convergence(disk_eigens):
 @pytest.mark.slow
 def test_criterion_2_serrin_discrimination(disk_eigens, ellipse_mesh_h02):
     ep, mesh, _ = disk_eigens[0.02]
-    rep_disk = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    rep_disk = overdet.overdet_residual(*fem.assemble(mesh), mesh, ep.u1, ep.lambda1 * ep.u1.values)
     k, m = fem.assemble(ellipse_mesh_h02)
-    epe = fem.eigen_smallest(k, m, fem.dirichlet_mask(ellipse_mesh_h02), ellipse_mesh_h02)
+    epe = fem.eigen_smallest(k, m, ellipse_mesh_h02)
     rep_ell = overdet.overdet_residual(
-        ellipse_mesh_h02, epe.u1, epe.lambda1 * epe.u1.values
+        k, m, ellipse_mesh_h02, epe.u1, epe.lambda1 * epe.u1.values
     )
     checks = {
         "disk spread <= 1%": rep_disk.rel_spread <= 0.01,
@@ -99,8 +99,8 @@ def test_criterion_3_h0_oracle(critical_disk_solution, strip_mesh, branch):
     mesh, u, rep = critical_disk_solution
     # strip at lambda = 1 scaled to alpha = -1: max u = 1 < h0
     k, m = fem.assemble(strip_mesh)
-    eps = fem.eigen_smallest(k, m, fem.dirichlet_mask(strip_mesh), strip_mesh)
-    reps = overdet.overdet_residual(strip_mesh, eps.u1, eps.lambda1 * eps.u1.values)
+    eps = fem.eigen_smallest(k, m, strip_mesh)
+    reps = overdet.overdet_residual(k, m, strip_mesh, eps.u1, eps.lambda1 * eps.u1.values)
     us = fem.ScalarField(strip_mesh, eps.u1.values * (-1.0 / reps.alpha_hat))
     chk_strip = overdet.check_T5(strip_mesh, us, 1.0, -1.0)
     # every branch point sits below its own h0 threshold, so the T5 check is
@@ -148,12 +148,12 @@ def test_criterion_5_p_function(critical_disk_solution):
     for h in (0.04, 0.02):
         mesh = build_domain(PeriodicStrip(2 * math.pi, (math.pi / 2,)), h)
         k, m = fem.assemble(mesh)
-        ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-        rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
-        pr = overdet.p_function(mesh, ep.u1, fem.Linear(ep.lambda1), rep.alpha_hat)
+        ep = fem.eigen_smallest(k, m, mesh)
+        rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
+        pr = overdet.p_function(mesh, ep.u1, fem.Linear(ep.lambda1), rep)
         errs[h] = float(np.max(np.abs(pr.field.values - rep.alpha_hat**2)) / rep.alpha_hat**2)
     dmesh, du, drep = critical_disk_solution
-    pr_disk = overdet.p_function(dmesh, du, fem.Linear(1.0), drep.alpha_hat)
+    pr_disk = overdet.p_function(dmesh, du, fem.Linear(1.0), drep)
     checks = {
         "strip max|P - a^2|/a^2 <= 2% at h=0.04": errs[0.04] <= 0.02,
         "strip error halves at h=0.02": errs[0.02] <= errs[0.04] / 2.0,
@@ -169,7 +169,7 @@ def test_criterion_5_p_function(critical_disk_solution):
 @pytest.mark.slow
 def test_criterion_6_boundary_identity(critical_disk_solution):
     mesh, u, rep = critical_disk_solution
-    pr = overdet.p_function(mesh, u, fem.Linear(1.0), rep.alpha_hat)
+    pr = overdet.p_function(mesh, u, fem.Linear(1.0), rep)
     target = 1.0 / analytic.r_lambda(1.0)
     rel = np.abs(pr.implied_curvature - target) / target
     checks = {

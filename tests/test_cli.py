@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from extremal_lab import analytic, cli
+from extremal_lab import analytic, cli, fem
 from extremal_lab.errors import ConfigInvalid, VersionMismatch
 
 DISK = {"kind": "disk", "radius": 1.0}
@@ -143,6 +143,13 @@ _MALFORMED = {
     "T_not_a_number": {"command": "branch", "T": "abc"},
     "branch_lambda_negative": {"command": "branch", "lambda": -1.0, "T": 6.0},
     "branch_resolution_zero": {"command": "branch", "resolution": 0, "T": 6.0},
+    "lambda_nan": {"command": "check", "domain": DISK, "h": 0.1, "lambda": math.nan},
+    "lambda_infinite": {"command": "check", "domain": DISK, "h": 0.1, "lambda": math.inf},
+    "alpha_nan": {"command": "eigen", "domain": DISK, "h": 0.1, "alpha": math.nan},
+    "seed_amplitude_nan": {"command": "solve", "domain": DISK, "h": 0.1,
+                           "nonlinearity": {"kind": "allen_cahn"}, "seed_amplitude": math.nan},
+    "ds_zero": {"command": "branch", "ds": 0, "T": 6.0},
+    "n_modes_below_eight": {"command": "branch", "n_modes": 7, "T": 6.0},
 }
 
 
@@ -156,6 +163,38 @@ def test_malformed_config_is_a_config_error(name, tmp_path, capsys, monkeypatch)
     assert cli.main([data["command"], "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _count_calls(monkeypatch):
+    calls = {"assemble": 0, "neumann_trace": 0, "eigen_smallest": 0}
+    for name in list(calls):
+        original = getattr(fem, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fem, name, counted)
+    return calls
+
+
+def test_flow_assembles_and_traces_once_per_eigen_solve(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch)
+    rec = _run({"command": "flow", "domain": {"kind": "ellipse", "semi_a": 1.2,
+                                              "semi_b": 1 / 1.2},
+                "h": 0.1, "max_steps": 2}, tmp_path)
+    assert rec.error is None
+    assert calls["eigen_smallest"] >= 2
+    assert calls["assemble"] == calls["neumann_trace"] == calls["eigen_smallest"]
+
+
+def test_solve_assembles_and_traces_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch)
+    rec = _run({"command": "solve", "domain": {"kind": "disk", "radius": 3.0}, "h": 0.2,
+                "nonlinearity": {"kind": "allen_cahn"}}, tmp_path)
+    assert rec.error is None
+    assert not json.loads((tmp_path / "report.json").read_text())["trivial_solution"]
+    assert calls["assemble"] == calls["neumann_trace"] == 1
 
 
 def test_report_aggregation(tmp_path):

@@ -16,7 +16,7 @@ J01SQ = 5.783185962946785
 @pytest.fixture(scope="module")
 def disk_eigen_h02(disk_mesh_h02):
     k, m = fem.assemble(disk_mesh_h02)
-    return fem.eigen_smallest(k, m, fem.dirichlet_mask(disk_mesh_h02), disk_mesh_h02)
+    return fem.eigen_smallest(k, m, disk_mesh_h02)
 
 
 # -- assembly --------------------------------------------------------------------
@@ -28,20 +28,20 @@ def test_single_triangle_stiffness_and_mass():
     # hand assembly of P1 gradients on the unit right triangle
     k_exact = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     m_exact = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-    assert np.allclose(k.mat.toarray(), k_exact, atol=1e-15)
-    assert np.allclose(m.mat.toarray(), m_exact, atol=1e-16)
+    assert np.allclose(k.toarray(), k_exact, atol=1e-15)
+    assert np.allclose(m.toarray(), m_exact, atol=1e-16)
 
 
 def test_assembly_symmetry_and_kernel(disk_mesh_h05):
     k, m = fem.assemble(disk_mesh_h05)
-    assert (k.mat - k.mat.T).nnz == 0  # exact symmetry, not approximate
-    assert (m.mat - m.mat.T).nnz == 0
+    assert (k - k.T).nnz == 0  # exact symmetry, not approximate
+    assert (m - m.T).nnz == 0
     ones = np.ones(disk_mesh_h05.n_dofs)
-    assert np.max(np.abs(k.mat @ ones)) <= 1e-12
+    assert np.max(np.abs(k @ ones)) <= 1e-12
     rng = np.random.default_rng(1)
     w = rng.normal(size=disk_mesh_h05.n_dofs)
-    assert w @ (k.mat @ w) >= -1e-12
-    assert w @ (m.mat @ w) > 0
+    assert w @ (k @ w) >= -1e-12
+    assert w @ (m @ w) > 0
 
 
 def test_degenerate_triangle_rejected():
@@ -57,7 +57,7 @@ def test_degenerate_triangle_rejected():
 def test_mass_integrates_area(strip_mesh):
     k, m = fem.assemble(strip_mesh)
     ones = np.ones(strip_mesh.n_dofs)
-    assert ones @ (m.mat @ ones) == pytest.approx(float(strip_mesh.triangle_areas().sum()))
+    assert ones @ (m @ ones) == pytest.approx(float(strip_mesh.triangle_areas().sum()))
 
 
 # -- eigenpairs ------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_eigen_convergence_order(disk_mesh_h08, disk_mesh_h04, disk_mesh_h02):
     errs = []
     for mesh in (disk_mesh_h08, disk_mesh_h04, disk_mesh_h02):
         k, m = fem.assemble(mesh)
-        ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
+        ep = fem.eigen_smallest(k, m, mesh)
         errs.append(abs(ep.lambda1 - J01SQ))
     assert 3.2 <= errs[0] / errs[1] <= 4.8
     assert 3.2 <= errs[1] / errs[2] <= 4.8
@@ -81,24 +81,24 @@ def test_eigen_convergence_order(disk_mesh_h08, disk_mesh_h04, disk_mesh_h02):
 def test_pi_square_eigenvalue():
     mesh = build_domain(Polygon(((0, 0), (math.pi, 0), (math.pi, math.pi), (0, math.pi))), 0.07)
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
+    ep = fem.eigen_smallest(k, m, mesh)
     assert ep.lambda1 == pytest.approx(2.0, rel=0.005)
 
 
 def test_unit_square_eigenvalue():
     mesh = build_domain(Polygon(((0, 0), (1, 0), (1, 1), (0, 1))), 0.025)
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
+    ep = fem.eigen_smallest(k, m, mesh)
     assert ep.lambda1 == pytest.approx(2 * math.pi**2, rel=0.005)
 
 
 def test_eigenfunction_properties(disk_mesh_h05):
     k, m = fem.assemble(disk_mesh_h05)
     mask = fem.dirichlet_mask(disk_mesh_h05)
-    ep = fem.eigen_smallest(k, m, mask, disk_mesh_h05)
+    ep = fem.eigen_smallest(k, m, disk_mesh_h05)
     u = disk_mesh_h05.reduce(ep.u1.values)
     # mass normalization and constant interior sign
-    assert u @ (m.mat @ u) == pytest.approx(1.0, abs=1e-10)
+    assert u @ (m @ u) == pytest.approx(1.0, abs=1e-10)
     assert np.all(u[~mask] > 0)
     assert np.all(u[mask] == 0.0)
 
@@ -111,8 +111,8 @@ def test_discrete_maximum_principle_surrogate(disk_mesh_h05):
     w = np.abs(rng.normal(size=len(interior)))
     from scipy.sparse.linalg import splu
 
-    ki = k.mat[interior][:, interior].tocsc()
-    mi = m.mat[interior][:, interior].tocsc()
+    ki = k[interior][:, interior].tocsc()
+    mi = m[interior][:, interior].tocsc()
     u = splu(ki).solve(mi @ w)
     assert float(u.min()) >= -1e-10
 
@@ -150,22 +150,22 @@ def test_allen_cahn_strip_against_shooting_oracle():
     oracle = _allen_cahn_1d_max(width)
     mesh = build_domain(PeriodicStrip(2.0, (width / 2,)), 0.05)
     u0 = fem.ScalarField(mesh, 0.5 * np.cos(math.pi * mesh.vertices[:, 1] / width))
-    u = fem.solve_semilinear(mesh, fem.AllenCahn(), u0)
+    u = fem.solve_semilinear(*fem.assemble(mesh), mesh, fem.AllenCahn(), u0)
     assert float(u.values.max()) == pytest.approx(oracle, rel=0.01)
     assert float(u.values.max()) < 1.0
 
 
 def test_linear_at_eigenvalue_converges_immediately(disk_mesh_h05):
     k, m = fem.assemble(disk_mesh_h05)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(disk_mesh_h05), disk_mesh_h05)
-    u = fem.solve_semilinear(disk_mesh_h05, fem.Linear(ep.lambda1), ep.u1)
+    ep = fem.eigen_smallest(k, m, disk_mesh_h05)
+    u = fem.solve_semilinear(k, m, disk_mesh_h05, fem.Linear(ep.lambda1), ep.u1)
     # returns a multiple of the eigenfunction (here: the input itself)
     assert np.allclose(u.values, ep.u1.values, atol=1e-12)
 
 
 def test_linear_off_eigenvalue_returns_zero(disk_mesh_h05):
     u0 = fem.ScalarField(disk_mesh_h05, np.zeros(len(disk_mesh_h05.vertices)))
-    u = fem.solve_semilinear(disk_mesh_h05, fem.Linear(3.0), u0)
+    u = fem.solve_semilinear(*fem.assemble(disk_mesh_h05), disk_mesh_h05, fem.Linear(3.0), u0)
     assert np.max(np.abs(u.values)) == 0.0
 
 
@@ -174,7 +174,7 @@ def test_semilinear_wrong_basin_raises():
     mesh = build_domain(PeriodicStrip(2.0, (width / 2,)), 0.08)
     u0 = fem.ScalarField(mesh, -0.5 * np.cos(math.pi * mesh.vertices[:, 1] / width))
     with pytest.raises(NonPositiveSolution):
-        fem.solve_semilinear(mesh, fem.AllenCahn(), u0)
+        fem.solve_semilinear(*fem.assemble(mesh), mesh, fem.AllenCahn(), u0)
 
 
 def test_newton_jacobian_matches_finite_differences(strip_mesh):
@@ -182,8 +182,8 @@ def test_newton_jacobian_matches_finite_differences(strip_mesh):
     k, m = fem.assemble(strip_mesh)
     mask = fem.dirichlet_mask(strip_mesh)
     interior = np.nonzero(~mask)[0]
-    ki = k.mat[interior][:, interior]
-    mi = m.mat[interior][:, interior]
+    ki = k[interior][:, interior]
+    mi = m[interior][:, interior]
     rng = np.random.default_rng(0)
     ui = 0.3 * np.abs(rng.normal(size=len(interior)))
     jac = mi @ sparse.diags(f.fprime(ui)) - ki
@@ -233,7 +233,9 @@ def test_satisfies_p2():
 
 def test_disk_trace_constant(disk_eigen_h02, disk_mesh_h02):
     ep = disk_eigen_h02
-    tr = fem.neumann_trace(disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values)
+    tr = fem.neumann_trace(
+        *fem.assemble(disk_mesh_h02), disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values
+    )
     w = tr.edge_lengths
     mean = float((tr.per_edge * w).sum() / w.sum())
     spread = math.sqrt(float((((tr.per_edge - mean) ** 2) * w).sum() / w.sum())) / abs(mean)
@@ -246,7 +248,7 @@ def test_strip_trace_matches_alpha(strip_mesh):
     ss = analytic.strip_solution(1.0, -1.0)
     vals = ss.profile(strip_mesh.vertices[:, 1] + math.pi / 2)
     u = fem.ScalarField(strip_mesh, vals)
-    tr = fem.neumann_trace(strip_mesh, u, source=1.0 * vals)
+    tr = fem.neumann_trace(*fem.assemble(strip_mesh), strip_mesh, u, source=1.0 * vals)
     w = tr.edge_lengths
     mean = float((tr.per_edge * w).sum() / w.sum())
     assert mean == pytest.approx(-1.0, rel=0.01)
@@ -256,12 +258,12 @@ def test_strip_trace_matches_alpha(strip_mesh):
 
 def test_trace_divergence_identity(disk_eigen_h02, disk_mesh_h02):
     ep = disk_eigen_h02
-    tr = fem.neumann_trace(disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values)
-    _, m = fem.assemble(disk_mesh_h02)
+    k, m = fem.assemble(disk_mesh_h02)
+    tr = fem.neumann_trace(k, m, disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values)
     total_flux = float((tr.per_edge * tr.edge_lengths).sum())
     f_integral = float(
         np.ones(disk_mesh_h02.n_dofs)
-        @ (m.mat @ disk_mesh_h02.reduce(ep.lambda1 * ep.u1.values))
+        @ (m @ disk_mesh_h02.reduce(ep.lambda1 * ep.u1.values))
     )
     assert abs(total_flux + f_integral) <= 1e-8
 
@@ -280,7 +282,7 @@ def test_field_csv_export(disk_mesh_h05):
 def test_matrix_market_export():
     mesh = mesh_from_arrays(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
     k, _ = fem.assemble(mesh)
-    text = k.export_matrix_market()
+    text = fem.export_matrix_market(k)
     lines = text.strip().split("\n")
     assert lines[0].startswith("%%MatrixMarket matrix coordinate real")
     n, m, nnz = map(int, lines[1].split())

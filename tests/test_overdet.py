@@ -23,20 +23,20 @@ def critical_disk():
     """FEM solution on the critical disk, rescaled so alpha_hat = -1."""
     mesh = build_domain(Disk(R1), 0.02 * R1)
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-    rep = fem.neumann_trace(mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
+    ep = fem.eigen_smallest(k, m, mesh)
+    rep = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
     w = rep.edge_lengths
     alpha0 = float((rep.per_edge * w).sum() / w.sum())
     u = fem.ScalarField(mesh, ep.u1.values * (-1.0 / alpha0))
-    report = overdet.overdet_residual(mesh, u, LAM * u.values)
+    report = overdet.overdet_residual(k, m, mesh, u, LAM * u.values)
     return mesh, u, report, ep
 
 
 @pytest.fixture(scope="module")
 def strip_eigen(strip_mesh):
     k, m = fem.assemble(strip_mesh)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(strip_mesh), strip_mesh)
-    rep = overdet.overdet_residual(strip_mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    ep = fem.eigen_smallest(k, m, strip_mesh)
+    rep = overdet.overdet_residual(k, m, strip_mesh, ep.u1, ep.lambda1 * ep.u1.values)
     return strip_mesh, ep, rep
 
 
@@ -45,16 +45,16 @@ def strip_eigen(strip_mesh):
 
 def test_disk_spread_small(disk_mesh_h02):
     k, m = fem.assemble(disk_mesh_h02)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(disk_mesh_h02), disk_mesh_h02)
-    rep = overdet.overdet_residual(disk_mesh_h02, ep.u1, ep.lambda1 * ep.u1.values)
+    ep = fem.eigen_smallest(k, m, disk_mesh_h02)
+    rep = overdet.overdet_residual(k, m, disk_mesh_h02, ep.u1, ep.lambda1 * ep.u1.values)
     assert rep.rel_spread <= 0.01
     assert rep.alpha_hat < 0
 
 
 def test_ellipse_spread_large(ellipse_mesh_h02):
     k, m = fem.assemble(ellipse_mesh_h02)
-    ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(ellipse_mesh_h02), ellipse_mesh_h02)
-    rep = overdet.overdet_residual(ellipse_mesh_h02, ep.u1, ep.lambda1 * ep.u1.values)
+    ep = fem.eigen_smallest(k, m, ellipse_mesh_h02)
+    rep = overdet.overdet_residual(k, m, ellipse_mesh_h02, ep.u1, ep.lambda1 * ep.u1.values)
     assert rep.rel_spread >= 0.2
 
 
@@ -62,7 +62,7 @@ def test_strip_interpolated_trace(strip_mesh):
     ss = analytic.strip_solution(1.0, -1.0)
     vals = ss.profile(strip_mesh.vertices[:, 1] + math.pi / 2)
     u = fem.ScalarField(strip_mesh, vals)
-    rep = overdet.overdet_residual(strip_mesh, u, 1.0 * vals)
+    rep = overdet.overdet_residual(*fem.assemble(strip_mesh), strip_mesh, u, 1.0 * vals)
     assert rep.alpha_hat == pytest.approx(-1.0, rel=0.01)
     assert abs(rep.loop_means[0] - rep.loop_means[1]) <= 0.005
 
@@ -70,7 +70,7 @@ def test_strip_interpolated_trace(strip_mesh):
 def test_zero_boundary_raises(disk_mesh_h05):
     u = fem.ScalarField(disk_mesh_h05, np.zeros(len(disk_mesh_h05.vertices)))
     with pytest.raises(ZeroBoundary):
-        overdet.overdet_residual(disk_mesh_h05, u, None)
+        overdet.overdet_residual(*fem.assemble(disk_mesh_h05), disk_mesh_h05, u, None)
 
 
 # -- patch recovery ---------------------------------------------------------------
@@ -113,11 +113,11 @@ def test_strip_p_constant_and_monotone():
     for h in (0.08, 0.04, 0.02):
         mesh = build_domain(PeriodicStrip(2 * math.pi, (math.pi / 2,)), h)
         k, m = fem.assemble(mesh)
-        ep = fem.eigen_smallest(k, m, fem.dirichlet_mask(mesh), mesh)
-        rep = overdet.overdet_residual(mesh, ep.u1, ep.lambda1 * ep.u1.values)
+        ep = fem.eigen_smallest(k, m, mesh)
+        rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
         u = fem.ScalarField(mesh, ep.u1.values / abs(rep.alpha_hat))
-        rep = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values)
-        pr = overdet.p_function(mesh, u, fem.Linear(ep.lambda1), rep.alpha_hat)
+        rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
+        pr = overdet.p_function(mesh, u, fem.Linear(ep.lambda1), rep)
         errs[h] = float(
             np.max(np.abs(pr.field.values - rep.alpha_hat**2)) / rep.alpha_hat**2
         )
@@ -128,7 +128,7 @@ def test_strip_p_constant_and_monotone():
 
 def test_disk_p_maximum_at_center(critical_disk):
     mesh, u, rep, _ = critical_disk
-    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep.alpha_hat)
+    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep)
     # interior max P = lam * h0^2 exceeds alpha^2, so the criterion fails
     assert pr.interior_max == pytest.approx(LAM * H0**2, rel=0.01)
     assert pr.criterion_left == pytest.approx(LAM * H0**2, rel=0.01)
@@ -142,13 +142,13 @@ def test_disk_p_maximum_at_center(critical_disk):
 
 def test_linear_criterion_is_lambda_times_max_u_squared(critical_disk):
     mesh, u, rep, _ = critical_disk
-    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep.alpha_hat)
+    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep)
     assert pr.criterion_left == pytest.approx(LAM * float(u.values.max()) ** 2, rel=1e-9)
 
 
 def test_boundary_identity_on_critical_disk(critical_disk):
     mesh, u, rep, _ = critical_disk
-    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep.alpha_hat)
+    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep)
     rel = np.abs(pr.implied_curvature - 1.0 / R1) / (1.0 / R1)
     assert float(rel.max()) <= 0.05
     # and the geometric curvature itself is 1/R to mesh accuracy
@@ -171,9 +171,9 @@ def test_delta_p_identity_disk_numeric(critical_disk):
     mesh, u, rep, _ = critical_disk
     k, m = fem.assemble(mesh)
     rec = overdet.patch_recover(mesh, u.values)
-    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep.alpha_hat)
-    mlump = np.asarray(m.mat.sum(axis=1)).ravel()
-    lap_p = mesh.expand(-(k.mat @ mesh.reduce(pr.field.values)) / mlump)
+    pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep)
+    mlump = np.asarray(m.sum(axis=1)).ravel()
+    lap_p = mesh.expand(-(k @ mesh.reduce(pr.field.values)) / mlump)
     # integrate away from the boundary (recovery there is first-order)
     ring = np.zeros(len(mesh.vertices), bool)
     ring[mesh.boundary_vertex_ids()] = True
@@ -227,7 +227,7 @@ def test_check_t5_vacuous_on_critical_disk(critical_disk):
 def test_check_t5_vacuous_on_strip(strip_eigen):
     mesh, ep, rep = strip_eigen
     u = fem.ScalarField(mesh, ep.u1.values / abs(rep.alpha_hat))
-    rep2 = overdet.overdet_residual(mesh, u, ep.lambda1 * u.values)
+    rep2 = overdet.overdet_residual(*fem.assemble(mesh), mesh, u, ep.lambda1 * u.values)
     # strip max is |alpha|/sqrt(lam) < h0
     assert float(u.values.max()) < analytic.ball_solution(LAM, rep2.alpha_hat).h0
     chk = overdet.check_T5(mesh, u, LAM, rep2.alpha_hat)
@@ -279,7 +279,7 @@ def test_cap_heights_critical_disk(critical_disk):
 
 def test_t8_straight_strip_borderline(strip_eigen):
     mesh, ep, rep = strip_eigen
-    chk = overdet.check_T8_convexity(mesh, ep.u1, fem.Linear(ep.lambda1), rep.alpha_hat)
+    chk = overdet.check_T8_convexity(mesh, ep.u1, fem.Linear(ep.lambda1), rep)
     assert chk.passed
     assert "criterion_borderline" in chk.flags
     assert chk.measured == pytest.approx(0.0, abs=1e-8)  # flat walls
@@ -289,7 +289,7 @@ def test_t8_straight_strip_borderline(strip_eigen):
 
 def test_t8_not_applicable_on_bounded(critical_disk):
     mesh, u, rep, _ = critical_disk
-    chk = overdet.check_T8_convexity(mesh, u, fem.Linear(LAM), rep.alpha_hat)
+    chk = overdet.check_T8_convexity(mesh, u, fem.Linear(LAM), rep)
     assert chk.passed is None
     assert "not_applicable" in chk.flags
 
