@@ -6,6 +6,9 @@ the fixed boundary vertices sit on the parametric curve to machine precision.
 Periodic strips use a mapped structured grid: translation-invariant in x,
 mirror-symmetric in y, with the right vertex column an exact duplicate of the
 left one.  Both paths are deterministic functions of (spec, h).
+
+Boundary edges are the int64 undirected edge keys that ``np.unique`` counts
+once; the strip grid and the periodic cover are built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ class Mesh:
 
     def __post_init__(self) -> None:
         if self.dof_of_vertex.size == 0:
-            dod = np.arange(len(self.vertices))
-            for dup, base in self.periodic_pairs:
-                dod[dup] = base
+            dod = _base_of(len(self.vertices), self.periodic_pairs)
             # compress to consecutive dof ids
             uniq, inv = np.unique(dod, return_inverse=True)
             self.dof_of_vertex = inv
@@ -109,31 +110,28 @@ class Mesh:
             return self
         if getattr(self, "_cover", None) is not None:
             return self._cover
-        base_of = np.arange(len(self.vertices))
-        shift_of = np.zeros(len(self.vertices), dtype=int)
-        for dup, base in self.periodic_pairs:
-            base_of[dup] = base
-            shift_of[dup] = 1
-        tri_list = []
-        used: dict[tuple[int, int], int] = {}
-        coords = []
-        bases = []
-
-        def uid(v: int, copy: int) -> int:
-            key = (int(base_of[v]), copy + int(shift_of[v]))
-            if key not in used:
-                used[key] = len(coords)
-                coords.append(self.vertices[base_of[v]] + np.array([key[1] * self.period, 0.0]))
-                bases.append(key[0])
-            return used[key]
-
-        for copy in (-1, 0, 1):
-            for t in self.triangles:
-                tri_list.append([uid(int(v), copy) for v in t])
-        verts = np.asarray(coords)
-        tris = np.asarray(tri_list, dtype=int)
+        n = len(self.vertices)
+        base_of = _base_of(n, self.periodic_pairs)
+        shift_of = np.zeros(n, dtype=int)
+        shift_of[self.periodic_pairs[:, 0]] = 1
+        # key (base, copy + shift) as base * 4 + (copy + shift + 1); vertices
+        # are numbered in order of first appearance over copies, then triangles
+        flat = self.triangles.ravel()
+        keys = np.concatenate(
+            [4 * base_of[flat] + (copy + 1 + shift_of[flat]) for copy in (-1, 0, 1)]
+        )
+        uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        tris = rank[inv].reshape(-1, 3)
+        bases, shift = np.divmod(uniq[order], 4)
+        shift -= 1
+        verts = self.vertices[bases] + np.column_stack(
+            [shift * self.period, np.zeros(len(shift))]
+        )
         out = mesh_from_arrays(verts, tris, quality_floor=None)
-        out.unroll_base = np.asarray(bases, dtype=int)
+        out.unroll_base = bases
         self._cover = out
         return out
 
@@ -152,6 +150,13 @@ class Mesh:
 
 
 # -- shared finalization ------------------------------------------------------
+
+
+def _base_of(n_vertices: int, periodic_pairs: np.ndarray) -> np.ndarray:
+    """Vertex -> base vertex: each duplicate maps to its base, others to themselves."""
+    base_of = np.arange(n_vertices)
+    base_of[periodic_pairs[:, 0]] = periodic_pairs[:, 1]
+    return base_of
 
 
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -183,29 +188,19 @@ def mesh_from_arrays(
         if periodic_pairs is not None
         else np.empty((0, 2), dtype=int)
     )
-    base_of = np.arange(len(vertices))
-    for dup, base in pairs:
-        base_of[dup] = base
+    base_of = _base_of(len(vertices), pairs)
 
-    # count directed edges; boundary edges appear in exactly one triangle
-    edge_count: dict[tuple[int, int], int] = {}
-    edge_owner: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for t_idx, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(base_of[u], base_of[v]), max(base_of[u], base_of[v]))
-            edge_count[key] = edge_count.get(key, 0) + 1
-            edge_owner[key] = (t_idx, u, v)
-    b_edges = []
-    b_tri = []
-    for key, cnt in edge_count.items():
-        if cnt == 1:
-            t_idx, u, v = edge_owner[key]
-            b_edges.append((u, v))
-            b_tri.append(t_idx)
-        elif cnt > 2:
-            raise MeshQualityFailure("non-conforming: an edge is shared by >2 triangles")
-    b_edges_arr = np.asarray(b_edges, dtype=int).reshape(-1, 2)
-    b_tri_arr = np.asarray(b_tri, dtype=int)
+    # directed edges (a, b), (b, c), (c, a) of every triangle in scan order,
+    # keyed as undirected edges of base vertices; boundary edges occur once
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    ends = base_of[directed]
+    keys = ends.min(axis=1) * len(vertices) + ends.max(axis=1)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if np.any(counts > 2):
+        raise MeshQualityFailure("non-conforming: an edge is shared by >2 triangles")
+    pos = np.sort(first[counts == 1])
+    b_edges_arr = directed[pos]
+    b_tri_arr = pos // 3
 
     mids = 0.5 * (vertices[b_edges_arr[:, 0]] + vertices[b_edges_arr[:, 1]])
     d = vertices[b_edges_arr[:, 1]] - vertices[b_edges_arr[:, 0]]
@@ -213,15 +208,18 @@ def mesh_from_arrays(
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
 
     # walk loops: edges are domain-left ordered, successor starts where we end
-    start_of: dict[int, int] = {}
-    for e, (u, v) in enumerate(b_edges_arr):
-        dof = int(base_of[u])
-        if dof in start_of:
-            raise MeshQualityFailure("pinched boundary: vertex with >2 boundary edges")
-        start_of[dof] = e
+    starts = base_of[b_edges_arr[:, 0]]
+    if len(np.unique(starts)) < len(starts):
+        raise MeshQualityFailure("pinched boundary: vertex with >2 boundary edges")
+    # with no pinched vertex every edge end is some edge's start: boundary
+    # out-degree minus in-degree is even at each vertex and sums to zero, so
+    # a vertex with more in than out forces another with two out
+    start_of = np.empty(len(vertices), dtype=int)
+    start_of[starts] = np.arange(len(starts))
+    successor = start_of[base_of[b_edges_arr[:, 1]]].tolist()
     loops: list[np.ndarray] = []
-    seen = np.zeros(len(b_edges_arr), dtype=bool)
-    for e0 in range(len(b_edges_arr)):
+    seen = [False] * len(successor)
+    for e0 in range(len(successor)):
         if seen[e0]:
             continue
         walk = []
@@ -229,7 +227,7 @@ def mesh_from_arrays(
         while not seen[e]:
             seen[e] = True
             walk.append(e)
-            e = start_of[int(base_of[b_edges_arr[e, 1]])]
+            e = successor[e]
         loops.append(np.asarray(walk, dtype=int))
 
     mesh = Mesh(
@@ -272,8 +270,12 @@ def _mesh_periodic_strip(spec: PeriodicStrip, h: float) -> Mesh:
 
 
 def structured_strip(spec: PeriodicStrip, nx: int, ny: int) -> Mesh:
-    """Mapped structured grid on one period cell with fixed column/row counts
-    (varying the spec at fixed counts changes coordinates but not topology).
+    """Mapped structured grid on one period cell with fixed column/row counts.
+
+    Grid vertex (i, j) has id ``i * (ny + 1) + j``, quad centres follow with
+    id ``(nx + 1) * (ny + 1) + i * ny + j``, and triangles come quad by quad
+    (i outer, j inner), so the topology depends on (nx, ny) only: varying the
+    spec at fixed counts changes the coordinates alone.
 
     Each quad is split into four triangles through its centroid, which keeps
     the triangulation symmetric under both x-translation by a column and the
@@ -288,36 +290,21 @@ def structured_strip(spec: PeriodicStrip, nx: int, ny: int) -> Mesh:
     w = spec.half_width(xs)
     w[nx] = w[0]  # exact identification of the duplicate column
 
-    def vid(i: int, j: int) -> int:
-        return i * (ny + 1) + j
-
-    n_grid = (nx + 1) * (ny + 1)
-
-    def cid(i: int, j: int) -> int:
-        return n_grid + i * ny + j
-
-    verts = np.empty((n_grid + nx * ny, 2))
-    for i in range(nx + 1):
-        verts[vid(i, 0) : vid(i, ny) + 1, 0] = xs[i]
-        verts[vid(i, 0) : vid(i, ny) + 1, 1] = eta * w[i]
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            center = cid(i, j)
-            verts[center] = 0.25 * (verts[v00] + verts[v10] + verts[v11] + verts[v01])
-            tris.append((v00, v10, center))
-            tris.append((v10, v11, center))
-            tris.append((v11, v01, center))
-            tris.append((v01, v00, center))
-    pairs = np.array([(vid(nx, j), vid(0, j)) for j in range(ny + 1)], dtype=int)
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    cid = vid.size + np.arange(nx * ny).reshape(nx, ny)
+    grid = np.stack(np.broadcast_arrays(xs[:, None], eta[None, :] * w[:, None]), axis=-1)
+    p00, p10, p11, p01 = grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]
+    centres = 0.25 * (((p00 + p10) + p11) + p01)
+    verts = np.concatenate([grid.reshape(-1, 2), centres.reshape(-1, 2)])
+    v00, v10, v11, v01 = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
+    sides = ((v00, v10), (v10, v11), (v11, v01), (v01, v00))
+    tris = np.stack([np.stack([a, b, cid], axis=-1) for a, b in sides], axis=2).reshape(-1, 3)
     return mesh_from_arrays(
-        np.asarray(verts),
-        np.asarray(tris, dtype=int),
+        verts,
+        tris,
         is_periodic_x=True,
         period=T,
-        periodic_pairs=pairs,
+        periodic_pairs=np.column_stack([vid[nx], vid[0]]),
     )
 
 
@@ -414,15 +401,12 @@ def _relaxed_mesh(
     if not np.array_equal(np.sort(mesh.boundary_vertex_ids()), np.arange(nfix)):
         raise MeshQualityFailure("boundary chord missing from the triangulation")
     offsets = np.cumsum([0] + loop_sizes)
-    for a, b in mesh.boundary_edges:
-        li = int(np.searchsorted(offsets, a, side="right") - 1)
-        n = loop_sizes[li]
-        rel = sorted(((a - offsets[li]) % n, (b - offsets[li]) % n))
-        if not (
-            offsets[li] <= b < offsets[li + 1]
-            and (rel[1] - rel[0] == 1 or (rel[0] == 0 and rel[1] == n - 1))
-        ):
-            raise MeshQualityFailure("boundary edge does not follow the sampled loop")
+    a, b = mesh.boundary_edges.T
+    li = np.searchsorted(offsets, a, side="right") - 1
+    lo, hi = offsets[li], offsets[li + 1]  # the sampled loop that a lies on
+    step = (a - b) % (hi - lo)
+    if not np.all((lo <= b) & (b < hi) & ((step == 1) | (step == hi - lo - 1))):
+        raise MeshQualityFailure("boundary edge does not follow the sampled loop")
     return mesh
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from extremal_lab.errors import InvalidSpec
+from extremal_lab.errors import InvalidSpec, MeshQualityFailure
 from extremal_lab.geom2d import (
     Annulus,
     Disk,
@@ -12,6 +12,7 @@ from extremal_lab.geom2d import (
     Polygon,
     build_domain,
 )
+from extremal_lab.geom2d import meshing
 from extremal_lab.geom2d.meshing import mesh_from_arrays
 
 ZOO = [
@@ -151,3 +152,143 @@ def test_unrolled_cover_is_built_once(monkeypatch):
     assert len(builds) == 1
     flat = build_domain(Disk(1.0), 0.2)
     assert flat.unrolled() is flat
+
+
+# -- array construction against per-triangle reference loops -----------------
+
+
+def _reference_boundary(vertices, triangles, periodic_pairs):
+    """Dict-based boundary extraction: edges in first-seen order, owner
+    triangles and walked loops, on base vertices of the periodic pairs."""
+    base_of = np.arange(len(vertices))
+    for dup, base in periodic_pairs:
+        base_of[dup] = base
+    edge_count, edge_owner = {}, {}
+    for t_idx, (a, b, c) in enumerate(triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(base_of[u], base_of[v]), max(base_of[u], base_of[v]))
+            edge_count[key] = edge_count.get(key, 0) + 1
+            edge_owner[key] = (t_idx, u, v)
+    b_edges, b_tri = [], []
+    for key, cnt in edge_count.items():
+        if cnt == 1:
+            t_idx, u, v = edge_owner[key]
+            b_edges.append((u, v))
+            b_tri.append(t_idx)
+    start_of = {int(base_of[u]): e for e, (u, _) in enumerate(b_edges)}
+    loops, seen = [], set()
+    for e0 in range(len(b_edges)):
+        walk, e = [], e0
+        while e not in seen:
+            seen.add(e)
+            walk.append(e)
+            e = start_of[int(base_of[b_edges[e][1]])]
+        if walk:
+            loops.append(walk)
+    return b_edges, b_tri, loops, base_of
+
+
+def _reference_cover(mesh):
+    """Three-copy cover numbered one triangle vertex at a time through a dict."""
+    base_of = np.arange(len(mesh.vertices))
+    shift_of = np.zeros(len(mesh.vertices), dtype=int)
+    for dup, base in mesh.periodic_pairs:
+        base_of[dup] = base
+        shift_of[dup] = 1
+    used, coords, bases, tris = {}, [], [], []
+
+    def uid(v, copy):
+        key = (int(base_of[v]), copy + int(shift_of[v]))
+        if key not in used:
+            used[key] = len(coords)
+            coords.append(mesh.vertices[base_of[v]] + np.array([key[1] * mesh.period, 0.0]))
+            bases.append(key[0])
+        return used[key]
+
+    for copy in (-1, 0, 1):
+        for t in mesh.triangles:
+            tris.append([uid(int(v), copy) for v in t])
+    return np.asarray(coords), np.asarray(tris), np.asarray(bases)
+
+
+def _reference_strip(spec, nx, ny):
+    """Per-quad loop construction of the structured strip cell."""
+    xs = spec.period * np.arange(nx + 1) / nx
+    eta = -1.0 + 2.0 * np.arange(ny + 1) / ny
+    w = spec.half_width(xs)
+    w[nx] = w[0]
+    n_grid = (nx + 1) * (ny + 1)
+    verts = np.empty((n_grid + nx * ny, 2))
+    for i in range(nx + 1):
+        verts[i * (ny + 1) : (i + 1) * (ny + 1), 0] = xs[i]
+        verts[i * (ny + 1) : (i + 1) * (ny + 1), 1] = eta * w[i]
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            v11, v01 = v10 + 1, v00 + 1
+            c = n_grid + i * ny + j
+            verts[c] = 0.25 * (verts[v00] + verts[v10] + verts[v11] + verts[v01])
+            tris += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
+    pairs = np.array([(nx * (ny + 1) + j, j) for j in range(ny + 1)])
+    return verts, np.asarray(tris), pairs
+
+
+def _assert_matches_reference(mesh):
+    b_edges, b_tri, loops, base_of = _reference_boundary(
+        mesh.vertices, mesh.triangles, mesh.periodic_pairs
+    )
+    assert np.array_equal(mesh.boundary_edges, np.asarray(b_edges).reshape(-1, 2))
+    assert np.array_equal(mesh.boundary_edge_tri, b_tri)
+    assert [lp.tolist() for lp in mesh.boundary_loops] == loops
+    assert np.array_equal(mesh.dof_of_vertex, np.unique(base_of, return_inverse=True)[1])
+
+
+STRIP_SPECS = (PeriodicStrip(2 * math.pi, (math.pi / 2,)), PeriodicStrip(5.3, (1.2, 0.2, -0.05)))
+
+
+@pytest.mark.parametrize("nx,ny", [(64, 32), (61, 32), (8, 4)])
+def test_structured_strip_matches_loop_construction(nx, ny):
+    for spec in STRIP_SPECS:
+        mesh = meshing.structured_strip(spec, nx, ny)
+        verts, tris, pairs = _reference_strip(spec, nx, ny)
+        assert mesh.vertices.tobytes() == verts.tobytes()
+        assert np.array_equal(mesh.triangles, tris)
+        assert np.array_equal(mesh.periodic_pairs, pairs)
+        _assert_matches_reference(mesh)
+
+
+def test_strip_topology_depends_on_counts_only():
+    a, b = (meshing.structured_strip(spec, 24, 8) for spec in STRIP_SPECS)
+    assert np.array_equal(a.triangles, b.triangles)
+    assert np.array_equal(a.boundary_edges, b.boundary_edges)
+    assert [lp.tolist() for lp in a.boundary_loops] == [lp.tolist() for lp in b.boundary_loops]
+    assert np.array_equal(a.periodic_pairs, b.periodic_pairs)
+    assert not np.array_equal(a.vertices, b.vertices)
+
+
+@pytest.mark.parametrize("spec,h", ZOO[:4], ids=lambda z: getattr(z, "kind", str(z)))
+def test_boundary_extraction_matches_dict_walk(spec, h):
+    _assert_matches_reference(build_domain(spec, h))
+
+
+def test_unrolled_cover_matches_dict_numbering():
+    mesh = meshing.structured_strip(STRIP_SPECS[1], 16, 8)
+    cover = mesh.unrolled()
+    verts, tris, bases = _reference_cover(mesh)
+    assert cover.vertices.tobytes() == verts.tobytes()
+    assert np.array_equal(cover.triangles, tris)
+    assert np.array_equal(cover.unroll_base, bases)
+    _assert_matches_reference(cover)
+
+
+def test_edge_shared_by_three_triangles_is_non_conforming():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(MeshQualityFailure, match="non-conforming"):
+        mesh_from_arrays(verts, [[0, 1, 2], [1, 0, 3], [0, 1, 4]], quality_floor=None)
+
+
+def test_triangles_meeting_at_a_vertex_are_pinched():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [-1.0, 0.0], [-0.5, -1.0]])
+    with pytest.raises(MeshQualityFailure, match="pinched"):
+        mesh_from_arrays(verts, [[0, 1, 2], [0, 3, 4]])
