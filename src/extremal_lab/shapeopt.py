@@ -377,6 +377,44 @@ def _branch_residual(
     return f, out
 
 
+def _pin_known(jac: np.ndarray, z: np.ndarray, tangent: np.ndarray, n_modes: int) -> np.ndarray:
+    """Set the exactly known entries of the continuation Jacobian at z, in
+    place: the flux-level column (-1 in the mode-0 row), the area row (2T at
+    c_0, 2c_0 at T) and the arclength row (the tangent)."""
+    t, a = n_modes + 1, n_modes + 2
+    jac[:, a] = 0.0
+    jac[0, a] = -1.0
+    jac[t] = 0.0
+    jac[t, 0] = 2.0 * z[t]
+    jac[t, t] = 2.0 * z[0]
+    jac[a] = tangent
+    return jac
+
+
+def _branch_jacobian(
+    z: np.ndarray,
+    f: np.ndarray,
+    tangent: np.ndarray,
+    lam: float,
+    n_modes: int,
+    nx: int,
+    ny: int,
+    area0: float,
+) -> np.ndarray:
+    """Continuation Jacobian at z, whose flux rows are f[:N+1]: forward
+    differences of the flux rows in the c_0..c_N and T columns, closed forms
+    everywhere else."""
+    m = n_modes + 3
+    jac = np.empty((m, m))
+    for j in range(m - 1):
+        step = 1e-7 * max(1.0, abs(float(z[j])))
+        zp = z.copy()
+        zp[j] += step
+        fp, _ = _branch_residual(zp, lam, n_modes, nx, ny, area0)
+        jac[: n_modes + 1, j] = (fp[: n_modes + 1] - f[: n_modes + 1]) / step
+    return _pin_known(jac, z, tangent, n_modes)
+
+
 def _branch_newton(
     z_pred: np.ndarray,
     z_prev: np.ndarray,
@@ -387,9 +425,19 @@ def _branch_newton(
     nx: int,
     ny: int,
     area0: float,
+    jac: np.ndarray | None,
     tol: float = 1e-11,
     max_iter: int = 12,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Broyden corrector from z_pred back onto the branch.
+
+    `jac` is the Jacobian carried from the previous step (None before the
+    first).  Each iteration tries its full step; when there is no Jacobian,
+    the solve is singular or the step does not lower |g|, the Jacobian is
+    rebuilt by forward differences and the step is halved until |g| falls.
+    Every accepted step applies a good Broyden update.  Returns the point,
+    its residual outputs and the Jacobian to carry on.
+    """
     z = z_pred.copy()
     m = n_modes + 3
 
@@ -401,33 +449,38 @@ def _branch_newton(
         return g, out
 
     g, out = full_residual(z)
+    if jac is not None:
+        jac = _pin_known(jac.copy(), z, tangent, n_modes)
     for _ in range(max_iter):
         if float(np.max(np.abs(g))) <= tol:
-            return z, out
-        jac = np.empty((m, m))
-        for j in range(m):
-            step = 1e-7 * max(1.0, abs(float(z[j])))
-            zp = z.copy()
-            zp[j] += step
-            gp, _ = full_residual(zp)
-            jac[:, j] = (gp - g) / step
-        try:
-            delta = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular continuation Jacobian: {exc}") from exc
-        damp = 1.0
+            return z, out, jac
         base = float(np.linalg.norm(g))
-        for _ in range(8):
-            g_new, out_new = full_residual(z + damp * delta)
-            if float(np.linalg.norm(g_new)) < base:
-                z = z + damp * delta
-                g, out = g_new, out_new
-                break
-            damp *= 0.5
-        else:
-            raise NewtonDiverged("continuation line search failed")
+        g_new = None
+        if jac is not None:
+            try:
+                delta = np.linalg.solve(jac, -g)
+                g_new, out_new = full_residual(z + delta)
+            except (np.linalg.LinAlgError, NewtonDiverged):
+                pass
+        if g_new is None or float(np.linalg.norm(g_new)) >= base:
+            jac = _branch_jacobian(z, g, tangent, lam, n_modes, nx, ny, area0)
+            try:
+                delta = np.linalg.solve(jac, -g)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonDiverged(f"singular continuation Jacobian: {exc}") from exc
+            for _ in range(8):
+                g_new, out_new = full_residual(z + delta)
+                if float(np.linalg.norm(g_new)) < base:
+                    break
+                delta = 0.5 * delta
+            else:
+                raise NewtonDiverged("continuation line search failed")
+        z = z + delta
+        jac += np.outer((g_new - g) - jac @ delta, delta / float(delta @ delta))
+        jac = _pin_known(jac, z, tangent, n_modes)
+        g, out = g_new, out_new
     if float(np.max(np.abs(g))) <= 100 * tol:
-        return z, out
+        return z, out, jac
     raise NewtonDiverged(f"corrector stalled at |g| = {float(np.max(np.abs(g))):.3e}")
 
 
@@ -449,6 +502,11 @@ def continue_branch(
     vanish, the cell area stays fixed, plus the arclength constraint.  The
     branch parameter is s = c_1.  Accepted points must meet the spread and
     coefficient-decay limits.
+
+    One Jacobian serves the whole branch: built by forward differences at
+    the first corrector iterate, carried from step to step with a good
+    Broyden update after every accepted corrector step, and rebuilt only on
+    a stall (see _branch_newton).
     """
     if n_modes < 8:
         raise InvalidSpec("Fourier truncation needs at least 8 modes")
@@ -486,11 +544,12 @@ def continue_branch(
     tangent[1] = math.copysign(1.0, ds)
     z_prev = z
     step = abs(ds)
+    jac = None
     while len(points) < max_points and abs(float(z_prev[1])) < s_max:
         z_pred = z_prev + step * tangent
         try:
-            z_new, out = _branch_newton(
-                z_pred, z_prev, tangent, step, lam, n_modes, nx, ny, area0
+            z_new, out, jac = _branch_newton(
+                z_pred, z_prev, tangent, step, lam, n_modes, nx, ny, area0, jac
             )
         except NewtonDiverged:
             step *= 0.5

@@ -216,6 +216,67 @@ def test_branch_leaves_its_bifurcation_period_downward():
 # -- branch continuation --------------------------------------------------------------
 
 
+def _counting_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(shapeopt, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(shapeopt, name, counted)
+    return calls
+
+
+def _max_flux_residual(z, n_modes=10):
+    """max |f| of a fresh residual evaluation at z on the 2 pi cell's mesh."""
+    nx, ny = shapeopt._strip_counts(1.0, 2 * math.pi, 16)
+    f, _ = shapeopt._branch_residual(z, 1.0, n_modes, nx, ny, 2 * math.pi**2)
+    return float(np.max(np.abs(f)))
+
+
+def _point_z(p):
+    return np.array(list(p.coeffs) + [p.period, p.alpha_hat])
+
+
+def test_branch_corrector_builds_one_jacobian(monkeypatch):
+    residuals = _counting_calls(monkeypatch, "_branch_residual")
+    builds = _counting_calls(monkeypatch, "_branch_jacobian")
+    points = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
+    assert len(points) >= 3
+    # 12 residuals for the one forward-difference build, the rest are steps
+    assert len(residuals) <= 30
+    assert len(builds) == 1
+    for p in points[1:]:
+        assert _max_flux_residual(_point_z(p)) <= 1e-10
+
+
+def test_branch_corrector_refreshes_a_corrupted_jacobian(monkeypatch):
+    n_modes, ds = 10, 0.005
+    a, t0 = math.pi / 2, 2 * math.pi
+    nx, ny = shapeopt._strip_counts(1.0, t0, 16)
+    base = shapeopt._strip_flux_modes(1.0, t0, (a,), nx, ny, n_modes)
+    z_prev = np.zeros(n_modes + 3)
+    z_prev[0], z_prev[n_modes + 1], z_prev[n_modes + 2] = a, t0, base["mean"]
+    tangent = np.zeros(n_modes + 3)
+    tangent[1] = 1.0
+    builds = _counting_calls(monkeypatch, "_branch_jacobian")
+    jac = np.eye(n_modes + 3)  # nothing like the true Jacobian
+    zs = []
+    for _ in range(2):
+        z, _, jac = shapeopt._branch_newton(
+            z_prev + ds * tangent, z_prev, tangent, ds, 1.0, n_modes, nx, ny, 2 * a * t0, jac
+        )
+        assert float(tangent @ (z - z_prev)) == pytest.approx(ds, abs=1e-9)
+        tangent = (z - z_prev) / np.linalg.norm(z - z_prev)
+        zs.append(z)
+        z_prev = z
+    # the corrupted matrix is refreshed once; the second step carries the update
+    assert len(builds) == 1
+    for z in zs:
+        assert _max_flux_residual(z) <= 1e-10
+
+
 @pytest.fixture(scope="module")
 def branch_points():
     return shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.055, ds=0.005)
