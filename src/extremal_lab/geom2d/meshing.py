@@ -8,7 +8,8 @@ mirror-symmetric in y, with the right vertex column an exact duplicate of the
 left one.  Both paths are deterministic functions of (spec, h).
 
 Boundary edges are the int64 undirected edge keys that ``np.unique`` counts
-once; the strip grid and the periodic cover are built by index arithmetic.
+once, and each relaxation sweep lists its truss edges by the same keys; the
+strip grid and the periodic cover are built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -346,12 +347,9 @@ def _relaxed_mesh(
     for _ in range(80):
         tri = Delaunay(pts)
         simp = tri.simplices[inside_tris(tri.simplices)]
-        edges = np.unique(
-            np.sort(
-                np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]), axis=1
-            ),
-            axis=0,
-        )
+        e = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]).astype(np.int64)
+        keys = np.unique(e.min(axis=1) * len(pts) + e.max(axis=1))  # lexicographic (lo, hi)
+        edges = np.column_stack(np.divmod(keys, len(pts)))
         d = pts[edges[:, 1]] - pts[edges[:, 0]]
         lengths = np.hypot(d[:, 0], d[:, 1])
         l0 = 1.2 * math.sqrt(float(np.mean(lengths**2)))
@@ -366,13 +364,11 @@ def _relaxed_mesh(
         if np.any(out):
             eps = 1e-7 * scale
             p = pts[nfix:][out]
-            sd_out = spec.signed_distance(p)
-            gx = (spec.signed_distance(p + [eps, 0.0]) - spec.signed_distance(p - [eps, 0.0])) / (
-                2 * eps
-            )
-            gy = (spec.signed_distance(p + [0.0, eps]) - spec.signed_distance(p - [0.0, eps])) / (
-                2 * eps
-            )
+            probes = [p, p + [eps, 0.0], p - [eps, 0.0], p + [0.0, eps], p - [0.0, eps]]
+            sd = spec.signed_distance(np.concatenate(probes))  # one sweep, element-wise
+            sd_out, sxp, sxm, syp, sym = sd.reshape(5, -1)
+            gx = (sxp - sxm) / (2 * eps)
+            gy = (syp - sym) / (2 * eps)
             g2 = np.maximum(gx**2 + gy**2, 1e-12)
             p[:, 0] -= sd_out * gx / g2
             p[:, 1] -= sd_out * gy / g2
