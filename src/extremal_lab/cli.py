@@ -29,7 +29,8 @@ from scipy.sparse.linalg import splu
 from . import __version__, analytic, fem, overdet, shapeopt, svgfig
 from .errors import ConfigInvalid, ExtremalLabError, VersionMismatch
 from .geom2d import Line, build_domain, domain_spec_from_json, domain_spec_to_json
-from .geom2d.domain import DomainSpec
+from .geom2d.domain import DomainSpec, PeriodicStrip
+from .geom2d.predicates import MAX_GRID_POINTS, grid_point_count
 
 COMMANDS = ("solve", "eigen", "check", "flow", "branch", "report")
 THEOREMS = ("T4", "T5", "L3R", "T8")
@@ -92,6 +93,8 @@ def _finite(value) -> float:
 def _nonlinearity_from_json(data) -> fem.NonlinearitySpec | None:
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise ConfigInvalid("nonlinearity must be an object")
     kind = data.get("kind")
     if kind == "linear":
         return fem.Linear(_finite(data["lam"]))
@@ -170,6 +173,12 @@ def _load_config(data: dict, command: str | None, out_dir: str | None) -> RunCon
     theorems = data.get("theorems", [])
     if not isinstance(theorems, list) or not set(theorems) <= set(THEOREMS):
         raise ConfigInvalid(f"theorems must be a list drawn from {THEOREMS}, got {theorems!r}")
+
+    records = data.get("records", [])
+    if not isinstance(records, list) or not all(isinstance(r, str) for r in records):
+        raise ConfigInvalid("records must be a list of record paths")
+    if cmd == "flow" and isinstance(domain, PeriodicStrip):
+        raise ConfigInvalid("flow needs a bounded domain, not a periodic strip")
 
     for key, kind in _NUMBER_KEYS.items():
         if key in data and not (key == "T" and data[key] is None):
@@ -380,6 +389,8 @@ def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
     if not grid > 0:
         raise ConfigInvalid("check needs grid > 0")
     theorems = cfg.extra.get("theorems", THEOREMS)
+    if "T4" in theorems and grid_point_count(cfg.domain.bbox(), grid) > MAX_GRID_POINTS:
+        raise ConfigInvalid(f"check grid {grid} asks for more than {MAX_GRID_POINTS} points")
     checks = []
     mesh = build_domain(cfg.domain, cfg.h)
     if "T4" in theorems:
@@ -523,16 +534,17 @@ def run(cfg: RunConfig) -> ExperimentRecord:
 
 
 def _run_report(cfg: RunConfig, out: _Outputs) -> dict:
-    paths = cfg.extra.get("records", [])
-    if not isinstance(paths, list):
-        raise ConfigInvalid("report needs a list of record paths")
     records = []
-    for p in paths:
+    for p in cfg.extra.get("records", []):
         try:
             with open(p) as fh:
-                records.append((Path(p).parent, json.load(fh)))
-        except (OSError, TypeError, json.JSONDecodeError) as exc:
+                blob = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, NUL in the path
             raise ConfigInvalid(f"cannot read record {p!r}: {exc}") from exc
+        if not (isinstance(blob, dict) and isinstance(blob.get("config"), dict)
+                and isinstance(blob.get("version"), str)):
+            raise ConfigInvalid(f"record {p!r} is not an experiment record")
+        records.append((Path(p).parent, blob))
     return report(records, out, cfg.digest())
 
 

@@ -184,6 +184,15 @@ def _strip_wall_segments(spec: PeriodicStrip, copies: int, n_per_period: int) ->
     return np.vstack([np.column_stack([xs, w]), np.column_stack([xs, -w])])
 
 
+MAX_GRID_POINTS = 4_000_000
+
+
+def grid_point_count(bbox: tuple[float, float, float, float], g: float) -> float:
+    """Size of the inscribed-ball grid of spacing g over the box, up to rounding."""
+    xmin, xmax, ymin, ymax = map(float, bbox)  # Python floats overflow to inf quietly
+    return max(1.0, (xmax - xmin) / g) * max(1.0, (ymax - ymin) / g)
+
+
 def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarray]:
     """Largest distance-to-boundary over a grid of spacing g inside the domain.
 
@@ -192,6 +201,14 @@ def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarr
     """
     if g <= 0:
         raise ValueError("grid spacing must be positive")
+    if isinstance(target, Mesh):
+        v = target.vertices
+        bbox = (v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
+    else:
+        target.validate()
+        bbox = target.bbox()
+    if grid_point_count(bbox, g) > MAX_GRID_POINTS:
+        raise ValueError(f"grid spacing {g} asks for more than {MAX_GRID_POINTS} points")
 
     if isinstance(target, Mesh):
         mesh = target
@@ -226,8 +243,6 @@ def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarr
 
         else:
             loops = mesh.boundary_polygons()
-            v = mesh.vertices
-            bbox = (v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
 
             def inside(p):
                 return _points_in_loops(p, loops, tol=1e-10)
@@ -240,9 +255,7 @@ def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarr
 
     elif isinstance(target, PeriodicStrip):
         spec = target
-        spec.validate()
-        wmax = -spec.bbox()[2]
-        bbox = (0.0, spec.period, -wmax, wmax)
+        wmax = -bbox[2]
         copies = int(math.ceil(wmax / spec.period)) + 1
         wall = _strip_wall_segments(spec, copies, max(512, int(8 * spec.period / g)))
         half = len(wall) // 2
@@ -257,8 +270,6 @@ def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarr
 
     else:
         spec = target
-        spec.validate()
-        bbox = spec.bbox()
 
         def inside(p):
             return spec.contains(p, tol=1e-10)
@@ -357,17 +368,44 @@ def superlevel_triangle_components(
     return np.split(kept[by_label], np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
 
 
-def _clip_triangle(p: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
-    """Vertices of the triangle part with signed distance >= 0."""
-    out: list[np.ndarray] = []
-    for i in range(3):
-        j = (i + 1) % 3
-        if s[i] >= -tol:
-            out.append(p[i])
-        if (s[i] > tol and s[j] < -tol) or (s[i] < -tol and s[j] > tol):
-            t = s[i] / (s[i] - s[j])
-            out.append(p[i] + t * (p[j] - p[i]))
-    return np.asarray(out)
+def edge_crossings(pa, pb, va, vb, level, cross=None):
+    """Where a P1 field crosses the level along edges a -> b.
+
+    The mask defaults to (va > level) != (vb > level); the points are
+    pa + w (pb - pa) with w = (level - va) / (vb - va), in the mask's
+    row-major order.
+    """
+    if cross is None:
+        cross = (va > level) != (vb > level)
+    a, fa = pa[cross], va[cross]
+    w = (level - fa) / (vb[cross] - fa)
+    return cross, a + w[:, None] * (pb[cross] - a)
+
+
+def clip_slots(p, v, level, keep, cross=None):
+    """Kept vertices and edge crossings of triangles p (T, 3, 2) carrying
+    values v (T, 3), in six slots (p0, c01, p1, c12, p2, c20) per triangle.
+
+    Returns the (T, 6, 2) slots and their (T, 6) mask; ``slots[mask]`` lists
+    the points triangle by triangle in slot order.
+    """
+    p_next, v_next = np.roll(p, -1, axis=1), np.roll(v, -1, axis=1)
+    cross, pts = edge_crossings(p, p_next, v, v_next, level, cross)
+    slots = np.zeros((len(p), 3, 2, 2))
+    slots[:, :, 0] = p
+    slots[:, :, 1][cross] = pts
+    return slots.reshape(-1, 6, 2), np.stack([keep, cross], axis=2).reshape(-1, 6)
+
+
+def _positive_part(p: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
+    """Vertices of the parts of triangles p (T, 3, 2) where the signed
+    distance s (T, 3) is >= 0, triangle by triangle; parts with fewer than
+    three vertices are left out."""
+    s_next = np.roll(s, -1, axis=1)
+    strict = ((s > tol) & (s_next < -tol)) | ((s < -tol) & (s_next > tol))
+    slots, mask = clip_slots(p, s, 0.0, s >= -tol, strict)
+    full = mask.sum(axis=1) >= 3
+    return slots[full][mask[full]]
 
 
 def cap_reflect(mesh: Mesh, line: Line, tol: float = 1e-10) -> CapReport:
@@ -399,41 +437,17 @@ def cap_reflect(mesh: Mesh, line: Line, tol: float = 1e-10) -> CapReport:
         if np.any(sin_angle < 1e-6):
             raise NonTransversal("a boundary edge meets the cutting line at angle < 1e-6")
 
-    boundary_keys = {
-        (min(int(u), int(v)), max(int(u), int(v))) for u, v in work.boundary_edges
-    }
+    n = len(work.vertices)
+    # sorted boundary keys min*n + max, closed by a key no edge reaches
+    boundary_keys = np.append(np.sort(be.min(axis=1) * n + be.max(axis=1)), n * n)
     domain_polys = work.boundary_polygons()
 
     report = CapReport(line=line)
     for tris in superlevel_triangle_components(work, s_all, tol):
-        pieces = []
-        bnd_segs: list[tuple[np.ndarray, np.ndarray]] = []
-        for t in tris:
-            idx = work.triangles[t]
-            poly = _clip_triangle(work.vertices[idx], s_all[idx], tol_len)
-            if len(poly) >= 3:
-                pieces.append(poly)
-            for i in range(3):
-                u, v = int(idx[i]), int(idx[(i + 1) % 3])
-                key = (min(u, v), max(u, v))
-                if key not in boundary_keys:
-                    continue
-                pu, pv = work.vertices[u], work.vertices[v]
-                su, sv = float(s_all[u]), float(s_all[v])
-                if max(su, sv) <= tol_len:
-                    continue
-                if su < 0 or sv < 0:
-                    t_cross = su / (su - sv)
-                    cross_pt = pu + t_cross * (pv - pu)
-                    if su > sv:
-                        pv, sv = cross_pt, 0.0
-                    else:
-                        pu, su = cross_pt, 0.0
-                bnd_segs.append((pu, pv))
-        if not pieces:
+        tri = work.triangles[tris]
+        verts = _positive_part(work.vertices[tri], s_all[tri], tol_len)
+        if not len(verts):
             continue
-        verts = np.vstack(pieces)
-        heights = line.signed_distance(verts)
 
         if cut_xs:
             dist_cut = float(min(np.abs(verts[:, 0] - cx).min() for cx in cut_xs))
@@ -443,67 +457,53 @@ def cap_reflect(mesh: Mesh, line: Line, tol: float = 1e-10) -> CapReport:
             bounded = True
 
         if not bounded:
-            report.components.append(
-                CapComponent(
-                    bounded=False,
-                    height=None,
-                    graph_over_chord=None,
-                    reflection_contained=None,
-                    distance_to_cut=dist_cut,
-                    n_triangles=len(tris),
-                )
-            )
+            report.components.append(CapComponent(False, None, None, None, dist_cut, len(tris)))
             continue
 
-        height = float(heights.max())
+        # boundary edges on the positive side, cut at L, in (triangle, edge) order
+        u, v = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        su, sv = s_all[u], s_all[v]
+        on = (boundary_keys[np.searchsorted(boundary_keys, key)] == key) & (
+            np.maximum(su, sv) > tol_len
+        )
+        pu, pv, su, sv = work.vertices[u[on]], work.vertices[v[on]], su[on], sv[on]
+        cut = (su < 0) | (sv < 0)
+        _, cross_pts = edge_crossings(pu, pv, su, sv, 0.0, cut)
+        down = su[cut] > sv[cut]
+        cut_ids = np.nonzero(cut)[0]
+        pv[cut_ids[down]] = cross_pts[down]
+        pu[cut_ids[~down]] = cross_pts[~down]
 
         # graph over chord: over the open chord span, each line orthogonal to
         # L may meet the boundary arc at most once.  Arc segments orthogonal
         # to L are tolerated at the two chord extremes (side walls) but not
         # in the interior, and projection intervals may only touch.
-        graph = True
         ov_tol = 1e-9 * scale
-        intervals = []
-        orthogonal_ts = []
-        for pu, pv in bnd_segs:
-            ta, tb = float(line.along(pu)[0]), float(line.along(pv)[0])
-            seg_len = float(np.hypot(*(pv - pu)))
-            if abs(tb - ta) < ov_tol and seg_len > 100 * ov_tol:
-                orthogonal_ts.append(0.5 * (ta + tb))
-                continue
-            intervals.append((min(ta, tb), max(ta, tb)))
-        if intervals:
-            t_lo = min(lo for lo, _ in intervals + [(t, t) for t in orthogonal_ts])
-            t_hi = max(hi for _, hi in intervals + [(t, t) for t in orthogonal_ts])
-            for t in orthogonal_ts:
-                if t_lo + ov_tol < t < t_hi - ov_tol:
-                    graph = False
-        intervals.sort()
-        cur_end = -np.inf
-        for lo, hi in intervals:
-            if lo < cur_end - ov_tol:
-                graph = False
-                break
-            cur_end = max(cur_end, hi)
+        ta = np.array([line.along(p)[0] for p in pu])
+        tb = np.array([line.along(p)[0] for p in pv])
+        seg = pv - pu
+        orth = (np.abs(tb - ta) < ov_tol) & (np.hypot(seg[:, 0], seg[:, 1]) > 100 * ov_tol)
+        orthogonal_ts = 0.5 * (ta[orth] + tb[orth])
+        lo, hi = np.minimum(ta, tb)[~orth], np.maximum(ta, tb)[~orth]
+        graph = True
+        if len(lo):
+            t_lo = min(lo.min(), orthogonal_ts.min(initial=np.inf))
+            t_hi = max(hi.max(), orthogonal_ts.max(initial=-np.inf))
+            inner = (t_lo + ov_tol < orthogonal_ts) & (orthogonal_ts < t_hi - ov_tol)
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            ends = np.maximum.accumulate(np.concatenate([[-np.inf], hi[:-1]]))
+            graph = not (np.any(inner) or np.any(lo < ends - ov_tol))
 
         # reflected boundary vertices must stay inside the closed domain
-        bpts = (
-            np.vstack([np.vstack(seg) for seg in bnd_segs]) if bnd_segs else np.empty((0, 2))
-        )
+        bpts = np.stack([pu, pv], axis=1).reshape(-1, 2)
         if len(bpts):
             refl = bpts - 2.0 * line.signed_distance(bpts)[:, None] * line.normal[None, :]
             contained = bool(np.all(_points_in_loops(refl, domain_polys, tol=1e-10)))
         else:
             contained = True
 
-        report.components.append(
-            CapComponent(
-                bounded=True,
-                height=height,
-                graph_over_chord=graph,
-                reflection_contained=contained,
-                distance_to_cut=dist_cut,
-                n_triangles=len(tris),
-            )
-        )
+        height = float(line.signed_distance(verts).max())
+        report.components.append(CapComponent(True, height, graph, contained, dist_cut, len(tris)))
     return report

@@ -26,6 +26,7 @@ from .geom2d.meshing import Mesh
 from .geom2d.predicates import (
     Line,
     cap_reflect,
+    clip_slots,
     component_diameter,
     inscribed_ball,
     min_enclosing_circle,
@@ -343,20 +344,10 @@ def _superlevel_components(mesh: Mesh, values: np.ndarray, level: float):
     vals = values if work is mesh else values[work.unroll_base]
     out = []
     for tris in superlevel_triangle_components(work, vals, level):
-        pts = []
-        for t in tris:
-            tri = work.triangles[t]
-            for i in range(3):
-                a_, b_ = int(tri[i]), int(tri[(i + 1) % 3])
-                va, vb = float(vals[a_]), float(vals[b_])
-                if va > level:
-                    pts.append(work.vertices[a_])
-                if (va > level) != (vb > level):
-                    t_cross = (level - va) / (vb - va)
-                    pts.append(
-                        work.vertices[a_] + t_cross * (work.vertices[b_] - work.vertices[a_])
-                    )
-        out.append(np.unique(np.asarray(pts), axis=0))
+        tri = work.triangles[tris]
+        v = vals[tri]
+        slots, mask = clip_slots(work.vertices[tri], v, level, v > level)
+        out.append(np.unique(slots[mask], axis=0))
     return out
 
 

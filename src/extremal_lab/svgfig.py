@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geom2d.predicates import edge_crossings
+
 WIDTH, HEIGHT = 800, 600
 _MARGIN = 50
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a7d44", "#8d5a97", "#c98a2b", "#4f6d7a")
@@ -100,23 +102,17 @@ def level_set_figure(
     if vmax <= vmin:
         return _document(body, digest)
     levels = vmin + (vmax - vmin) * (np.arange(1, n_levels + 1) / (n_levels + 1))
-    tv = values[triangles]
+    nxt = np.roll(triangles, -1, axis=1)
+    pa, pb, va, vb = vertices[triangles], vertices[nxt], values[triangles], values[nxt]
     for li, level in enumerate(levels):
         color = _PALETTE[li % len(_PALETTE)]
-        segs = []
-        for t in range(len(triangles)):
-            pts = []
-            for e in range(3):
-                a, b = triangles[t, e], triangles[t, (e + 1) % 3]
-                va, vb = values[a], values[b]
-                if (va > level) != (vb > level):
-                    w = (level - va) / (vb - va)
-                    pts.append(vertices[a] + w * (vertices[b] - vertices[a]))
-            if len(pts) == 2:
-                segs.append((pts[0], pts[1]))
-        for p, q in segs:
-            px, py = m.map(np.array([p[0], q[0]]), np.array([p[1], q[1]]))
-            body.append(_polyline(px, py, color, 0.9))
+        cross, pts = edge_crossings(pa, pb, va, vb, level)
+        # a triangle with exactly two crossing edges holds one segment
+        n = cross.sum(axis=1)
+        px, py = m.map(*pts[np.repeat(n == 2, n)].T)
+        body.extend(
+            _polyline(px[k : k + 2], py[k : k + 2], color, 0.9) for k in range(0, len(px), 2)
+        )
     return _document(body, digest)
 
 

@@ -150,6 +150,15 @@ _MALFORMED = {
                            "nonlinearity": {"kind": "allen_cahn"}, "seed_amplitude": math.nan},
     "ds_zero": {"command": "branch", "ds": 0, "T": 6.0},
     "n_modes_below_eight": {"command": "branch", "n_modes": 7, "T": 6.0},
+    "nonlinearity_not_an_object": {"command": "solve", "domain": DISK, "h": 0.1,
+                                   "nonlinearity": "x"},
+    # an integer would be opened as a file descriptor
+    "records_not_strings": {"command": "report", "records": [5]},
+    "flow_on_periodic_strip": {"command": "flow", "h": 0.1,
+                               "domain": {"kind": "periodic_strip", "period": 6.0,
+                                          "half_width_coeffs": [1.0]}},
+    "grid_too_fine": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-300},
+    "grid_below_double_range": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-320},
 }
 
 
@@ -161,6 +170,19 @@ def test_malformed_config_is_a_config_error(name, tmp_path, capsys, monkeypatch)
     cfg.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert cli.main([data["command"], "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blob", [[1, 2], {"version": "0.1"}, {"config": {}, "version": 3}])
+def test_report_over_a_non_record_is_a_config_error(blob, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps(blob))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "report", "records": [str(record)]}))
+    out = tmp_path / "out"
+    assert cli.main(["report", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
