@@ -6,6 +6,12 @@ as CSV) plus a record.json carrying the config snapshot, version tag, wall
 time, and a sha256 manifest of the produced files.  Re-running a config with
 the same version reproduces identical digests.
 
+Every config key has one row in `_KEYS`: its parser (type and range), its
+default and the commands that read it.  `load_config` parses a config against
+that table alone, so a key the command does not read or a value out of type
+or range is a config error before anything runs, and runners read parsed
+values through `RunConfig[key]`.
+
 Exit codes: 0 success, 1 numerical failure (partial outputs kept), 2 config
 error (nothing written).
 """
@@ -20,8 +26,9 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -29,35 +36,38 @@ from scipy.sparse.linalg import splu
 from . import __version__, analytic, fem, overdet, shapeopt, svgfig
 from .errors import ConfigInvalid, ExtremalLabError, VersionMismatch
 from .geom2d import Line, build_domain, domain_spec_from_json, domain_spec_to_json
-from .geom2d.domain import DomainSpec, PeriodicStrip
+from .geom2d.domain import PeriodicStrip
 from .geom2d.predicates import MAX_GRID_POINTS, grid_point_count
 
 COMMANDS = ("solve", "eigen", "check", "flow", "branch", "report")
 THEOREMS = ("T4", "T5", "L3R", "T8")
 
+# keys the snapshot records in parsed form (out_dir not at all); every other key as given
+_SNAPSHOT_PARSED = {"command", "domain", "nonlinearity", "alpha", "h", "tolerances", "out_dir",
+                    "seed"}
+
 
 @dataclass
 class RunConfig:
     command: str
-    domain: DomainSpec | None
-    nonlinearity: fem.NonlinearitySpec | None
-    alpha: float | None
-    h: float
-    tolerances: dict
     out_dir: str
-    seed: int
-    extra: dict = field(default_factory=dict)
+    values: dict  # every key the command reads, parsed, defaults filled in
+    data: dict  # the config as given
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def snapshot(self) -> dict:
+        v = self.values
         return {
             "command": self.command,
-            "domain": domain_spec_to_json(self.domain) if self.domain else None,
-            "nonlinearity": _nonlinearity_to_json(self.nonlinearity),
-            "alpha": self.alpha,
-            "h": self.h,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            **{k: v for k, v in sorted(self.extra.items())},
+            "domain": domain_spec_to_json(v["domain"]) if "domain" in v else None,
+            "nonlinearity": _nonlinearity_to_json(v.get("nonlinearity")),
+            "alpha": v.get("alpha"),
+            "h": v["h"],
+            "tolerances": {k: v[f"tolerances.{k}"] for k in self.data.get("tolerances", {})},
+            "seed": v["seed"],
+            **{k: x for k, x in sorted(self.data.items()) if k not in _SNAPSHOT_PARSED},
         }
 
     def digest(self) -> str:
@@ -82,124 +92,150 @@ def _nonlinearity_to_json(f) -> dict | None:
     raise ConfigInvalid(f"unknown nonlinearity {f!r}")
 
 
-def _finite(value) -> float:
-    """The value as a float that is neither NaN nor infinite (JSON allows both)."""
-    x = float(value)
+def _number(value) -> float:
+    """A JSON number as a finite float; true, false, NaN and infinities are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    x = float(value)  # OverflowError past the double range
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {value!r}")
     return x
 
 
-def _nonlinearity_from_json(data) -> fem.NonlinearitySpec | None:
-    if data is None:
-        return None
+def _integer(value) -> int:
+    """A JSON integer; a float with an integral value such as 3.0 counts."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _where(parse: Callable, ok: Callable, text: str) -> Callable:
+    """`parse`, then the range test `ok`, which `text` describes."""
+
+    def parsed(value):
+        x = parse(value)
+        if not ok(x):
+            raise ValueError(f"{value!r} is not {text}")
+        return x
+
+    return parsed
+
+
+def _nullable(parse: Callable) -> Callable:
+    return lambda value: None if value is None else parse(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _list_of(ok: Callable, text: str) -> Callable:
+    def parsed(value) -> tuple:
+        if not isinstance(value, list) or not all(ok(x) for x in value):
+            raise ValueError(f"{value!r} is not a list of {text}")
+        return tuple(value)
+
+    return parsed
+
+
+def _nonlinearity_from_json(data) -> fem.NonlinearitySpec:
     if not isinstance(data, dict):
         raise ConfigInvalid("nonlinearity must be an object")
     kind = data.get("kind")
     if kind == "linear":
-        return fem.Linear(_finite(data["lam"]))
+        return fem.Linear(_number(data["lam"]))
     if kind == "allen_cahn":
         return fem.AllenCahn()
     if kind == "tabulated":
         return fem.Tabulated(
-            tuple(map(_finite, data["breakpoints"])),
-            tuple(map(_finite, data["values"])),
-            _finite(data["lipschitz"]),
+            tuple(map(_number, data["breakpoints"])),
+            tuple(map(_number, data["values"])),
+            _number(data["lipschitz"]),
         )
     raise ConfigInvalid(f"unknown nonlinearity kind {kind!r}")
 
 
-# command keys read as numbers by the runners; "T": null asks branch for T*
-_NUMBER_KEYS = {
-    "lambda": _finite, "grid": _finite, "T": _finite, "s_max": _finite, "ds": _finite,
-    "seed_amplitude": _finite, "n_lines": int, "max_steps": int, "n_modes": int,
-    "resolution": int,
-}
+class _Key(NamedTuple):
+    parse: Callable  # JSON value -> parsed value; raises on a wrong type or range
+    default: object  # _REQUIRED, a value, or a function of the values parsed before it
+    commands: tuple[str, ...]
 
-_KNOWN_KEYS = {
-    "command", "domain", "nonlinearity", "alpha", "h", "tolerances", "out_dir",
-    "seed", "lambda", "grid", "theorems", "n_lines", "max_steps", "spread_tol",
-    "T", "s_max", "ds", "n_modes", "resolution", "records", "seed_amplitude",
-    "h_values",
+
+_REQUIRED = object()
+_POSITIVE = _where(_number, lambda x: x > 0, "> 0")
+_TOLERANCE = _where(_number, lambda x: 1e-14 <= x <= 1e-1, "in [1e-14, 1e-1]")
+
+# tolerances.<name> is the key <name> of the "tolerances" object
+_KEYS = {
+    "command": _Key(_where(_string, lambda c: c in COMMANDS, "a command"), _REQUIRED, COMMANDS),
+    "out_dir": _Key(_where(_string, lambda s: "\0" not in s, "a path"), ".", COMMANDS),
+    "h": _Key(_where(_number, lambda x: 1e-4 < x < 1.0, "in (1e-4, 1)"), 0.05, COMMANDS),
+    "seed": _Key(_integer, 0, COMMANDS),
+    "domain": _Key(domain_spec_from_json, _REQUIRED, ("solve", "eigen", "check", "flow")),
+    "nonlinearity": _Key(_nonlinearity_from_json, _REQUIRED, ("solve",)),
+    "alpha": _Key(_nullable(_where(_number, lambda x: x < 0, "< 0")), None, ("eigen", "check")),
+    "tolerances.eigen_tol": _Key(_TOLERANCE, 1e-10, ("eigen", "check")),
+    "tolerances.newton_tol": _Key(_TOLERANCE, 1e-10, ("solve",)),
+    "tolerances.spread_tol": _Key(_TOLERANCE, 1e-3, ("flow",)),
+    "seed_amplitude": _Key(_POSITIVE, 0.5, ("solve",)),
+    "lambda": _Key(_POSITIVE, 1.0, ("check", "branch")),
+    "grid": _Key(_POSITIVE, lambda v: v["h"] / 2, ("check",)),
+    "theorems": _Key(_list_of(lambda t: t in THEOREMS, f"{THEOREMS}"), THEOREMS, ("check",)),
+    "n_lines": _Key(_where(_integer, lambda n: n >= 1, ">= 1"), 16, ("check",)),
+    "max_steps": _Key(_where(_integer, lambda n: n >= 0, ">= 0"), 300, ("flow",)),
+    "T": _Key(_nullable(_POSITIVE), None, ("branch",)),  # null: the bifurcation period
+    "s_max": _Key(_POSITIVE, 0.05, ("branch",)),
+    "ds": _Key(_where(_number, lambda x: x != 0, "!= 0"), 0.005, ("branch",)),
+    "n_modes": _Key(_where(_integer, lambda n: n >= 8, ">= 8"), 10, ("branch",)),
+    "resolution": _Key(_where(_integer, lambda n: n >= 1, ">= 1"), 16, ("branch",)),
+    "records": _Key(_list_of(lambda r: isinstance(r, str), "strings"), (), ("report",)),
 }
 
 
 def load_config(data: dict, command: str | None = None, out_dir: str | None = None) -> RunConfig:
-    try:
-        return _load_config(data, command, out_dir)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"bad config value: {exc!r}") from exc
-
-
-def _load_config(data: dict, command: str | None, out_dir: str | None) -> RunConfig:
+    """Parse a JSON config against `_KEYS`; raise ConfigInvalid on a key the
+    command does not read, a missing required key, or a value out of type or range."""
     if not isinstance(data, dict):
         raise ConfigInvalid("config must be a JSON object")
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     cmd = data.get("command", command)
-    if command is not None and data.get("command") not in (None, command):
-        raise ConfigInvalid(
-            f"config command {data['command']!r} conflicts with CLI command {command!r}"
-        )
+    if command is not None and cmd != command:
+        raise ConfigInvalid(f"config command {cmd!r} conflicts with CLI command {command!r}")
     if cmd not in COMMANDS:
         raise ConfigInvalid(f"command must be one of {COMMANDS}, got {cmd!r}")
-
-    h = _finite(data.get("h", 0.05))
-    if cmd != "report" and not (1e-4 < h < 1.0):
-        raise ConfigInvalid(f"mesh size h must lie in (1e-4, 1), got {h}")
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigInvalid("tolerances must be an object")
-    for key, val in tolerances.items():
-        if not (1e-14 <= _finite(val) <= 1e-1):
-            raise ConfigInvalid(f"tolerance override {key}={val} outside [1e-14, 1e-1]")
+    given = {"command": cmd, **{k: v for k, v in data.items() if k != "tolerances"}}
+    given.update({f"tolerances.{k}": v for k, v in tolerances.items()})
+    stray = sorted(k for k in given if k not in _KEYS or cmd not in _KEYS[k].commands
+                   or "." in k and k in data)  # a top-level "tolerances.x" is not tolerance x
+    if stray:
+        raise ConfigInvalid(f"command {cmd!r} reads no config keys {stray}")
 
-    domain = None
-    if data.get("domain") is not None:
-        try:
-            domain = domain_spec_from_json(data["domain"])
-        except ExtremalLabError as exc:
-            raise ConfigInvalid(f"bad domain: {exc}") from exc
-    elif cmd in ("solve", "eigen", "check", "flow"):
-        raise ConfigInvalid(f"command {cmd!r} needs a domain")
+    values: dict = {}
+    for key, row in _KEYS.items():
+        if cmd not in row.commands:
+            continue
+        if key in given:
+            try:
+                values[key] = row.parse(given[key])
+            except (ExtremalLabError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigInvalid(f"bad {key}: {exc}") from exc
+        elif row.default is _REQUIRED:
+            raise ConfigInvalid(f"command {cmd!r} needs {key}")
+        else:
+            values[key] = row.default(values) if callable(row.default) else row.default
 
-    alpha = data.get("alpha")
-    if alpha is not None:
-        alpha = _finite(alpha)
-        if alpha >= 0:
-            raise ConfigInvalid("alpha target must be negative")
-
-    theorems = data.get("theorems", [])
-    if not isinstance(theorems, list) or not set(theorems) <= set(THEOREMS):
-        raise ConfigInvalid(f"theorems must be a list drawn from {THEOREMS}, got {theorems!r}")
-
-    records = data.get("records", [])
-    if not isinstance(records, list) or not all(isinstance(r, str) for r in records):
-        raise ConfigInvalid("records must be a list of record paths")
-    if cmd == "flow" and isinstance(domain, PeriodicStrip):
+    if cmd == "flow" and isinstance(values["domain"], PeriodicStrip):
         raise ConfigInvalid("flow needs a bounded domain, not a periodic strip")
-
-    for key, kind in _NUMBER_KEYS.items():
-        if key in data and not (key == "T" and data[key] is None):
-            kind(data[key])
-
-    extra_keys = _KNOWN_KEYS - {
-        "command", "domain", "nonlinearity", "alpha", "h", "tolerances", "out_dir", "seed"
-    }
-    extra = {k: data[k] for k in extra_keys if k in data}
-    cfg = RunConfig(
-        command=cmd,
-        domain=domain,
-        nonlinearity=_nonlinearity_from_json(data.get("nonlinearity")),
-        alpha=alpha,
-        h=h,
-        tolerances={k: float(v) for k, v in tolerances.items()},
-        out_dir=out_dir or data.get("out_dir", "."),
-        seed=int(data.get("seed", 0)),
-        extra=extra,
-    )
-    return cfg
+    if (cmd == "check" and "T4" in values["theorems"]
+            and grid_point_count(values["domain"].bbox(), values["grid"]) > MAX_GRID_POINTS):
+        raise ConfigInvalid(f"check grid {values['grid']} needs over {MAX_GRID_POINTS} points")
+    return RunConfig(cmd, out_dir or values["out_dir"], values, dict(data))
 
 
 @dataclass
@@ -267,17 +303,17 @@ def _eigen_solution(cfg: RunConfig, mesh):
     """First Dirichlet eigenpair and its flux report, with the eigenfunction
     rescaled to the configured flux target when one is set."""
     k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, mesh, tol=cfg.tolerances.get("eigen_tol", 1e-10))
+    ep = fem.eigen_smallest(k, m, mesh, tol=cfg["tolerances.eigen_tol"])
     u = ep.u1
     rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
-    if cfg.alpha is not None:
-        u = fem.ScalarField(mesh, u.values * (cfg.alpha / rep.alpha_hat))
+    if cfg["alpha"] is not None:
+        u = fem.ScalarField(mesh, u.values * (cfg["alpha"] / rep.alpha_hat))
         rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
     return ep, u, rep
 
 
 def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
-    mesh = build_domain(cfg.domain, cfg.h)
+    mesh = build_domain(cfg["domain"], cfg["h"])
     ep, u, rep = _eigen_solution(cfg, mesh)
     out.write("u.csv", u.export_csv())
     out.write("boundary.csv", _boundary_csv(mesh))
@@ -298,8 +334,8 @@ def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
         "loop_means": rep.loop_means,
         "n_vertices": len(mesh.vertices),
         "n_triangles": len(mesh.triangles),
-        "h": cfg.h,
-        "domain": domain_spec_to_json(cfg.domain),
+        "h": cfg["h"],
+        "domain": domain_spec_to_json(cfg["domain"]),
         "max_u": float(u.values.max()),
     }
     out.write("report.json", _json_dumps(report))
@@ -307,36 +343,33 @@ def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
 
 
 def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
-    if cfg.nonlinearity is None:
-        raise ConfigInvalid("solve needs a nonlinearity")
-    mesh = build_domain(cfg.domain, cfg.h)
+    mesh = build_domain(cfg["domain"], cfg["h"])
     k, m = fem.assemble(mesh)
     # universal positive seed: the torsion function scaled to a set amplitude
     interior = np.nonzero(~fem.dirichlet_mask(mesh))[0]
     ki = k[interior][:, interior].tocsc()
     tors = splu(ki).solve(m[interior][:, interior] @ np.ones(len(interior)))
-    amp = float(cfg.extra.get("seed_amplitude", 0.5))
     seed_dof = np.zeros(mesh.n_dofs)
-    seed_dof[interior] = tors * (amp / float(tors.max()))
+    seed_dof[interior] = tors * (cfg["seed_amplitude"] / float(tors.max()))
     u0 = fem.ScalarField(mesh, mesh.expand(seed_dof))
     u = fem.solve_semilinear(
-        k, m, mesh, cfg.nonlinearity, u0, tol=cfg.tolerances.get("newton_tol", 1e-10)
+        k, m, mesh, cfg["nonlinearity"], u0, tol=cfg["tolerances.newton_tol"]
     )
     trivial = bool(float(np.max(np.abs(u.values))) < 1e-8)
     report: dict = {
         "trivial_solution": trivial,
         "max_u": float(u.values.max()),
-        "h": cfg.h,
-        "domain": domain_spec_to_json(cfg.domain),
-        "nonlinearity": _nonlinearity_to_json(cfg.nonlinearity),
+        "h": cfg["h"],
+        "domain": domain_spec_to_json(cfg["domain"]),
+        "nonlinearity": _nonlinearity_to_json(cfg["nonlinearity"]),
     }
     out.write("u.csv", u.export_csv())
     out.write("boundary.csv", _boundary_csv(mesh))
     digest = cfg.digest()
     out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), digest))
     if not trivial:
-        rep = overdet.overdet_residual(k, m, mesh, u, cfg.nonlinearity.f(u.values))
-        pr = overdet.p_function(mesh, u, cfg.nonlinearity, rep)
+        rep = overdet.overdet_residual(k, m, mesh, u, cfg["nonlinearity"].f(u.values))
+        pr = overdet.p_function(mesh, u, cfg["nonlinearity"], rep)
         out.write("p.csv", pr.field.export_csv())
         out.write(
             "levels.svg",
@@ -367,13 +400,12 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
 
 
 def _sample_lines(cfg: RunConfig, mesh) -> list[Line]:
-    rng = random.Random(cfg.seed)
-    n = int(cfg.extra.get("n_lines", 16))
+    rng = random.Random(cfg["seed"])
     v = mesh.vertices
     x0, x1 = float(v[:, 0].min()), float(v[:, 0].max())
     y0, y1 = float(v[:, 1].min()), float(v[:, 1].max())
     lines = []
-    for _ in range(n):
+    for _ in range(cfg["n_lines"]):
         px = x0 + (x1 - x0) * rng.random()
         py = y0 + (y1 - y0) * rng.random()
         theta = 2 * math.pi * rng.random()
@@ -382,19 +414,11 @@ def _sample_lines(cfg: RunConfig, mesh) -> list[Line]:
 
 
 def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
-    lam = float(cfg.extra.get("lambda", 1.0))
-    if lam <= 0:
-        raise ConfigInvalid("check needs lambda > 0")
-    grid = float(cfg.extra.get("grid", cfg.h / 2))
-    if not grid > 0:
-        raise ConfigInvalid("check needs grid > 0")
-    theorems = cfg.extra.get("theorems", THEOREMS)
-    if "T4" in theorems and grid_point_count(cfg.domain.bbox(), grid) > MAX_GRID_POINTS:
-        raise ConfigInvalid(f"check grid {grid} asks for more than {MAX_GRID_POINTS} points")
+    lam, grid, theorems = cfg["lambda"], cfg["grid"], cfg["theorems"]
     checks = []
-    mesh = build_domain(cfg.domain, cfg.h)
+    mesh = build_domain(cfg["domain"], cfg["h"])
     if "T4" in theorems:
-        checks.append(overdet.check_T4(cfg.domain, lam, grid))
+        checks.append(overdet.check_T4(cfg["domain"], lam, grid))
     needs_solution = {"T5", "L3R", "T8"} & set(theorems)
     if needs_solution:
         ep, u, rep = _eigen_solution(cfg, mesh)
@@ -414,9 +438,9 @@ def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
 
 
 def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
-    max_steps = int(cfg.extra.get("max_steps", 300))
-    spread_tol = cfg.tolerances.get("spread_tol", 1e-3)
-    res = shapeopt.flow_to_extremal(cfg.domain, cfg.h, max_steps, spread_tol=spread_tol)
+    res = shapeopt.flow_to_extremal(
+        cfg["domain"], cfg["h"], cfg["max_steps"], spread_tol=cfg["tolerances.spread_tol"]
+    )
     rows = [[s.step, s.lambda1, s.area, s.spread] for s in res.states]
     out.write("trajectory.csv", _csv(["step", "lambda1", "area", "spread"], rows))
     pts = np.asarray(res.final.spec.vertices)
@@ -441,26 +465,12 @@ def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
 
 
 def _run_branch(cfg: RunConfig, out: _Outputs) -> dict:
-    lam = float(cfg.extra.get("lambda", 1.0))
-    if lam <= 0:
-        raise ConfigInvalid("branch needs lambda > 0")
-    n_modes = int(cfg.extra.get("n_modes", 10))
-    if n_modes < 8:
-        raise ConfigInvalid("branch needs n_modes >= 8")
-    resolution = int(cfg.extra.get("resolution", 16))
-    if resolution < 1:
-        raise ConfigInvalid("branch needs resolution >= 1")
-    s_max = float(cfg.extra.get("s_max", 0.05))
-    ds = float(cfg.extra.get("ds", 0.005))
-    if ds == 0:
-        raise ConfigInvalid("branch needs ds != 0")
-    t0 = cfg.extra.get("T")
-    tstar = None
+    lam, n_modes, resolution = cfg["lambda"], cfg["n_modes"], cfg["resolution"]
+    t0, tstar = cfg["T"], None
     if t0 is None:
-        tstar = shapeopt.bifurcation_period(lam, resolution)
-        t0 = tstar
+        t0 = tstar = float(shapeopt.bifurcation_period(lam, resolution))
     points = shapeopt.continue_branch(
-        lam, float(t0), s_max, ds, n_modes=n_modes, resolution=resolution
+        lam, t0, cfg["s_max"], cfg["ds"], n_modes=n_modes, resolution=resolution
     )
     header = (
         ["T", "s"] + [f"c_{i}" for i in range(n_modes + 1)]
@@ -485,7 +495,7 @@ def _run_branch(cfg: RunConfig, out: _Outputs) -> dict:
     )
     report = {
         "lambda": lam,
-        "T0": float(t0),
+        "T0": t0,
         "bifurcation_period": tstar,
         "n_points": len(points),
         "n_accepted": sum(1 for p in points if p.converged),
@@ -503,20 +513,9 @@ def run(cfg: RunConfig) -> ExperimentRecord:
     t0 = time.perf_counter()
     error = None
     try:
-        if cfg.command == "eigen":
-            _solve_eigen(cfg, out)
-        elif cfg.command == "solve":
-            _run_solve(cfg, out)
-        elif cfg.command == "check":
-            _run_check(cfg, out)
-        elif cfg.command == "flow":
-            _run_flow(cfg, out)
-        elif cfg.command == "branch":
-            _run_branch(cfg, out)
-        elif cfg.command == "report":
-            _run_report(cfg, out)
-        else:
-            raise ConfigInvalid(f"unknown command {cfg.command!r}")
+        runner = {"eigen": _solve_eigen, "solve": _run_solve, "check": _run_check,
+                  "flow": _run_flow, "branch": _run_branch, "report": _run_report}[cfg.command]
+        runner(cfg, out)
     except ExtremalLabError as exc:
         if isinstance(exc, (ConfigInvalid, VersionMismatch)):
             raise
@@ -535,7 +534,7 @@ def run(cfg: RunConfig) -> ExperimentRecord:
 
 def _run_report(cfg: RunConfig, out: _Outputs) -> dict:
     records = []
-    for p in cfg.extra.get("records", []):
+    for p in cfg["records"]:
         try:
             with open(p) as fh:
                 blob = json.load(fh)
@@ -558,19 +557,23 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
     eigen_rows = []
     for base, rec in records:
         cmd = rec["config"].get("command")
-        if cmd == "check":
-            blob = json.loads((base / "checks.json").read_text())
-            for chk in blob["checks"]:
-                tally = check_counts.setdefault(chk["theorem"], {"pass": 0, "fail": 0, "na": 0})
-                if chk["pass"] is None:
-                    tally["na"] += 1
-                elif chk["pass"]:
-                    tally["pass"] += 1
-                else:
-                    tally["fail"] += 1
-        elif cmd == "eigen":
-            blob = json.loads((base / "report.json").read_text())
-            eigen_rows.append((blob["h"], blob["lambda1"], json.dumps(blob["domain"], sort_keys=True)))
+        try:
+            if cmd == "check":
+                blob = json.loads((base / "checks.json").read_text())
+                for chk in blob["checks"]:
+                    tally = check_counts.setdefault(chk["theorem"], {"pass": 0, "fail": 0, "na": 0})
+                    if chk["pass"] is None:
+                        tally["na"] += 1
+                    elif chk["pass"]:
+                        tally["pass"] += 1
+                    else:
+                        tally["fail"] += 1
+            elif cmd == "eigen":
+                blob = json.loads((base / "report.json").read_text())
+                dom = json.dumps(blob["domain"], sort_keys=True)
+                eigen_rows.append((blob["h"], blob["lambda1"], dom))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigInvalid(f"{cmd} record in {base} lacks a readable output: {exc!r}") from exc
 
     rows = [[tag, c["pass"], c["fail"], c["na"]] for tag, c in sorted(check_counts.items())]
     out.write("check_counts.csv", _csv(["theorem", "pass", "fail", "not_applicable"], rows))
@@ -629,16 +632,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = os.environ.get("EXTREMAL_LAB_OUT") or args.out
-    try:
-        cfg = load_config(data, command=args.command, out_dir=out_dir)
-    except ConfigInvalid as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer size
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        cfg = load_config(data, args.command, os.environ.get("EXTREMAL_LAB_OUT") or args.out)
         record = run(cfg)
     except (ConfigInvalid, VersionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -260,12 +260,6 @@ class Tabulated:
 NonlinearitySpec = Union[Linear, AllenCahn, Tabulated]
 
 
-def satisfies_p2(f: NonlinearitySpec, lam: float, umax: float, npts: int = 10_000) -> bool:
-    """True when f(t) >= lam*t on a dense grid over the solution range (0, umax]."""
-    t = np.linspace(umax / npts, umax, npts)
-    return bool(np.all(f.f(t) >= lam * t - 1e-12 * max(1.0, lam * umax)))
-
-
 # -- semilinear Newton solve ------------------------------------------------------
 
 

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from extremal_lab import analytic, cli, fem
 from extremal_lab.errors import ConfigInvalid, VersionMismatch
+from extremal_lab.geom2d.domain import DomainSpec
 
 DISK = {"kind": "disk", "radius": 1.0}
 
@@ -115,7 +121,7 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         cli.load_config({"command": "flow", "domain": DISK}, command="eigen")
     # a null period asks branch to compute the bifurcation period
-    assert cli.load_config({"command": "branch", "T": None}).extra["T"] is None
+    assert cli.load_config({"command": "branch", "T": None})["T"] is None
 
 
 _MALFORMED = {
@@ -159,32 +165,222 @@ _MALFORMED = {
                                           "half_width_coeffs": [1.0]}},
     "grid_too_fine": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-300},
     "grid_below_double_range": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-320},
+    "n_lines_true": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": True},
+    "n_lines_fractional": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": 2.7},
+    "n_lines_negative": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": -3},
+    "max_steps_negative": {"command": "flow", "domain": DISK, "h": 0.1, "max_steps": -1},
+    "seed_fractional": {"command": "eigen", "domain": DISK, "h": 0.1, "seed": 1.5},
+    "seed_amplitude_zero": {"command": "solve", "domain": DISK, "h": 0.1,
+                            "nonlinearity": {"kind": "allen_cahn"}, "seed_amplitude": 0},
+    "seed_amplitude_negative": {"command": "solve", "domain": DISK, "h": 0.1,
+                                "nonlinearity": {"kind": "allen_cahn"}, "seed_amplitude": -1},
+    "resolution_true": {"command": "branch", "resolution": True, "T": 6.0, "s_max": 0.005},
+    "T_negative": {"command": "branch", "T": -6.0, "s_max": 0.005},
+    "T_zero": {"command": "branch", "T": 0},
+    "s_max_negative": {"command": "branch", "T": 6.0, "s_max": -1},
+    "spread_tol_top_level": {"command": "flow", "domain": DISK, "h": 0.1, "max_steps": 1,
+                             "spread_tol": 1e-3},
+    "h_values": {"command": "eigen", "domain": DISK, "h": 0.1, "h_values": [0.1, 0.05]},
+    "unknown_tolerance": {"command": "eigen", "domain": DISK, "h": 0.1,
+                          "tolerances": {"bogus": 1e-3}},
+    "nonlinearity_on_eigen": {"command": "eigen", "domain": DISK, "h": 0.1,
+                              "nonlinearity": {"kind": "allen_cahn"}},
+    "tolerance_at_top_level": {"command": "eigen", "domain": DISK, "h": 0.1,
+                               "tolerances.eigen_tol": 1e-3},
+    # read without --out: the config's out_dir is where the run would write
+    "out_dir_integer": {"command": "eigen", "domain": DISK, "h": 0.1, "out_dir": 5},
+    "out_dir_list": {"command": "eigen", "domain": DISK, "h": 0.1, "out_dir": ["a"]},
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED))
 def test_malformed_config_is_a_config_error(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
     data = _MALFORMED[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     out = tmp_path / "out"
-    assert cli.main([data["command"], "--config", str(cfg), "--out", str(out)]) == 2
+    argv = [data["command"], "--config", str(cfg)]
+    assert cli.main(argv if "out_dir" in data else argv + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("blob", [b"\xff{}", b'{"seed": ' + b"1" * 5000 + b"}"],
+                         ids=["not_utf8", "integer_past_the_digit_limit"])
+def test_unreadable_config_file_is_a_config_error(blob, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(blob)
+    out = tmp_path / "out"
+    assert cli.main(["eigen", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("blob", [[1, 2], {"version": "0.1"}, {"config": {}, "version": 3}])
-def test_report_over_a_non_record_is_a_config_error(blob, tmp_path, capsys, monkeypatch):
+_CHECK_RECORD = {"config": {"command": "check"}, "version": "0.1.0"}
+_EIGEN_RECORD = {"config": {"command": "eigen"}, "version": "0.1.0"}
+
+
+@pytest.mark.parametrize(
+    "blob, outputs",
+    [([1, 2], {}), ({"version": "0.1"}, {}), ({"config": {}, "version": 3}, {}),
+     (_CHECK_RECORD, {}), (_EIGEN_RECORD, {}),
+     (_EIGEN_RECORD, {"report.json": {"h": 0.1, "domain": DISK}})],
+    ids=["blob0", "blob1", "blob2", "check_without_checks_json", "eigen_without_report_json",
+         "report_without_lambda1"],
+)
+def test_report_over_a_non_record_is_a_config_error(blob, outputs, tmp_path, capsys,
+                                                    monkeypatch):
     monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
     record = tmp_path / "record.json"
     record.write_text(json.dumps(blob))
+    for name, content in outputs.items():
+        (tmp_path / name).write_text(json.dumps(content))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "report", "records": [str(record)]}))
     out = tmp_path / "out"
     assert cli.main(["report", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+_BASE = {
+    "solve": {"command": "solve", "domain": DISK, "h": 0.1, "nonlinearity": {"kind": "allen_cahn"}},
+    "eigen": {"command": "eigen", "domain": DISK, "h": 0.1},
+    "check": {"command": "check", "domain": DISK, "h": 0.1},
+    "flow": {"command": "flow", "domain": DISK, "h": 0.1},
+    "branch": {"command": "branch"},
+    "report": {"command": "report"},
+}
+
+
+def _number(ok=lambda x: True):
+    return lambda x: type(x) is float and math.isfinite(x) and ok(x)
+
+
+def _integer(ok=lambda n: True):
+    return lambda x: type(x) is int and ok(x)
+
+
+def _tolerance(x):
+    return _number(lambda t: 1e-14 <= t <= 1e-1)(x)
+
+
+def _positive(x):
+    return _number(lambda t: t > 0)(x)
+
+
+# the type and range of each row of cli._KEYS, restated apart from its parsers
+_DECLARED = {
+    "command": lambda x: x in cli.COMMANDS,
+    "out_dir": lambda x: isinstance(x, str),
+    "h": _number(lambda x: 1e-4 < x < 1),
+    "seed": _integer(),
+    "domain": lambda x: isinstance(x, DomainSpec),
+    "nonlinearity": lambda x: isinstance(x, (fem.Linear, fem.AllenCahn, fem.Tabulated)),
+    "alpha": lambda x: x is None or _number(lambda a: a < 0)(x),
+    "tolerances.eigen_tol": _tolerance,
+    "tolerances.newton_tol": _tolerance,
+    "tolerances.spread_tol": _tolerance,
+    "seed_amplitude": _positive,
+    "lambda": _positive,
+    "grid": _positive,
+    "theorems": lambda x: isinstance(x, (list, tuple)) and all(t in cli.THEOREMS for t in x),
+    "n_lines": _integer(lambda n: n >= 1),
+    "max_steps": _integer(lambda n: n >= 0),
+    "T": lambda x: x is None or _positive(x),
+    "s_max": _positive,
+    "ds": _number(lambda x: x != 0),
+    "n_modes": _integer(lambda n: n >= 8),
+    "resolution": _integer(lambda n: n >= 1),
+    "records": lambda x: isinstance(x, (list, tuple)) and all(isinstance(r, str) for r in x),
+}
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=6)
+    | st.sampled_from([0, 1, 3, 8, 16, -3, 2.7, 3.0, 1e-320, 1e-3, 1e-12, 0.5, -1.0, 1e400,
+                       "T4", "L3R", "eigen", "\0", "run/record.json"])
+)
+_NAMES = st.sampled_from(["kind", "radius", "lam", "x"]) | st.text(max_size=4)
+_KINDS = st.sampled_from(["disk", "linear", "allen_cahn", "tabulated"])
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3) | st.dictionaries(_NAMES, inner, max_size=3)
+                   | st.builds(lambda k, v: {"kind": k, "radius": v, "lam": v}, _KINDS, inner)),
+    max_leaves=6,
+)
+
+
+def _read_by(command):
+    return sorted(k for k, row in cli._KEYS.items() if command in row.commands)
+
+
+def _assert_contract(command, key, value):
+    """Set one key of the command's base config to a JSON value: the config
+    loads with every value typed as its row declares, or it is a config
+    error and `main` exits 2 without writing anything."""
+    config = json.loads(json.dumps(_BASE[command]))
+    if key.startswith("tolerances."):
+        config["tolerances"] = {key.split(".", 1)[1]: value}
+    else:
+        config[key] = value
+    try:
+        cfg = cli.load_config(config)
+    except ConfigInvalid:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config))
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            assert code == 2 and "config error" in err.getvalue()
+            assert list(Path(tmp).iterdir()) == [path]
+        return
+    given_keys = set(config) - {"tolerances"}
+    given_keys |= {f"tolerances.{k}" for k in config.get("tolerances", {})}
+    assert given_keys <= set(_read_by(cfg.command))
+    for name in _read_by(cfg.command):
+        assert _DECLARED[name](cfg[name]), (name, cfg[name])
+
+
+_EDGES = [None, True, False, 0, 1, -3, 8, 2.7, 3.0, 1e-320, 0.05, math.nan, math.inf, -math.inf,
+          10**400, "x", [], ["T4"], {}, DISK]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_edge_values_load_typed_or_are_config_errors(command, monkeypatch):
+    monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
+    assert set(_DECLARED) == set(cli._KEYS)
+    for key in sorted(cli._KEYS) + ["tolerances", "bogus"]:
+        for value in _EDGES:
+            _assert_contract(command, key, value)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_value_loads_typed_or_is_a_config_error(command, data, monkeypatch):
+    monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
+    key = data.draw(st.sampled_from(_read_by(command)) | st.sampled_from(sorted(cli._KEYS))
+                    | st.sampled_from(["tolerances", "bogus"]))
+    _assert_contract(command, key, data.draw(_SCALARS | _JSON))
+
+
+def test_readme_key_table_mirrors_cli():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | type and range | default | commands |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("| `"):
+            break
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        commands = cells[-1]
+        table[cells[0].strip("`")] = (
+            set(cli.COMMANDS) if commands == "all"
+            else {c.strip().strip("`") for c in commands.split(",")}
+        )
+    assert table == {name: set(row.commands) for name, row in cli._KEYS.items()}
 
 
 def _count_calls(monkeypatch):

@@ -220,14 +220,6 @@ def test_tabulated_lipschitz_enforced():
         fem.Tabulated((0.0, 1.0), (0.0, 5.0), 1.0)
 
 
-def test_satisfies_p2():
-    assert fem.satisfies_p2(fem.Linear(2.0), 2.0, umax=10.0)
-    assert not fem.satisfies_p2(fem.Linear(2.0), 2.5, umax=10.0)
-    # Allen-Cahn satisfies f(t) >= 0.5 t only while 1 - t^2 >= 0.5
-    assert fem.satisfies_p2(fem.AllenCahn(), 0.5, umax=0.7)
-    assert not fem.satisfies_p2(fem.AllenCahn(), 0.5, umax=0.95)
-
-
 # -- Neumann trace -----------------------------------------------------------------
 
 
