@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 from . import __version__, analytic, fem, overdet, shapeopt, svgfig
 from .errors import ConfigInvalid, ExtremalLabError, VersionMismatch
 from .geom2d import Line, build_domain, domain_spec_from_json, domain_spec_to_json
-from .geom2d.domain import PeriodicStrip
+from .geom2d.domain import PeriodicStrip, json_number
 from .geom2d.predicates import MAX_GRID_POINTS, grid_point_count
 
 COMMANDS = ("solve", "eigen", "check", "flow", "branch", "report")
@@ -92,16 +92,6 @@ def _nonlinearity_to_json(f) -> dict | None:
     raise ConfigInvalid(f"unknown nonlinearity {f!r}")
 
 
-def _number(value) -> float:
-    """A JSON number as a finite float; true, false, NaN and infinities are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    x = float(value)  # OverflowError past the double range
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {value!r}")
-    return x
-
-
 def _integer(value) -> int:
     """A JSON integer; a float with an integral value such as 3.0 counts."""
     if isinstance(value, float) and value.is_integer():
@@ -142,21 +132,28 @@ def _list_of(ok: Callable, text: str) -> Callable:
     return parsed
 
 
+_NONLINEARITY_KEYS = {"linear": ("lam",), "allen_cahn": (),
+                      "tabulated": ("breakpoints", "values", "lipschitz")}
+
+
 def _nonlinearity_from_json(data) -> fem.NonlinearitySpec:
     if not isinstance(data, dict):
         raise ConfigInvalid("nonlinearity must be an object")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _NONLINEARITY_KEYS:
+        raise ConfigInvalid(f"unknown nonlinearity kind {kind!r}")
+    stray = sorted(set(data) - {"kind", *_NONLINEARITY_KEYS[kind]})
+    if stray:
+        raise ConfigInvalid(f"nonlinearity kind {kind!r} reads no keys {stray}")
     if kind == "linear":
-        return fem.Linear(_number(data["lam"]))
+        return fem.Linear(json_number(data["lam"]))
     if kind == "allen_cahn":
         return fem.AllenCahn()
-    if kind == "tabulated":
-        return fem.Tabulated(
-            tuple(map(_number, data["breakpoints"])),
-            tuple(map(_number, data["values"])),
-            _number(data["lipschitz"]),
-        )
-    raise ConfigInvalid(f"unknown nonlinearity kind {kind!r}")
+    return fem.Tabulated(
+        tuple(map(json_number, data["breakpoints"])),
+        tuple(map(json_number, data["values"])),
+        json_number(data["lipschitz"]),
+    )
 
 
 class _Key(NamedTuple):
@@ -166,18 +163,19 @@ class _Key(NamedTuple):
 
 
 _REQUIRED = object()
-_POSITIVE = _where(_number, lambda x: x > 0, "> 0")
-_TOLERANCE = _where(_number, lambda x: 1e-14 <= x <= 1e-1, "in [1e-14, 1e-1]")
+_POSITIVE = _where(json_number, lambda x: x > 0, "> 0")
+_TOLERANCE = _where(json_number, lambda x: 1e-14 <= x <= 1e-1, "in [1e-14, 1e-1]")
 
 # tolerances.<name> is the key <name> of the "tolerances" object
 _KEYS = {
     "command": _Key(_where(_string, lambda c: c in COMMANDS, "a command"), _REQUIRED, COMMANDS),
     "out_dir": _Key(_where(_string, lambda s: "\0" not in s, "a path"), ".", COMMANDS),
-    "h": _Key(_where(_number, lambda x: 1e-4 < x < 1.0, "in (1e-4, 1)"), 0.05, COMMANDS),
+    "h": _Key(_where(json_number, lambda x: 1e-4 < x < 1.0, "in (1e-4, 1)"), 0.05, COMMANDS),
     "seed": _Key(_integer, 0, COMMANDS),
     "domain": _Key(domain_spec_from_json, _REQUIRED, ("solve", "eigen", "check", "flow")),
     "nonlinearity": _Key(_nonlinearity_from_json, _REQUIRED, ("solve",)),
-    "alpha": _Key(_nullable(_where(_number, lambda x: x < 0, "< 0")), None, ("eigen", "check")),
+    "alpha": _Key(_nullable(_where(json_number, lambda x: x < 0, "< 0")), None,
+                  ("eigen", "check")),
     "tolerances.eigen_tol": _Key(_TOLERANCE, 1e-10, ("eigen", "check")),
     "tolerances.newton_tol": _Key(_TOLERANCE, 1e-10, ("solve",)),
     "tolerances.spread_tol": _Key(_TOLERANCE, 1e-3, ("flow",)),
@@ -189,7 +187,7 @@ _KEYS = {
     "max_steps": _Key(_where(_integer, lambda n: n >= 0, ">= 0"), 300, ("flow",)),
     "T": _Key(_nullable(_POSITIVE), None, ("branch",)),  # null: the bifurcation period
     "s_max": _Key(_POSITIVE, 0.05, ("branch",)),
-    "ds": _Key(_where(_number, lambda x: x != 0, "!= 0"), 0.005, ("branch",)),
+    "ds": _Key(_where(json_number, lambda x: x != 0, "!= 0"), 0.005, ("branch",)),
     "n_modes": _Key(_where(_integer, lambda n: n >= 8, ">= 8"), 10, ("branch",)),
     "resolution": _Key(_where(_integer, lambda n: n >= 1, ">= 1"), 16, ("branch",)),
     "records": _Key(_list_of(lambda r: isinstance(r, str), "strings"), (), ("report",)),
@@ -570,13 +568,14 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
                         tally["fail"] += 1
             elif cmd == "eigen":
                 blob = json.loads((base / "report.json").read_text())
+                domain_spec_from_json(blob["domain"])
                 dom = json.dumps(blob["domain"], sort_keys=True)
-                eigen_rows.append((blob["h"], blob["lambda1"], dom))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+                eigen_rows.append((_POSITIVE(blob["h"]), json_number(blob["lambda1"]), dom))
+        except (ExtremalLabError, OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigInvalid(f"{cmd} record in {base} lacks a readable output: {exc!r}") from exc
 
     rows = [[tag, c["pass"], c["fail"], c["na"]] for tag, c in sorted(check_counts.items())]
-    out.write("check_counts.csv", _csv(["theorem", "pass", "fail", "not_applicable"], rows))
+    files = {"check_counts.csv": _csv(["theorem", "pass", "fail", "not_applicable"], rows)}
 
     conv_rows = []
     orders = []
@@ -585,6 +584,9 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
         by_domain.setdefault(dom, []).append((h, lam1))
     for dom, pairs in sorted(by_domain.items()):
         pairs.sort(reverse=True)
+        # the observed order and the Richardson reference divide by log(ha / hb)
+        if any(ha / hb == 1.0 for (ha, _), (hb, _) in zip(pairs, pairs[1:])):
+            raise ConfigInvalid(f"two eigen records of domain {dom} share h")
         if len(pairs) < 2:
             continue
         spec = json.loads(dom)
@@ -598,24 +600,25 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
         errs = [(h, abs(l - lam_ref)) for h, l in pairs]
         for i in range(len(errs) - 1):
             (ha, ea), (hb, eb) = errs[i], errs[i + 1]
-            order = math.log(ea / eb) / math.log(ha / hb) if eb > 0 else float("nan")
+            order = math.log(ea / eb) / math.log(ha / hb) if ea > 0 and eb > 0 else float("nan")
             orders.append(order)
             conv_rows.append([dom, ha, ea, order])
         conv_rows.append([dom, errs[-1][0], errs[-1][1], ""])
-    out.write("convergence.csv", _csv(["domain", "h", "lambda1_error", "observed_order"], conv_rows))
+    files["convergence.csv"] = _csv(["domain", "h", "lambda1_error", "observed_order"], conv_rows)
     if conv_rows:
         hs = np.array([r[1] for r in conv_rows], dtype=float)
         es = np.array([max(float(r[2]), 1e-16) for r in conv_rows], dtype=float)
-        out.write(
-            "convergence.svg",
-            svgfig.chart_figure([(hs, es, "lambda1 error")], digest, logx=True, logy=True),
+        files["convergence.svg"] = svgfig.chart_figure(
+            [(hs, es, "lambda1 error")], digest, logx=True, logy=True
         )
     summary = {
         "n_records": len(records),
         "check_counts": check_counts,
         "observed_orders": orders,
     }
-    out.write("summary.json", _json_dumps(summary))
+    files["summary.json"] = _json_dumps(summary)
+    for name, content in files.items():  # written only once all are computed
+        out.write(name, content)
     return summary
 
 

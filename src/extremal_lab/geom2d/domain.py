@@ -279,6 +279,17 @@ def domain_spec_to_json(spec: DomainSpec) -> dict:
     raise InvalidSpec(f"unknown spec type {type(spec)!r}")
 
 
+def json_number(value) -> float:
+    """A JSON number as a finite float; true, false, strings, NaN and infinities
+    are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    x = float(value)  # OverflowError past the double range
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
 def domain_spec_from_json(data: dict) -> DomainSpec:
     try:
         kind = data["kind"]
@@ -289,14 +300,17 @@ def domain_spec_from_json(data: dict) -> DomainSpec:
     fields = {k: v for k, v in data.items() if k != "kind"}
     try:
         if kind == "polygon":
-            spec: DomainSpec = Polygon(tuple(tuple(map(float, v)) for v in fields["vertices"]))
+            spec: DomainSpec = Polygon(
+                tuple(tuple(map(json_number, v)) for v in fields["vertices"])
+            )
         elif kind == "periodic_strip":
             spec = PeriodicStrip(
-                float(fields["period"]), tuple(float(c) for c in fields["half_width_coeffs"])
+                json_number(fields["period"]),
+                tuple(map(json_number, fields["half_width_coeffs"])),
             )
         else:
-            spec = _KINDS[kind](**{k: float(v) for k, v in fields.items()})
-    except (TypeError, KeyError, ValueError) as exc:
+            spec = _KINDS[kind](**{k: json_number(v) for k, v in fields.items()})
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"bad fields for domain kind {kind!r}: {exc}") from exc
     spec.validate()
     return spec

@@ -1,7 +1,8 @@
 """Conforming triangulations of the domain specs.
 
 Bounded specs are meshed by seeding a hexagonal lattice inside the exact
-boundary samples and relaxing it as a uniform truss (re-Delaunay each sweep);
+boundary samples and relaxing it as a uniform truss, whose sweeps repair the
+last Delaunay triangulation by Lawson flips (Qhull starts and ends each mesh);
 the fixed boundary vertices sit on the parametric curve to machine precision.
 Periodic strips use a mapped structured grid: translation-invariant in x,
 mirror-symmetric in y, with the right vertex column an exact duplicate of the
@@ -326,6 +327,51 @@ def _hex_lattice(bbox, h: float, offset: tuple[float, float]) -> np.ndarray:
     return np.concatenate(pts)
 
 
+def _lawson_flips(pts: np.ndarray, tris: np.ndarray, nfix: int, tiny: float):
+    """Flip the counterclockwise triangulation ``tris`` of ``pts`` into the
+    Delaunay one, or None unless that is certified unique: every orientation
+    > ``tiny``, every hull edge between two of the ``nfix`` fixed points, and
+    every in-circle determinant beyond 1e-10 of its permanent (no ties).
+    Each round flips strictly violating edges that share no triangle."""
+    m, (x, y) = len(tris), pts.T.copy()
+    for _ in range(16):  # violations rarely cascade; at the cap, give up
+        dx, dy = x[tris[:, 1:]] - x[tris[:, :1]], y[tris[:, 1:]] - y[tris[:, :1]]
+        if np.min(dx[:, 0] * dy[:, 1] - dy[:, 0] * dx[:, 1]) <= tiny:
+            return None
+        # half-edge 3t + i runs tris[t, i] -> tris[t, i + 1], tris[t, i + 2] opposite
+        a, b, opp = tris.ravel(), tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+        keys = np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b)
+        order = np.argsort(keys)
+        twin = keys[order[1:]] == keys[order[:-1]]
+        lo, hi = order[:-1][twin], order[1:][twin]
+        hull = np.ones(3 * m, dtype=bool)
+        hull[lo] = hull[hi] = False
+        if np.any(np.maximum(a[hull], b[hull]) >= nfix):
+            return None
+        # in-circle test of lo's triangle (a, b, c) against d, the vertex opposite hi
+        abc = np.column_stack([a[lo], b[lo], opp[lo]])
+        dx, dy = x[abc] - x[opp[hi], None], y[abc] - y[opp[hi], None]
+        lift = dx * dx + dy * dy
+        x1, y1, x2, y2 = dx[:, [1, 2, 0]], dy[:, [1, 2, 0]], dx[:, [2, 0, 1]], dy[:, [2, 0, 1]]
+        det = np.sum(lift * (x1 * y2 - x2 * y1), axis=1)
+        perm = np.sum(lift * (np.abs(x1 * y2) + np.abs(x2 * y1)), axis=1)
+        if np.any(np.abs(det) <= 1e-10 * perm):
+            return None
+        bad = np.nonzero(det > 0)[0]
+        if len(bad) == 0:
+            return tris
+        # a violating edge flips when it is the first one of both its triangles
+        k, t, u = np.arange(len(bad)), lo[bad] // 3, hi[bad] // 3
+        first = np.full(m, len(bad))
+        np.minimum.at(first, np.concatenate([t, u]), np.concatenate([k, k]))
+        go = (first[t] == k) & (first[u] == k)
+        e, f = lo[bad[go]], hi[bad[go]]
+        tris = tris.copy()
+        tris[e // 3] = np.column_stack([a[e], opp[f], opp[e]])  # (a, d, c)
+        tris[f // 3] = np.column_stack([opp[f], b[e], opp[e]])  # (d, b, c)
+    return None
+
+
 def _relaxed_mesh(
     spec: DomainSpec, h: float, loops: list[BoundaryLoop], offset: tuple[float, float]
 ) -> Mesh:
@@ -344,9 +390,20 @@ def _relaxed_mesh(
         return _points_in_loops(cent, loop_points, tol=0.0)
 
     scale = max(spec.bbox()[1] - spec.bbox()[0], spec.bbox()[3] - spec.bbox()[2])
+    # each sweep carries its whole triangulation to the next, which repairs it
+    # by flips; Qhull runs when the repair is not certified, or when Qhull left
+    # a point out and nothing was carried.  Truss edges are sorted unique keys,
+    # so simplex order is moot; the final triangulation below is Qhull's.
+    carried = None
     for _ in range(80):
-        tri = Delaunay(pts)
-        simp = tri.simplices[inside_tris(tri.simplices)]
+        if carried is not None:
+            carried = _lawson_flips(pts, carried, nfix, 1e-9 * h * h)
+        simplices = carried
+        if carried is None:
+            tri = Delaunay(pts)
+            simplices = tri.simplices
+            carried = _orient_ccw(pts, simplices) if len(tri.coplanar) == 0 else None
+        simp = simplices[inside_tris(simplices)]
         e = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]).astype(np.int64)
         keys = np.unique(e.min(axis=1) * len(pts) + e.max(axis=1))  # lexicographic (lo, hi)
         edges = np.column_stack(np.divmod(keys, len(pts)))

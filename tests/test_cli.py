@@ -190,6 +190,22 @@ _MALFORMED = {
     # read without --out: the config's out_dir is where the run would write
     "out_dir_integer": {"command": "eigen", "domain": DISK, "h": 0.1, "out_dir": 5},
     "out_dir_list": {"command": "eigen", "domain": DISK, "h": 0.1, "out_dir": ["a"]},
+    "nonlinearity_unused_key": {"command": "solve", "domain": DISK, "h": 0.1,
+                                "nonlinearity": {"kind": "allen_cahn", "junk": 1}},
+    "linear_unused_key": {"command": "solve", "domain": DISK, "h": 0.1,
+                          "nonlinearity": {"kind": "linear", "lam": 3.0, "lipschitz": 1.0}},
+    "nonlinearity_kind_not_a_string": {"command": "solve", "domain": DISK, "h": 0.1,
+                                       "nonlinearity": {"kind": ["linear"]}},
+    "radius_true": {"command": "eigen", "domain": {"kind": "disk", "radius": True}, "h": 0.1},
+    "radius_string": {"command": "eigen", "domain": {"kind": "disk", "radius": "1.5"}, "h": 0.1},
+    "semi_a_past_double_range": {"command": "eigen", "h": 0.1,
+                                 "domain": {"kind": "ellipse", "semi_a": 10**400, "semi_b": 1.0}},
+    "polygon_vertex_strings": {"command": "eigen", "h": 0.1,
+                               "domain": {"kind": "polygon",
+                                          "vertices": [[0, 0], [1, 0], "11", [0, 1]]}},
+    "strip_coefficient_false": {"command": "check", "h": 0.1, "theorems": ["T4"],
+                                "domain": {"kind": "periodic_strip", "period": 6.0,
+                                           "half_width_coeffs": [1.0, False]}},
 }
 
 
@@ -243,6 +259,39 @@ def test_report_over_a_non_record_is_a_config_error(blob, outputs, tmp_path, cap
     assert cli.main(["report", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _report(records: list[str], tmp_path: Path) -> int:
+    cfg = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"command": "report", "records": records}))
+    return cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_report_over_two_eigen_runs_at_one_h_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
+    records = []
+    for name in ("a", "b"):
+        _run({"command": "eigen", "domain": DISK, "h": 0.1}, tmp_path / name)
+        records.append(str(tmp_path / name / "record.json"))
+    assert _report(records, tmp_path) == 2
+    assert "share h" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_with_an_exact_eigenvalue_has_no_order(tmp_path, monkeypatch):
+    # an error of exactly 0 makes the observed order next to it undefined, not a traceback
+    monkeypatch.delenv("EXTREMAL_LAB_OUT", raising=False)
+    records = []
+    for h, lam1 in ((0.2, analytic.j01() ** 2), (0.1, 6.0), (0.05, 5.85)):
+        run_dir = tmp_path / f"h{h}"
+        run_dir.mkdir()
+        (run_dir / "record.json").write_text(json.dumps(_EIGEN_RECORD))
+        (run_dir / "report.json").write_text(json.dumps({"h": h, "domain": DISK,
+                                                         "lambda1": lam1}))
+        records.append(str(run_dir / "record.json"))
+    assert _report(records, tmp_path) == 0
+    orders = json.loads((tmp_path / "out" / "summary.json").read_text())["observed_orders"]
+    assert math.isnan(orders[0]) and orders[1] > 0
 
 
 _BASE = {
