@@ -391,18 +391,21 @@ def _relaxed_mesh(
 
     scale = max(spec.bbox()[1] - spec.bbox()[0], spec.bbox()[3] - spec.bbox()[2])
     # each sweep carries its whole triangulation to the next, which repairs it
-    # by flips; Qhull runs when the repair is not certified, or when Qhull left
-    # a point out and nothing was carried.  Truss edges are sorted unique keys,
-    # so simplex order is moot; the final triangulation below is Qhull's.
-    carried = None
+    # by flips; Qhull runs when Qhull left a point out and nothing was carried,
+    # and on every sweep after the first uncertified repair (the usual cause,
+    # a tie between fixed boundary samples, never goes away).  Truss edges are
+    # sorted unique keys, so simplex order is moot; the final triangulation
+    # below is Qhull's.
+    carried, repair = None, True
     for _ in range(80):
         if carried is not None:
             carried = _lawson_flips(pts, carried, nfix, 1e-9 * h * h)
+            repair = carried is not None
         simplices = carried
         if carried is None:
             tri = Delaunay(pts)
             simplices = tri.simplices
-            carried = _orient_ccw(pts, simplices) if len(tri.coplanar) == 0 else None
+            carried = _orient_ccw(pts, simplices) if repair and len(tri.coplanar) == 0 else None
         simp = simplices[inside_tris(simplices)]
         e = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]).astype(np.int64)
         keys = np.unique(e.min(axis=1) * len(pts) + e.max(axis=1))  # lexicographic (lo, hi)

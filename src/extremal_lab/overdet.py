@@ -2,9 +2,13 @@
 criteria tied to it.
 
 ``overdet_residual`` measures how far a computed solution is from having
-constant boundary flux.  ``p_function`` evaluates P = |grad u|^2 + 2 F(u)
-with superconvergent patch recovery, the convexity-criterion comparison
-2 max F(u) vs alpha^2, and the boundary second-derivative/curvature identity.
+constant boundary flux.  ``p_function`` evaluates P = |grad u|^2 + 2 F(u),
+the convexity-criterion comparison 2 max F(u) vs alpha^2, and the boundary
+second-derivative/curvature identity, all from ``patch_recover``: a
+least-squares quadratic fitted to the nodal values over each vertex's patch
+(its 1-ring, or its 2-ring on the boundary and where the 1-ring has fewer
+than 7 vertices), whose linear and quadratic coefficients are the recovered
+gradient and Hessian.
 The ``check_*`` routines return TheoremCheck records for the inscribed-ball
 exclusion, superlevel-set diameter, cap-height, and complement-convexity
 statements.
@@ -87,7 +91,7 @@ def overdet_residual(
     )
 
 
-# -- superconvergent patch recovery -------------------------------------------------
+# -- polynomial-preserving patch recovery -------------------------------------------
 
 
 @dataclass
@@ -95,77 +99,63 @@ class Recovery:
     """Per-vertex recovered gradient, Hessian, and a local fit-residual scale."""
 
     gradient: np.ndarray  # (nv, 2)
-    hessian: np.ndarray  # (nv, 2, 2), symmetrized
-    fit_residual: np.ndarray  # (nv,) rms misfit of the linear gradient model
+    hessian: np.ndarray  # (nv, 2, 2), symmetric
+    fit_residual: np.ndarray  # (nv,) rms nodal misfit of the patch fit / patch radius
 
 
 def patch_recover(mesh: Mesh, values: np.ndarray) -> Recovery:
-    """Least-squares linear fit of the element gradients over each vertex star.
+    """Polynomial-preserving recovery (Zhang-Naga): a least-squares quadratic
+    fitted to the nodal values over each dof's patch, in coordinates centred
+    on the dof and scaled by the patch radius (periodic x offsets wrapped).
 
-    The fit's value at the vertex is the recovered gradient; its slope matrix
-    is the recovered Hessian.  Stars with too little geometric spread fall
-    back to the area-weighted mean gradient with zero Hessian.
+    A patch is the dof's 1-ring, or its 2-ring when the dof is on the boundary
+    or its 1-ring has fewer than 7 dofs, so it does not depend on numbering.
+    The linear coefficients give the gradient and the quadratic ones the
+    Hessian, both exact on quadratics.  Where the quadratic normal matrix is
+    singular (all patch nodes on one conic), a linear fit gives the gradient
+    and the Hessian is zero.
     """
-    tri = mesh.triangles
-    v = np.asarray(values)[tri]
-    b, c, areas = fem.p1_gradients(mesh)
-    grad = np.stack([(v * b).sum(axis=1), (v * c).sum(axis=1)], axis=1) / (2.0 * areas)[:, None]
-    cents = mesh.vertices[tri].mean(axis=1)
+    ndof, tri = mesh.n_dofs, mesh.dof_of_vertex[mesh.triangles]
+    inc = sparse.csr_matrix(
+        (np.ones(tri.size), (tri.ravel(), np.repeat(np.arange(len(tri)), 3))),
+        shape=(ndof, len(tri)),
+    )
+    adj = (inc @ inc.T).tocsr()
+    wide = np.diff(adj.indptr) < 7
+    wide[mesh.dof_of_vertex[mesh.boundary_vertex_ids()]] = True
+    patch = (adj + sparse.diags(wide.astype(float)) @ adj @ adj).tocsr()
+    patch.sort_indices()
 
-    # stars keyed by dof so periodic duplicates share one patch
-    ndof = mesh.n_dofs
-    star: list[list[int]] = [[] for _ in range(ndof)]
-    dof_tri = mesh.dof_of_vertex[tri]
-    for t in range(len(tri)):
-        for j in range(3):
-            star[dof_tri[t, j]].append(t)
+    xy = np.zeros((ndof, 2))
+    xy[mesh.dof_of_vertex] = mesh.vertices
+    u = mesh.reduce(values)
+    starts, rows = patch.indptr[:-1], np.repeat(np.arange(ndof), np.diff(patch.indptr))
+    d = xy[patch.indices] - xy[rows]
+    if mesh.is_periodic_x:
+        d[:, 0] = (d[:, 0] + mesh.period / 2) % mesh.period - mesh.period / 2
+    radius = np.maximum.reduceat(np.hypot(d[:, 0], d[:, 1]), starts)
+    xi, eta = (d / radius[rows, None]).T
+    du = u[patch.indices] - u[rows]  # the centre value drops out of every slope
+    # the quadratic's monomials 1, xi, eta, xi^2, xi eta, eta^2
+    basis = [xi**a * eta**b for a, b in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
 
-    # boundary stars are one-sided and too small for a stable linear fit;
-    # widen them to the 2-ring (triangles of all first-ring neighbors)
-    boundary_dofs = np.unique(mesh.dof_of_vertex[mesh.boundary_vertex_ids()])
-    for d in boundary_dofs:
-        ring = set(star[d])
-        neighbors = set()
-        for t in star[d]:
-            neighbors.update(int(x) for x in dof_tri[t])
-        for nb in neighbors:
-            ring.update(star[nb])
-        star[d] = sorted(ring)
+    nrm = np.empty((ndof, 6, 6))
+    for i, j in zip(*np.triu_indices(6)):
+        nrm[:, i, j] = nrm[:, j, i] = np.add.reduceat(basis[i] * basis[j], starts)
+    rhs = np.stack([np.add.reduceat(phi * du, starts) for phi in basis], axis=1)
+    # by Hadamard's inequality 0 <= det <= prod(diag): a near-zero ratio is singular
+    lin = np.linalg.det(nrm) <= 1e-12 * np.prod(np.diagonal(nrm, axis1=1, axis2=2), axis=1)
+    coef = np.zeros((ndof, 6))
+    coef[~lin] = np.linalg.solve(nrm[~lin], rhs[~lin, :, None])[..., 0]
+    coef[lin, :3] = np.linalg.solve(nrm[lin, :3, :3], rhs[lin, :3, None])[..., 0]
 
-    # one representative coordinate per dof (base vertex)
-    rep_xy = np.zeros((ndof, 2))
-    rep_xy[mesh.dof_of_vertex] = mesh.vertices
-
-    g_dof = np.zeros((ndof, 2))
-    h_dof = np.zeros((ndof, 2, 2))
-    res_dof = np.zeros(ndof)
-    period = mesh.period if mesh.is_periodic_x else 0.0
-    for d in range(ndof):
-        ts = star[d]
-        if not ts:
-            continue
-        x0 = rep_xy[d]
-        dx = cents[ts] - x0
-        if period > 0:  # pull star centroids into the same period copy
-            dx[:, 0] = (dx[:, 0] + period / 2) % period - period / 2
-        w = np.sqrt(np.abs(areas[ts]))
-        a = np.column_stack([np.ones(len(ts)), dx[:, 0], dx[:, 1]]) * w[:, None]
-        rhs = grad[ts] * w[:, None]
-        if len(ts) >= 3 and np.linalg.matrix_rank(a) == 3:
-            coef, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-            g_dof[d] = coef[0]
-            h = np.array([[coef[1, 0], coef[2, 0]], [coef[1, 1], coef[2, 1]]])
-            h_dof[d] = 0.5 * (h + h.T)
-            misfit = a @ coef - rhs
-            res_dof[d] = float(np.sqrt(np.mean(misfit**2)))
-        else:
-            wa = np.abs(areas[ts])
-            g_dof[d] = (grad[ts] * wa[:, None]).sum(axis=0) / wa.sum()
-            res_dof[d] = float(np.sqrt(np.mean((grad[ts] - g_dof[d]) ** 2)))
+    misfit = sum(coef[rows, k] * phi for k, phi in enumerate(basis)) - du
+    res = np.sqrt(np.add.reduceat(misfit**2, starts) / np.diff(patch.indptr)) / radius
+    hess = np.stack([2 * coef[:, 3], coef[:, 4], coef[:, 4], 2 * coef[:, 5]], axis=1)
     return Recovery(
-        gradient=g_dof[mesh.dof_of_vertex],
-        hessian=h_dof[mesh.dof_of_vertex],
-        fit_residual=res_dof[mesh.dof_of_vertex],
+        gradient=mesh.expand(coef[:, 1:3] / radius[:, None]),
+        hessian=mesh.expand(hess.reshape(-1, 2, 2) / (radius**2)[:, None, None]),
+        fit_residual=mesh.expand(res),
     )
 
 

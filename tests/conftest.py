@@ -4,6 +4,7 @@ instance per session is representative."""
 import numpy as np
 import pytest
 
+from extremal_lab import fem, overdet
 from extremal_lab.geom2d import Disk, Ellipse, PeriodicStrip, Polygon, build_domain
 
 
@@ -41,3 +42,17 @@ def square_mesh():
 def strip_mesh():
     # straight strip of width pi (lambda = 1), one period of length 2*pi
     return build_domain(PeriodicStrip(2 * np.pi, (np.pi / 2,)), 0.08)
+
+
+@pytest.fixture(scope="session")
+def strip_solves(strip_mesh):
+    """The straight strip's first eigenpair at h = 0.08, 0.04 and 0.02:
+    h -> (mesh, K, M, eigenpair, its overdet_residual report)."""
+    out = {}
+    for h in (0.08, 0.04, 0.02):
+        mesh = strip_mesh if h == 0.08 else build_domain(PeriodicStrip(2 * np.pi, (np.pi / 2,)), h)
+        k, m = fem.assemble(mesh)
+        ep = fem.eigen_smallest(k, m, mesh)
+        rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
+        out[h] = (mesh, k, m, ep, rep)
+    return out

@@ -13,7 +13,6 @@ from extremal_lab.geom2d import (
     Disk,
     Ellipse,
     Line,
-    PeriodicStrip,
     build_domain,
 )
 
@@ -143,13 +142,10 @@ def test_criterion_4_ball_exclusion(branch):
 
 
 @pytest.mark.slow
-def test_criterion_5_p_function(critical_disk_solution):
+def test_criterion_5_p_function(critical_disk_solution, strip_solves):
     errs = {}
     for h in (0.04, 0.02):
-        mesh = build_domain(PeriodicStrip(2 * math.pi, (math.pi / 2,)), h)
-        k, m = fem.assemble(mesh)
-        ep = fem.eigen_smallest(k, m, mesh)
-        rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
+        mesh, _, _, ep, rep = strip_solves[h]
         pr = overdet.p_function(mesh, ep.u1, fem.Linear(ep.lambda1), rep)
         errs[h] = float(np.max(np.abs(pr.field.values - rep.alpha_hat**2)) / rep.alpha_hat**2)
     dmesh, du, drep = critical_disk_solution

@@ -130,6 +130,25 @@ def test_build_domain_mesh_matches_per_sweep_qhull(spec, h, carried, monkeypatch
     assert (n_fast == 2) if carried else (n_fast == n_ref)
 
 
+def test_first_uncertified_repair_hands_the_mesh_to_qhull(monkeypatch):
+    # the unit disk at h = 0.02 ties on its first repair, and the tie is between
+    # fixed samples: every later sweep goes straight to Qhull
+    calls = {"qhull": 0, "flips": 0}
+
+    def counted_qhull(points):
+        calls["qhull"] += 1
+        return Delaunay(points)
+
+    def counted_flips(*args):
+        calls["flips"] += 1
+        return _lawson_flips(*args)
+
+    monkeypatch.setattr(meshing, "Delaunay", counted_qhull)
+    monkeypatch.setattr(meshing, "_lawson_flips", counted_flips)
+    build_domain(Disk(1.0), 0.02)
+    assert calls == {"qhull": 10, "flips": 1}
+
+
 # -- the flip kernel alone -----------------------------------------------------
 
 
