@@ -233,6 +233,19 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
     if (cmd == "check" and "T4" in values["theorems"]
             and grid_point_count(values["domain"].bbox(), values["grid"]) > MAX_GRID_POINTS):
         raise ConfigInvalid(f"check grid {values['grid']} needs over {MAX_GRID_POINTS} points")
+    if cmd == "branch":  # its period cell (0, T) x (-a, a) at the spacing of its mesh counts
+        lam, res = values["lambda"], values["resolution"]
+        period = values["T"] or 2.0 * math.pi / math.sqrt(lam)
+        # past MAX_GRID_POINTS cells across the half-width the bound fails anyway
+        a, h = shapeopt.strip_cell_spacing(lam, period, min(res, MAX_GRID_POINTS))
+        if grid_point_count((0.0, period, -a, a), h) > MAX_GRID_POINTS:
+            raise ConfigInvalid(f"the branch cell needs over {MAX_GRID_POINTS} mesh points")
+        nx = shapeopt.strip_counts(lam, period, res)[0]
+        if values["n_modes"] >= nx / 2:  # where the nx wall samples alias
+            raise ConfigInvalid(f"n_modes {values['n_modes']} is not below half of {nx} columns")
+    elif ("domain" in values
+          and grid_point_count(values["domain"].bbox(), values["h"]) > MAX_GRID_POINTS):
+        raise ConfigInvalid(f"a mesh of size {values['h']} needs over {MAX_GRID_POINTS} points")
     return RunConfig(cmd, out_dir or values["out_dir"], values, dict(data))
 
 

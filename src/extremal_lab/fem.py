@@ -66,12 +66,18 @@ def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The gradient of the hat function of local vertex i is (b_i, c_i) / (2 area).
     """
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)  # y1 - y2, y2 - y0, y0 - y1
-    c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)  # x2 - x1, x0 - x2, x1 - x0
+    b, c = _p1_coefficients(mesh.vertices, mesh.triangles)
     area = 0.5 * (c[:, 2] * b[:, 1] - b[:, 2] * c[:, 1])
     return b, c, area
+
+
+def _p1_coefficients(points: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b, c of `p1_gradients` at points (..., nv, 2); linear, so velocities give db, dc."""
+    x, y = points[..., 0], points[..., 1]
+    nxt, prv = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+    b = y[..., nxt] - y[..., prv]  # y1 - y2, y2 - y0, y0 - y1
+    c = x[..., prv] - x[..., nxt]  # x2 - x1, x0 - x2, x1 - x0
+    return b, c
 
 
 def export_matrix_market(mat: sparse.spmatrix) -> str:
@@ -364,27 +370,83 @@ def neumann_trace(
     ids = np.concatenate([mesh.loop_vertex_ids(i) for i in range(len(mesh.boundary_loops))])
     off = np.cumsum([0] + [len(loop) for loop in mesh.boundary_loops]).tolist()
     slices = [slice(a, b) for a, b in zip(off, off[1:])]
-    dofs = mesh.dof_of_vertex[ids]
-    nb = len(dofs)
-    # trace position of each boundary edge's endpoints (periodic loops close)
-    pos = np.empty(mesh.n_dofs, dtype=int)
-    pos[dofs] = np.arange(nb)
-    ia, ib = pos[mesh.dof_of_vertex[mesh.boundary_edges]].T
     length = mesh.boundary_lengths
-    mb = sparse.coo_matrix(
-        (
-            np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0]),
-            (np.concatenate([ia, ib, ia, ib]), np.concatenate([ia, ib, ib, ia])),
-        ),
-        shape=(nb, nb),
-    )
-    g = splu(mb.tocsc()).solve(rhs_full[dofs])
+    ia, ib, mb = _boundary_mass(mesh, ids, length)
+    g = splu(mb).solve(rhs_full[mesh.dof_of_vertex[ids]])
     half = np.concatenate([0.5 * length, 0.5 * length])
     return NeumannTrace(
         vertex_ids=ids,
         nodal=g,
         per_edge=0.5 * (g[ia] + g[ib]),
         edge_lengths=length.copy(),
-        lumped_weights=np.bincount(np.concatenate([ia, ib]), weights=half, minlength=nb),
+        lumped_weights=np.bincount(np.concatenate([ia, ib]), weights=half, minlength=len(ids)),
         loop_slices=slices,
     )
+
+
+def _boundary_mass(mesh: Mesh, ids: np.ndarray, length: np.ndarray):
+    """Trace positions (ia, ib) of the boundary edges' ends among the walk-ordered
+    `ids` (periodic loops close), and the 1D P1 boundary mass matrix M_b for `length`."""
+    pos = np.empty(mesh.n_dofs, dtype=int)
+    pos[mesh.dof_of_vertex[ids]] = np.arange(len(ids))
+    ia, ib = pos[mesh.dof_of_vertex[mesh.boundary_edges]].T
+    rows, cols = np.concatenate([ia, ib, ia, ib]), np.concatenate([ia, ib, ib, ia])
+    vals = np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0])
+    return ia, ib, sparse.coo_matrix((vals, (rows, cols)), shape=(len(ids), len(ids))).tocsc()
+
+
+def eigen_shape_derivative(
+    k: sparse.csr_matrix,
+    m: sparse.csr_matrix,
+    mesh: Mesh,
+    ep: EigenPair,
+    tr: NeumannTrace,
+    velocities: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact derivatives of lambda1, ``tr.nodal`` and ``tr.lumped_weights``
+    along each vertex velocity of the stack (p, nv, 2), at fixed topology.
+
+    `ep` is the mass-normalized eigenpair of the assembled `k`, `m` and `tr`
+    its trace with source lambda1 * u1.  The element derivatives of K and M
+    are contracted with u directly (db, dc, d(area) are linear in the
+    velocities).  One factorization of [[K_II - lambda M_II, -M_II u],
+    [u^T M_II, 0]] gives (du, dlambda) for all p velocities (Nelson, AIAA J.
+    14, 1976), and dg = M_b^-1 (d(K u - lambda M u)_b - dM_b g)."""
+    lam, n_vel = ep.lambda1, len(velocities)
+    b, c, area = p1_gradients(mesh)
+    ue = ep.u1.values[mesh.triangles]
+    bu, cu = (b * ue).sum(axis=1)[:, None], (c * ue).sum(axis=1)[:, None]
+    four_area = (4.0 * area)[:, None]
+    ku = (b * bu + c * cu) / four_area
+    dof = mesh.dof_of_vertex[mesh.triangles].ravel()
+    d_res, u_dm_u = np.empty((mesh.n_dofs, n_vel)), np.empty(n_vel)  # d(K - lambda M) u, u dM u
+    for j, v in enumerate(velocities):  # stacked (p, nt, 3) arrays: +15 MiB peak on the strip
+        db, dc = _p1_coefficients(v, mesh.triangles)
+        darea = 0.5 * (dc[:, 2] * b[:, 1] + c[:, 2] * db[:, 1]
+                       - db[:, 2] * c[:, 1] - b[:, 2] * dc[:, 1])
+        dbu, dcu = (db * ue).sum(axis=1)[:, None], (dc * ue).sum(axis=1)[:, None]
+        dku = (db * bu + b * dbu + dc * cu + c * dcu) / four_area - ku * (darea / area)[:, None]
+        dmu = (darea / 12.0)[:, None] * (ue + ue.sum(axis=1, keepdims=True))
+        d_res[:, j] = np.bincount(dof, (dku - lam * dmu).ravel(), minlength=mesh.n_dofs)
+        u_dm_u[j] = float(np.sum(ue * dmu))
+
+    interior = np.nonzero(~dirichlet_mask(mesh))[0]
+    shifted = (k - lam * m).tocsr()
+    mu = m @ mesh.reduce(ep.u1.values)
+    col = sparse.csr_matrix(mu[interior][:, None])
+    bordered = sparse.bmat([[shifted[interior][:, interior], -col], [col.T, None]], format="csc")
+    rhs = np.vstack([-d_res[interior], -0.5 * u_dm_u])
+    # a symmetric pattern: minimum degree on A^T + A fills in a third of COLAMD's
+    sol = splu(bordered, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    bd = mesh.dof_of_vertex[tr.vertex_ids]
+    d_rhs = d_res[bd] + shifted[bd][:, interior] @ sol[:-1] - np.outer(mu[bd], sol[-1])
+
+    # M_b is linear in the edge lengths: dM_b is M_b built on their derivatives
+    e0, e1 = mesh.boundary_edges.T
+    dlen = np.einsum("ei,pei->pe", mesh.vertices[e1] - mesh.vertices[e0],
+                     velocities[:, e1] - velocities[:, e0]) / mesh.boundary_lengths
+    d_mb = [_boundary_mass(mesh, tr.vertex_ids, dl)[2] for dl in dlen]
+    d_mb_g = np.column_stack([dm @ tr.nodal for dm in d_mb])
+    mb = _boundary_mass(mesh, tr.vertex_ids, mesh.boundary_lengths)[2]
+    d_weights = np.stack([dm @ np.ones(len(tr.nodal)) for dm in d_mb])  # M_b's row sums
+    return sol[-1], splu(mb).solve(d_rhs - d_mb_g).T, d_weights

@@ -229,7 +229,7 @@ def _strip_flux_modes(
     """Eigen-solve one period cell and project the wall flux onto cosines.
 
     Returns the mean flux, the first cosine coefficients of its deviation
-    along the top wall, and solve diagnostics.
+    along the top wall, and the solve with its matrices and trace.
     """
     spec = PeriodicStrip(T, coeffs)
     mesh = structured_strip(spec, nx, ny)
@@ -238,62 +238,79 @@ def _strip_flux_modes(
     rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
     tr = rep.trace
 
-    # top wall nodal flux on the uniform column grid
-    ids = tr.vertex_ids
-    ys = mesh.vertices[ids, 1]
-    top = ys > 0
-    xs = mesh.vertices[ids[top], 0]
-    g = tr.nodal[top]
-    order = np.argsort(xs)
-    xs, g = xs[order], g[order]
-    dev = g - g.mean()
-    coeffs_out = np.array(
-        [2.0 * float(np.mean(dev * np.cos(2 * math.pi * k_ * xs / T))) for k_ in range(1, n_modes + 1)]
-    )
+    # cos(2 pi k x / T) coefficients of the top wall's nodal flux deviation
+    top = np.nonzero(mesh.vertices[tr.vertex_ids, 1] > 0)[0]
+    xs = mesh.vertices[tr.vertex_ids[top], 0]
+    cos = np.cos(2 * math.pi * np.outer(np.arange(1, n_modes + 1), xs) / T)
+    modes = 2.0 * (cos - cos.mean(axis=1, keepdims=True)) / len(xs)
     return {
         "mean": rep.alpha_hat,
-        "dev_coeffs": coeffs_out,
+        "dev_coeffs": modes @ tr.nodal[top],
         "lambda1": ep.lambda1,
         "spread": rep.rel_spread,
         "mesh": mesh,
         "eigen": ep,
+        "matrices": (k, m),
+        "trace": tr,
+        "modes": (top, modes),
     }
 
 
-def _strip_counts(lam: float, T: float, resolution: int) -> tuple[int, int]:
-    a = math.pi / (2.0 * math.sqrt(lam))
-    hy = a / resolution
-    h = min(hy, T / 8.0)
+def _strip_velocities(nx: int, ny: int, n_modes: int) -> np.ndarray:
+    """Vertex velocities (N + 2, nv, 2) of structured_strip(nx, ny) per unit
+    c_0..c_N, then per unit period.  Grid vertex (i, j) sits at
+    (T i / nx, eta_j w(x_i)), so it moves by (0, eta_j cos(2 pi k i / nx)) per
+    unit c_k and by (x / T, 0) per unit T; quad centres average their corners.
+    """
+    i, p = np.arange(nx + 1), n_modes + 2
+    cos = np.cos(2 * math.pi * np.outer(np.arange(n_modes + 1), i % nx) / nx)
+    grid = np.zeros((p, nx + 1, ny + 1, 2))
+    grid[:-1, :, :, 1] = cos[:, :, None] * (-1.0 + 2.0 * np.arange(ny + 1) / ny)
+    grid[-1, :, :, 0] = (i / nx)[:, None]
+    centres = 0.25 * (grid[:, :-1, :-1] + grid[:, 1:, :-1] + grid[:, 1:, 1:] + grid[:, :-1, 1:])
+    return np.concatenate([grid.reshape(p, -1, 2), centres.reshape(p, -1, 2)], axis=1)
+
+
+def _strip_flux_jacobian(out: dict, velocities: np.ndarray) -> np.ndarray:
+    """Exact derivatives of the mean flux and the deviation modes of
+    `_strip_flux_modes` (rows) along each vertex velocity (columns)."""
+    tr = out["trace"]
+    _, dg, dw = fem.eigen_shape_derivative(*out["matrices"], out["mesh"], out["eigen"], tr,
+                                           velocities)
+    w, (top, modes) = tr.lumped_weights, out["modes"]
+    d_mean = (dg @ w + dw @ tr.nodal - out["mean"] * dw.sum(axis=1)) / w.sum()
+    return np.vstack([d_mean, modes @ dg[:, top].T])
+
+
+def strip_counts(lam: float, T: float, resolution: int) -> tuple[int, int]:
+    """Column and row counts (nx, ny) of the period cell's `structured_strip`."""
+    a, h = strip_cell_spacing(lam, T, resolution)
     nx = max(8, int(round(T / h)))
     ny = 2 * max(2, int(round(a / h)))
     return nx, ny
 
 
+def strip_cell_spacing(lam: float, T: float, resolution: int) -> tuple[float, float]:
+    """Straight strip half-width a and its cell's mesh spacing, given T and cells across a."""
+    a = math.pi / (2.0 * math.sqrt(lam))
+    return a, min(a / resolution, T / 8.0)
+
+
 def bifurcation_mu(
-    lam: float,
-    T: float,
-    resolution: int = 12,
-    eps_rel: float = 1e-5,
-    counts: tuple[int, int] | None = None,
+    lam: float, T: float, resolution: int = 12, counts: tuple[int, int] | None = None
 ) -> float:
     """Linearized flux deviation per unit cos(2 pi x / T) wall perturbation.
 
-    Finite difference of the Dirichlet eigen-solve at relative amplitudes
-    eps_rel and 2*eps_rel, Richardson-extrapolated.  The straight strip's own
-    deviation is subtracted, so structured-mesh discretization error cancels.
-    The cell mesh has the given (nx, ny) counts, or counts sized from T and
+    The exact derivative of the discrete first deviation mode in c_1 at the
+    straight strip, from one eigen solve and one bordered solve, so the
+    straight strip's own structured-mesh deviation does not enter.  The cell
+    mesh has the given (nx, ny) counts, or counts sized from T and
     resolution when none are given.
     """
     a = math.pi / (2.0 * math.sqrt(lam))
-    nx, ny = counts or _strip_counts(lam, T, resolution)
+    nx, ny = counts or strip_counts(lam, T, resolution)
     base = _strip_flux_modes(lam, T, (a,), nx, ny, 1)
-    eps = eps_rel * a
-    c1 = _strip_flux_modes(lam, T, (a, eps), nx, ny, 1)["dev_coeffs"][0]
-    c2 = _strip_flux_modes(lam, T, (a, 2 * eps), nx, ny, 1)["dev_coeffs"][0]
-    c0 = base["dev_coeffs"][0]
-    mu1 = (c1 - c0) / eps
-    mu2 = (c2 - c0) / (2 * eps)
-    return float(2.0 * mu1 - mu2)
+    return float(_strip_flux_jacobian(base, _strip_velocities(nx, ny, 1)[1:2])[1, 0])
 
 
 def bifurcation_period(lam: float, resolution: int = 16, rel_tol: float = 1e-6) -> float:
@@ -311,7 +328,7 @@ def bifurcation_period(lam: float, resolution: int = 16, rel_tol: float = 1e-6) 
         raise InvalidSpec("lambda must be positive")
     s = math.sqrt(lam)
     t_lin = 2.0 * math.pi / s
-    counts = _strip_counts(lam, t_lin, resolution)
+    counts = strip_counts(lam, t_lin, resolution)
 
     def mu(t: float) -> float:
         return bifurcation_mu(lam, t, resolution, counts=counts)
@@ -370,117 +387,35 @@ def _branch_residual(
     if T <= 0 or c[0] <= 0:
         raise NewtonDiverged("left the parameter domain (T or c0 nonpositive)")
     out = _strip_flux_modes(lam, T, c, nx, ny, n_modes)
-    f = np.empty(n_modes + 2)
-    f[0] = out["mean"] - alpha  # mode 0 pins the flux level
-    f[1 : n_modes + 1] = out["dev_coeffs"]  # modes 1..N of the deviation vanish
-    f[n_modes + 1] = 2.0 * c[0] * T - area0
+    # mode 0 pins the flux level, modes 1..N of the deviation vanish, the area is fixed
+    f = np.concatenate([[out["mean"] - alpha], out["dev_coeffs"], [2.0 * c[0] * T - area0]])
     return f, out
 
 
-def _pin_known(jac: np.ndarray, z: np.ndarray, tangent: np.ndarray, n_modes: int) -> np.ndarray:
-    """Set the exactly known entries of the continuation Jacobian at z, in
-    place: the flux-level column (-1 in the mode-0 row), the area row (2T at
-    c_0, 2c_0 at T) and the arclength row (the tangent)."""
-    t, a = n_modes + 1, n_modes + 2
-    jac[:, a] = 0.0
-    jac[0, a] = -1.0
-    jac[t] = 0.0
-    jac[t, 0] = 2.0 * z[t]
-    jac[t, t] = 2.0 * z[0]
-    jac[a] = tangent
-    return jac
-
-
-def _branch_jacobian(
-    z: np.ndarray,
-    f: np.ndarray,
-    tangent: np.ndarray,
-    lam: float,
-    n_modes: int,
-    nx: int,
-    ny: int,
-    area0: float,
-) -> np.ndarray:
-    """Continuation Jacobian at z, whose flux rows are f[:N+1]: forward
-    differences of the flux rows in the c_0..c_N and T columns, closed forms
-    everywhere else."""
-    m = n_modes + 3
-    jac = np.empty((m, m))
-    for j in range(m - 1):
-        step = 1e-7 * max(1.0, abs(float(z[j])))
-        zp = z.copy()
-        zp[j] += step
-        fp, _ = _branch_residual(zp, lam, n_modes, nx, ny, area0)
-        jac[: n_modes + 1, j] = (fp[: n_modes + 1] - f[: n_modes + 1]) / step
-    return _pin_known(jac, z, tangent, n_modes)
-
-
-def _branch_newton(
-    z_pred: np.ndarray,
-    z_prev: np.ndarray,
-    tangent: np.ndarray,
-    ds: float,
-    lam: float,
-    n_modes: int,
-    nx: int,
-    ny: int,
-    area0: float,
-    jac: np.ndarray | None,
-    tol: float = 1e-11,
-    max_iter: int = 12,
-) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Broyden corrector from z_pred back onto the branch.
-
-    `jac` is the Jacobian carried from the previous step (None before the
-    first).  Each iteration tries its full step; when there is no Jacobian,
-    the solve is singular or the step does not lower |g|, the Jacobian is
-    rebuilt by forward differences and the step is halved until |g| falls.
-    Every accepted step applies a good Broyden update.  Returns the point,
-    its residual outputs and the Jacobian to carry on.
-    """
-    z = z_pred.copy()
-    m = n_modes + 3
-
-    def full_residual(zz):
-        f, out = _branch_residual(zz, lam, n_modes, nx, ny, area0)
-        g = np.empty(m)
-        g[: m - 1] = f
-        g[m - 1] = float(tangent @ (zz - z_prev)) - ds
-        return g, out
-
-    g, out = full_residual(z)
-    if jac is not None:
-        jac = _pin_known(jac.copy(), z, tangent, n_modes)
+def _branch_newton(residual, jacobian, z: np.ndarray, tol: float = 1e-11, max_iter: int = 12):
+    """Newton corrector from the predictor z back onto the branch, with the
+    exact Jacobian `jacobian(z, out)` at every iterate of `residual(z)` ->
+    (g, out); a step that does not lower |g| is halved up to eight times.
+    Returns the point and its residual outputs."""
+    g, out = residual(z)
     for _ in range(max_iter):
         if float(np.max(np.abs(g))) <= tol:
-            return z, out, jac
+            return z, out
+        try:
+            delta = np.linalg.solve(jacobian(z, out), -g)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDiverged(f"singular continuation Jacobian: {exc}") from exc
         base = float(np.linalg.norm(g))
-        g_new = None
-        if jac is not None:
-            try:
-                delta = np.linalg.solve(jac, -g)
-                g_new, out_new = full_residual(z + delta)
-            except (np.linalg.LinAlgError, NewtonDiverged):
-                pass
-        if g_new is None or float(np.linalg.norm(g_new)) >= base:
-            jac = _branch_jacobian(z, g, tangent, lam, n_modes, nx, ny, area0)
-            try:
-                delta = np.linalg.solve(jac, -g)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonDiverged(f"singular continuation Jacobian: {exc}") from exc
-            for _ in range(8):
-                g_new, out_new = full_residual(z + delta)
-                if float(np.linalg.norm(g_new)) < base:
-                    break
-                delta = 0.5 * delta
-            else:
-                raise NewtonDiverged("continuation line search failed")
-        z = z + delta
-        jac += np.outer((g_new - g) - jac @ delta, delta / float(delta @ delta))
-        jac = _pin_known(jac, z, tangent, n_modes)
-        g, out = g_new, out_new
+        for _ in range(8):
+            g_new, out_new = residual(z + delta)
+            if float(np.linalg.norm(g_new)) < base:
+                break
+            delta = 0.5 * delta
+        else:
+            raise NewtonDiverged("continuation line search failed")
+        z, g, out = z + delta, g_new, out_new
     if float(np.max(np.abs(g))) <= 100 * tol:
-        return z, out, jac
+        return z, out
     raise NewtonDiverged(f"corrector stalled at |g| = {float(np.max(np.abs(g))):.3e}")
 
 
@@ -501,42 +436,48 @@ def continue_branch(
     flux level; equations: the first N+1 cosine modes of the flux deviation
     vanish, the cell area stays fixed, plus the arclength constraint.  The
     branch parameter is s = c_1.  Accepted points must meet the spread and
-    coefficient-decay limits.
-
-    One Jacobian serves the whole branch: built by forward differences at
-    the first corrector iterate, carried from step to step with a good
-    Broyden update after every accepted corrector step, and rebuilt only on
-    a stall (see _branch_newton).
+    coefficient-decay limits.  The corrector is Newton's method with the
+    exact Jacobian: its flux rows in the c_0..c_N and T columns come from
+    `_strip_flux_jacobian` on the cell's fixed mesh topology, the rest are
+    closed forms.
     """
     if n_modes < 8:
         raise InvalidSpec("Fourier truncation needs at least 8 modes")
     a = math.pi / (2.0 * math.sqrt(lam))
-    nx, ny = _strip_counts(lam, T0, resolution)
+    nx, ny = strip_counts(lam, T0, resolution)
     area0 = 2.0 * a * T0
+    velocities = _strip_velocities(nx, ny, n_modes)
+    t, al = n_modes + 1, n_modes + 2  # the period's and the flux level's index in z
+
+    # both read the current step's z_prev, tangent and step when called
+    def residual(zz: np.ndarray) -> tuple[np.ndarray, dict]:
+        f, out = _branch_residual(zz, lam, n_modes, nx, ny, area0)
+        return np.append(f, float(tangent @ (zz - z_prev)) - step), out
+
+    def jacobian(zz: np.ndarray, out: dict) -> np.ndarray:
+        jac = np.zeros((n_modes + 3, n_modes + 3))
+        jac[:t, :al] = _strip_flux_jacobian(out, velocities)
+        jac[0, al] = -1.0  # flux level
+        jac[t, 0], jac[t, t] = 2.0 * zz[t], 2.0 * zz[0]  # area 2 c_0 T
+        jac[al] = tangent  # arclength
+        return jac
+
+    def point(z: np.ndarray, out: dict, converged: bool) -> BranchPoint:
+        u = out["eigen"].u1
+        return BranchPoint(
+            period=float(z[t]), s=float(z[1]), coeffs=tuple(z[:t]), lam=lam,
+            alpha_hat=float(z[al]), spread=out["spread"], max_u=float(u.values.max()),
+            lambda1=out["lambda1"], converged=converged, mesh=out["mesh"], u=u,
+        )
 
     # straight-strip start: alpha from the discrete solve so the mode-0
     # equation is satisfied exactly at s = 0
     base = _strip_flux_modes(lam, T0, (a,), nx, ny, n_modes)
     z = np.zeros(n_modes + 3)
     z[0] = a
-    z[n_modes + 1] = T0
-    z[n_modes + 2] = base["mean"]
-
-    points = [
-        BranchPoint(
-            period=T0,
-            s=0.0,
-            coeffs=tuple(z[: n_modes + 1]),
-            lam=lam,
-            alpha_hat=base["mean"],
-            spread=base["spread"],
-            max_u=float(base["eigen"].u1.values.max()),
-            lambda1=base["lambda1"],
-            converged=True,
-            mesh=base["mesh"],
-            u=base["eigen"].u1,
-        )
-    ]
+    z[t] = T0
+    z[al] = base["mean"]
+    points = [point(z, base, True)]
 
     # the sign of ds picks the pitchfork side; arclength steps stay positive
     # and the (secant) tangent carries the direction from then on
@@ -544,39 +485,21 @@ def continue_branch(
     tangent[1] = math.copysign(1.0, ds)
     z_prev = z
     step = abs(ds)
-    jac = None
     while len(points) < max_points and abs(float(z_prev[1])) < s_max:
         z_pred = z_prev + step * tangent
         try:
-            z_new, out, jac = _branch_newton(
-                z_pred, z_prev, tangent, step, lam, n_modes, nx, ny, area0, jac
-            )
+            z_new, out = _branch_newton(residual, jacobian, z_pred)
         except NewtonDiverged:
             step *= 0.5
             if abs(step) < 1e-4 * abs(ds):
                 break
             continue
-        spread = out["spread"]
         c = z_new[: n_modes + 1]
         if abs(float(c[n_modes])) > decay_limit * max(abs(float(c[1])), 1e-300):
             raise TruncationInsufficient(
                 f"|c_N| = {abs(float(c[n_modes])):.3e} vs |c_1| = {abs(float(c[1])):.3e}"
             )
-        points.append(
-            BranchPoint(
-                period=float(z_new[n_modes + 1]),
-                s=float(z_new[1]),
-                coeffs=tuple(c),
-                lam=lam,
-                alpha_hat=float(z_new[n_modes + 2]),
-                spread=spread,
-                max_u=float(out["eigen"].u1.values.max()),
-                lambda1=out["lambda1"],
-                converged=bool(spread <= spread_limit),
-                mesh=out["mesh"],
-                u=out["eigen"].u1,
-            )
-        )
+        points.append(point(z_new, out, bool(out["spread"] <= spread_limit)))
         new_tan = z_new - z_prev
         norm = float(np.linalg.norm(new_tan))
         if norm > 0:

@@ -1,10 +1,12 @@
 """Shared expensive fixtures: meshes are deterministic in (spec, h), so one
 instance per session is representative."""
 
+import time
+
 import numpy as np
 import pytest
 
-from extremal_lab import fem, overdet
+from extremal_lab import fem, overdet, shapeopt
 from extremal_lab.geom2d import Disk, Ellipse, PeriodicStrip, Polygon, build_domain
 
 
@@ -56,3 +58,12 @@ def strip_solves(strip_mesh):
         rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
         out[h] = (mesh, k, m, ep, rep)
     return out
+
+
+@pytest.fixture(scope="session")
+def ellipse_flow():
+    """The descent flow from the (1.2, 1/1.2) ellipse at h = 0.05 in at most
+    300 steps: (its FlowResult, its wall time in seconds)."""
+    t0 = time.perf_counter()
+    res = shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.05, max_steps=300)
+    return res, time.perf_counter() - t0

@@ -11,7 +11,6 @@ import pytest
 from extremal_lab import analytic, cli, fem, overdet, shapeopt
 from extremal_lab.geom2d import (
     Disk,
-    Ellipse,
     Line,
     build_domain,
 )
@@ -179,10 +178,8 @@ def test_criterion_6_boundary_identity(critical_disk_solution):
 
 
 @pytest.mark.slow
-def test_criterion_7_shape_flow():
-    t0 = time.perf_counter()
-    res = shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.05, max_steps=300)
-    wall = time.perf_counter() - t0
+def test_criterion_7_shape_flow(ellipse_flow):
+    res, wall = ellipse_flow
     pts = np.asarray(res.final.spec.vertices)
     area, cent = shapeopt._polygon_area_centroid(pts)
     hausdorff = float(np.max(np.abs(np.hypot(*(pts - cent).T) - 1.0)))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from extremal_lab import analytic, cli, fem
 from extremal_lab.errors import ConfigInvalid, VersionMismatch
 from extremal_lab.geom2d.domain import DomainSpec
+from extremal_lab.geom2d.predicates import MAX_GRID_POINTS, grid_point_count
 
 DISK = {"kind": "disk", "radius": 1.0}
 
@@ -206,6 +207,22 @@ _MALFORMED = {
     "strip_coefficient_false": {"command": "check", "h": 0.1, "theorems": ["T4"],
                                 "domain": {"kind": "periodic_strip", "period": 6.0,
                                            "half_width_coeffs": [1.0, False]}},
+    # meshes past MAX_GRID_POINTS are refused before anything is allocated
+    "disk_mesh_too_large": {"command": "eigen", "h": 0.05,
+                            "domain": {"kind": "disk", "radius": 1000.0}},
+    "flow_mesh_too_large": {"command": "flow", "h": 0.001,
+                            "domain": {"kind": "ellipse", "semi_a": 2.0, "semi_b": 1.0}},
+    "strip_mesh_too_large": {"command": "check", "h": 0.05, "theorems": ["T5"],
+                             "domain": {"kind": "periodic_strip", "period": 1e6,
+                                        "half_width_coeffs": [1.0]}},
+    "branch_period_too_short": {"command": "branch", "T": 1e-9},  # counts (8, 25132741228)
+    "branch_lambda_too_large": {"command": "branch", "lambda": 1e12, "T": 1.0},
+    "branch_resolution_too_fine": {"command": "branch", "resolution": 1e6},
+    "branch_resolution_past_double_range": {"command": "branch", "resolution": 10**400},
+    # the 64-column cosine projection aliases from mode 32 on
+    "branch_n_modes_aliased": {"command": "branch", "n_modes": 1e7},
+    "branch_n_modes_at_half_the_columns": {"command": "branch", "n_modes": 32},
+    "branch_n_modes_on_a_short_cell": {"command": "branch", "T": 1.0},
 }
 
 
@@ -341,7 +358,7 @@ _DECLARED = {
     "T": lambda x: x is None or _positive(x),
     "s_max": _positive,
     "ds": _number(lambda x: x != 0),
-    "n_modes": _integer(lambda n: n >= 8),
+    "n_modes": _integer(lambda n: n >= 8),  # and below nx / 2: see _fits_max_grid_points
     "resolution": _integer(lambda n: n >= 1),
     "records": lambda x: isinstance(x, (list, tuple)) and all(isinstance(r, str) for r in x),
 }
@@ -359,6 +376,23 @@ _JSON = st.recursive(
                    | st.builds(lambda k, v: {"kind": k, "radius": v, "lam": v}, _KINDS, inner)),
     max_leaves=6,
 )
+
+
+def _fits_max_grid_points(cfg):
+    """The size bounds across keys: the domain's bbox at h, or the branch's
+    period cell at its strip spacing, within MAX_GRID_POINTS, and n_modes
+    below half the cell's columns."""
+    if cfg.command == "branch":
+        lam = cfg["lambda"]
+        a = math.pi / (2 * math.sqrt(lam))
+        period = cfg["T"] or 2 * math.pi / math.sqrt(lam)
+        h = min(a / cfg["resolution"], period / 8)
+        nx = max(8, round(period / h))
+        return (grid_point_count((0, period, -a, a), h) <= MAX_GRID_POINTS
+                and cfg["n_modes"] < nx / 2)
+    if "domain" in cfg.values:
+        return grid_point_count(cfg["domain"].bbox(), cfg["h"]) <= MAX_GRID_POINTS
+    return True
 
 
 def _read_by(command):
@@ -390,6 +424,7 @@ def _assert_contract(command, key, value):
     assert given_keys <= set(_read_by(cfg.command))
     for name in _read_by(cfg.command):
         assert _DECLARED[name](cfg[name]), (name, cfg[name])
+    assert _fits_max_grid_points(cfg)
 
 
 _EDGES = [None, True, False, 0, 1, -3, 8, 2.7, 3.0, 1e-320, 0.05, math.nan, math.inf, -math.inf,

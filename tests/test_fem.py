@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.integrate import quad
 
-from extremal_lab import analytic, fem
+from extremal_lab import analytic, fem, shapeopt
 from extremal_lab.errors import DegenerateTriangle, NonPositiveSolution
 from extremal_lab.geom2d import PeriodicStrip, Polygon, build_domain
 from extremal_lab.geom2d.meshing import mesh_from_arrays
@@ -258,6 +258,58 @@ def test_trace_divergence_identity(disk_eigen_h02, disk_mesh_h02):
         @ (m @ disk_mesh_h02.reduce(ep.lambda1 * ep.u1.values))
     )
     assert abs(total_flux + f_integral) <= 1e-8
+
+
+# -- shape derivative ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def disk_trace_h05(disk_mesh_h05):
+    k, m = fem.assemble(disk_mesh_h05)
+    ep = fem.eigen_smallest(k, m, disk_mesh_h05)
+    return k, m, ep, fem.neumann_trace(k, m, disk_mesh_h05, ep.u1, ep.lambda1 * ep.u1.values)
+
+
+def test_shape_derivative_of_a_dilation(disk_mesh_h05, disk_trace_h05):
+    # on (1 + s) D the eigenvalue scales as (1 + s)^-2, and so does the flux of
+    # the mass-normalized eigenfunction; boundary lengths scale as (1 + s)
+    k, m, ep, tr = disk_trace_h05
+    velocity = disk_mesh_h05.vertices[None]
+    dlam, dg, dw = fem.eigen_shape_derivative(k, m, disk_mesh_h05, ep, tr, velocity)
+    assert abs(dlam[0] + 2 * ep.lambda1) <= 1e-12 * 2 * ep.lambda1
+    assert np.max(np.abs(dg[0] + 2 * tr.nodal)) <= 1e-8
+    assert np.max(np.abs(dw[0] - tr.lumped_weights)) <= 1e-14
+
+
+def test_shape_derivative_of_rigid_motions(disk_mesh_h05, disk_trace_h05):
+    k, m, ep, tr = disk_trace_h05
+    x, y = disk_mesh_h05.vertices.T
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    velocities = np.stack([np.column_stack(v) for v in ((one, zero), (zero, one), (-y, x))])
+    dlam, dg, _ = fem.eigen_shape_derivative(k, m, disk_mesh_h05, ep, tr, velocities)
+    assert np.all(np.abs(dlam) <= 1e-12 * ep.lambda1)
+    assert np.max(np.abs(dg)) <= 1e-12 * np.max(np.abs(tr.nodal))
+
+
+def test_strip_flux_jacobian_matches_central_differences():
+    lam, nx, ny, n_modes, step = 1.0, 32, 16, 3, 1e-4
+    z = np.array([math.pi / 2, 0.05, -0.01, 0.004, 2 * math.pi])  # c_0..c_3, then T
+
+    def solve(zz):
+        return shapeopt._strip_flux_modes(lam, zz[-1], tuple(zz[:-1]), nx, ny, n_modes)
+
+    def flux(out):  # lambda1, mean flux, deviation modes, nodal trace
+        return np.concatenate([[out["lambda1"], out["mean"]], out["dev_coeffs"],
+                               out["trace"].nodal])
+
+    base = solve(z)
+    velocities = shapeopt._strip_velocities(nx, ny, n_modes)
+    dlam, dg, _ = fem.eigen_shape_derivative(*base["matrices"], base["mesh"], base["eigen"],
+                                             base["trace"], velocities)
+    exact = np.vstack([dlam, shapeopt._strip_flux_jacobian(base, velocities), dg.T])
+    for j, e in enumerate(np.eye(len(z))):
+        central = (flux(solve(z + step * e)) - flux(solve(z - step * e))) / (2 * step)
+        assert np.max(np.abs(central - exact[:, j])) <= 1e-6, j
 
 
 def test_field_csv_export(disk_mesh_h05):

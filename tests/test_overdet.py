@@ -135,6 +135,35 @@ def test_recovery_on_cocircular_patch_falls_back_to_linear():
     assert np.max(np.abs(rec.hessian)) <= 1e-10
 
 
+def test_recovery_widens_a_boundary_patch_with_a_full_one_ring():
+    # half-disk fan: boundary vertex 0 at the centre of the straight side has
+    # 8 dofs in its 1-ring, which alone would fit a quadratic, yet being on the
+    # boundary it is fitted over its 2-ring, the outer half ring included
+    theta = np.arange(7) * np.pi / 6
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts = np.vstack([[0.0, 0.0], ring, 2 * ring])
+    fan = [[0, i, i + 1] for i in range(1, 7)]
+    band = [t for i in range(1, 7) for t in ([i, i + 7, i + 8], [i, i + 8, i + 1])]
+    mesh = mesh_from_arrays(pts, fan + band, quality_floor=None)
+    assert 0 in mesh.boundary_vertex_ids()
+    x, y = pts.T
+    u = x**3 - 2 * x**2 * y + x * y**2 + 0.5 * y**3 + x  # cubic: the patch matters
+
+    def reference_fit(ids):  # least-squares quadratic in offsets from vertex 0
+        dx, dy = x[ids], y[ids]
+        basis = np.column_stack([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy])
+        c = np.linalg.lstsq(basis, u[ids] - u[0], rcond=None)[0]
+        return c[1:3], np.array([[2 * c[3], c[4]], [c[4], 2 * c[5]]])
+
+    rec = overdet.patch_recover(mesh, u)
+    grad2, hess2 = reference_fit(np.arange(15))
+    grad1, hess1 = reference_fit(np.arange(8))
+    assert np.max(np.abs(rec.gradient[0] - grad2)) <= 1e-10
+    assert np.max(np.abs(rec.hessian[0] - hess2)) <= 1e-10
+    # the 1-ring fit is far off, so the match above is not an accident
+    assert np.max(np.abs(grad1 - grad2)) > 1.0 and np.max(np.abs(hess1 - hess2)) > 1.0
+
+
 def test_boundary_identity_on_ellipse():
     # u_tt / (-u_n) = k holds pointwise for any u vanishing on the boundary,
     # with u_n the local flux, so the ellipse tests the recovery itself
