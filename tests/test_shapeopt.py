@@ -239,23 +239,56 @@ def _point_z(p):
     return np.array(list(p.coeffs) + [p.period, p.alpha_hat])
 
 
-def test_branch_corrector_takes_few_newton_steps(monkeypatch):
-    jacobians = _counting_calls(monkeypatch, "_strip_flux_jacobian")
+def _counting_newton_steps(monkeypatch, jacobians):
+    """Jacobian builds per `_branch_newton` call, one entry per corrector step."""
     newton = shapeopt._branch_newton
     per_step = []
 
     def counted(*args, **kwargs):
         before = len(jacobians)
         result = newton(*args, **kwargs)
-        per_step.append(len(jacobians) - before)  # one exact Jacobian per Newton iteration
+        per_step.append(len(jacobians) - before)
         return result
 
     monkeypatch.setattr(shapeopt, "_branch_newton", counted)
+    return per_step
+
+
+def test_branch_corrector_builds_one_jacobian(monkeypatch):
+    residuals = _counting_calls(monkeypatch, "_branch_residual")
+    jacobians = _counting_calls(monkeypatch, "_strip_flux_jacobian")
+    per_step = _counting_newton_steps(monkeypatch, jacobians)
     points = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
     assert len(points) >= 3 and len(per_step) == len(points) - 1
+    # one exact Jacobian per Newton iteration, at most three iterations a step
     assert all(1 <= n <= 3 for n in per_step), per_step
+    # each step evaluates its predictor once and one residual per iteration:
+    # no finite-difference columns, no line-search halvings
+    assert len(residuals) == len(per_step) + len(jacobians) <= 30
     for p in points[1:]:
         assert _max_flux_residual(_point_z(p)) <= 1e-10
+
+
+def test_branch_corrector_refreshes_a_corrupted_jacobian(monkeypatch):
+    reference = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
+    exact = shapeopt._strip_flux_jacobian
+    jacobians = []
+
+    def corrupted_first(out, velocities):
+        jac = exact(out, velocities)
+        jacobians.append(jac)
+        # the first build is wrong by a factor of three in every flux entry
+        return 3.0 * jac if len(jacobians) == 1 else jac
+
+    monkeypatch.setattr(shapeopt, "_strip_flux_jacobian", corrupted_first)
+    per_step = _counting_newton_steps(monkeypatch, jacobians)
+    points = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
+    assert len(points) == len(reference)
+    # the bad matrix costs its step extra iterations; the next iterate builds afresh
+    assert per_step[0] > 1 and all(1 <= n <= 3 for n in per_step[1:]), per_step
+    for p, q in zip(points[1:], reference[1:]):
+        assert _max_flux_residual(_point_z(p)) <= 1e-10
+        assert np.max(np.abs(_point_z(p) - _point_z(q))) <= 1e-9
 
 
 @pytest.fixture(scope="module")
