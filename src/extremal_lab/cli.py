@@ -357,9 +357,8 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
     mesh = build_domain(cfg["domain"], cfg["h"])
     k, m = fem.assemble(mesh)
     # universal positive seed: the torsion function scaled to a set amplitude
-    interior = np.nonzero(~fem.dirichlet_mask(mesh))[0]
-    ki = k[interior][:, interior].tocsc()
-    tors = splu(ki).solve(m[interior][:, interior] @ np.ones(len(interior)))
+    interior, ki, mi = fem.interior_blocks(k, m, mesh)
+    tors = splu(ki).solve(mi @ np.ones(len(interior)))
     seed_dof = np.zeros(mesh.n_dofs)
     seed_dof[interior] = tors * (cfg["seed_amplitude"] / float(tors.max()))
     u0 = fem.ScalarField(mesh, mesh.expand(seed_dof))

@@ -117,6 +117,12 @@ def dirichlet_mask(mesh: Mesh) -> np.ndarray:
     return mask
 
 
+def interior_blocks(k: sparse.csr_matrix, m: sparse.csr_matrix, mesh: Mesh):
+    """Interior DOF ids and the interior blocks of K and M, in CSC form."""
+    interior = np.nonzero(~dirichlet_mask(mesh))[0]
+    return interior, k[interior][:, interior].tocsc(), m[interior][:, interior].tocsc()
+
+
 def eigen_smallest(
     k: sparse.csr_matrix,
     m: sparse.csr_matrix,
@@ -132,10 +138,7 @@ def eigen_smallest(
     and the factorization is re-shifted at the current Rayleigh quotient
     whenever plain iteration converges slowly.  `k` and `m` are the mesh's
     assembled matrices; the mesh's boundary vertices are Dirichlet DOFs."""
-    interior = np.nonzero(~dirichlet_mask(mesh))[0]
-    ki = k[interior][:, interior].tocsc()
-    mi = m[interior][:, interior].tocsc()
-
+    interior, ki, mi = interior_blocks(k, m, mesh)
     lu = splu((ki - shift * mi).tocsc() if shift else ki)
     v = np.ones(len(interior))
     v /= math.sqrt(v @ (mi @ v))
@@ -281,14 +284,8 @@ def solve_semilinear(
     """Damped Newton for the discrete residual M f(u) - K u with u = 0 on the
     boundary, on the mesh's assembled matrices `k` and `m`; returns a
     nonnegative field or raises NonPositiveSolution."""
-    mask = dirichlet_mask(mesh)
-    interior = np.nonzero(~mask)[0]
-    ki = k[interior][:, interior].tocsc()
-    mi = m[interior][:, interior].tocsc()
-
-    u = mesh.reduce(u0.values)
-    u[mask] = 0.0
-    ui = u[interior]
+    interior, ki, mi = interior_blocks(k, m, mesh)
+    ui = mesh.reduce(u0.values)[interior]
 
     def residual(ui_: np.ndarray) -> np.ndarray:
         return mi @ f.f(ui_) - ki @ ui_

@@ -16,7 +16,7 @@ strip grid and the periodic cover are built by index arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -137,6 +137,18 @@ class Mesh:
         self._cover = out
         return out
 
+    def moved(self, vertices: np.ndarray, period: float) -> "Mesh":
+        """This topology at new vertices and period, with the boundary frame
+        recomputed and no cover carried; MeshQualityFailure on an inverted
+        triangle or below the MIN_ANGLE_DEG floor."""
+        lengths, normals = _boundary_frame(vertices, self.triangles, self.boundary_edges,
+                                           self.boundary_edge_tri)
+        mesh = replace(self, vertices=vertices, period=period,
+                       boundary_lengths=lengths, boundary_normals=normals)
+        if np.min(mesh.triangle_areas()) <= 0 or mesh.min_angle_deg() < MIN_ANGLE_DEG:
+            raise MeshQualityFailure(f"moved mesh inverted or below the {MIN_ANGLE_DEG} deg floor")
+        return mesh
+
     def export_text(self) -> str:
         lines = [
             f"OFF-like: {len(self.vertices)} {len(self.triangles)} {len(self.boundary_edges)}"
@@ -172,6 +184,17 @@ def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return triangles
 
 
+def _boundary_frame(vertices, triangles, edges, edge_tri) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and unit normals of the boundary edges, away from their triangles."""
+    a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    d = b - a
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    cent = vertices[triangles[edge_tri]].mean(axis=1)
+    normals[np.einsum("ij,ij->i", normals, cent - 0.5 * (a + b)) > 0] *= -1.0
+    return lengths, normals
+
+
 def mesh_from_arrays(
     vertices: np.ndarray,
     triangles: np.ndarray,
@@ -204,10 +227,7 @@ def mesh_from_arrays(
     b_edges_arr = directed[pos]
     b_tri_arr = pos // 3
 
-    mids = 0.5 * (vertices[b_edges_arr[:, 0]] + vertices[b_edges_arr[:, 1]])
-    d = vertices[b_edges_arr[:, 1]] - vertices[b_edges_arr[:, 0]]
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    lengths, normals = _boundary_frame(vertices, triangles, b_edges_arr, b_tri_arr)
 
     # walk loops: edges are domain-left ordered, successor starts where we end
     starts = base_of[b_edges_arr[:, 0]]
@@ -249,11 +269,6 @@ def mesh_from_arrays(
             else np.empty(0, dtype=int)
         ),
     )
-    # outward-normal invariant against the owner triangle
-    cent = vertices[triangles[b_tri_arr]].mean(axis=1)
-    flip = np.einsum("ij,ij->i", normals, cent - mids) > 0
-    if np.any(flip):
-        mesh.boundary_normals[flip] *= -1.0
     if quality_floor is not None and len(triangles) > 1:
         if mesh.min_angle_deg() < quality_floor:
             raise MeshQualityFailure(
@@ -265,10 +280,9 @@ def mesh_from_arrays(
 # -- structured periodic strip -------------------------------------------------
 
 
-def _mesh_periodic_strip(spec: PeriodicStrip, h: float) -> Mesh:
-    nx = max(8, int(round(spec.period / h)))
-    ny = 2 * max(2, int(round(spec.half_width_coeffs[0] / h)))
-    return structured_strip(spec, nx, ny)
+def strip_grid_counts(period: float, half_width: float, h: float) -> tuple[int, int]:
+    """Column and row counts (nx, ny) of a period cell's grid at spacing h."""
+    return max(8, int(round(period / h))), 2 * max(2, int(round(half_width / h)))
 
 
 def structured_strip(spec: PeriodicStrip, nx: int, ny: int) -> Mesh:
@@ -477,7 +491,8 @@ def build_domain(spec: DomainSpec, h: float) -> Mesh:
             f"{spec.characteristic_size():.6g}"
         )
     if isinstance(spec, PeriodicStrip):
-        return _mesh_periodic_strip(spec, h)
+        counts = strip_grid_counts(spec.period, spec.half_width_coeffs[0], h)
+        return structured_strip(spec, *counts)
     loops = spec.boundary_loops(h)
     last_exc: MeshQualityFailure | None = None
     for offset in ((0.5, 0.5), (0.17, 0.61), (0.83, 0.29)):

@@ -26,7 +26,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .geom2d.domain import DomainSpec, PeriodicStrip, Polygon, _is_simple
-from .geom2d.meshing import Mesh, build_domain, structured_strip
+from .geom2d.meshing import Mesh, build_domain, strip_grid_counts, structured_strip
 
 # -- eigenvalue shape derivative ----------------------------------------------------
 
@@ -223,45 +223,43 @@ def _perimeter(spec: DomainSpec) -> float:
 # -- bifurcation period of the straight strip -----------------------------------------
 
 
-def _strip_flux_modes(
-    lam: float, T: float, coeffs: tuple[float, ...], nx: int, ny: int, n_modes: int
-) -> dict:
-    """Eigen-solve one period cell and project the wall flux onto cosines.
+def _strip_cell(lam: float, T: float, nx: int, ny: int, n_modes: int):
+    """The straight strip's cell at T, the basis (N + 2, nv, 2) that places its
+    vertices at basis . (c_0..c_N, T), and the projection (top, modes) of the
+    top wall's trace positions onto cos(2 pi k i / nx), k = 1..N, at column i."""
+    cell = structured_strip(PeriodicStrip(T, (math.pi / (2.0 * math.sqrt(lam)),)), nx, ny)
+    ids = cell.boundary_edges[np.concatenate(cell.boundary_loops), 0]  # the trace's walk order
+    top = np.nonzero(ids % (ny + 1) == ny)[0]
+    cols = ids[top] // (ny + 1) % nx  # the duplicate column is column 0
+    cos = np.cos(2 * math.pi * np.outer(np.arange(1, n_modes + 1), cols) / nx)
+    modes = 2.0 * (cos - cos.mean(axis=1, keepdims=True)) / len(top)
+    return cell, _strip_velocities(nx, ny, n_modes), (top, modes)
 
-    Returns the mean flux, the first cosine coefficients of its deviation
-    along the top wall, and the solve with its matrices and trace.
-    """
-    spec = PeriodicStrip(T, coeffs)
-    mesh = structured_strip(spec, nx, ny)
+
+def _strip_flux_modes(lam: float, mesh: Mesh, projection: tuple) -> dict:
+    """Eigen-solve a period cell: the mean flux, the `_strip_cell` projection of
+    the top wall's flux deviation, and the solve with its matrices and trace."""
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh, tol=1e-11, shift=0.98 * lam)
     rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
-    tr = rep.trace
-
-    # cos(2 pi k x / T) coefficients of the top wall's nodal flux deviation
-    top = np.nonzero(mesh.vertices[tr.vertex_ids, 1] > 0)[0]
-    xs = mesh.vertices[tr.vertex_ids[top], 0]
-    cos = np.cos(2 * math.pi * np.outer(np.arange(1, n_modes + 1), xs) / T)
-    modes = 2.0 * (cos - cos.mean(axis=1, keepdims=True)) / len(xs)
+    top, modes = projection
     return {
         "mean": rep.alpha_hat,
-        "dev_coeffs": modes @ tr.nodal[top],
+        "dev_coeffs": modes @ rep.trace.nodal[top],
         "lambda1": ep.lambda1,
         "spread": rep.rel_spread,
         "mesh": mesh,
         "eigen": ep,
         "matrices": (k, m),
-        "trace": tr,
-        "modes": (top, modes),
+        "trace": rep.trace,
+        "modes": projection,
     }
 
 
 def _strip_velocities(nx: int, ny: int, n_modes: int) -> np.ndarray:
-    """Vertex velocities (N + 2, nv, 2) of structured_strip(nx, ny) per unit
-    c_0..c_N, then per unit period.  Grid vertex (i, j) sits at
-    (T i / nx, eta_j w(x_i)), so it moves by (0, eta_j cos(2 pi k i / nx)) per
-    unit c_k and by (x / T, 0) per unit T; quad centres average their corners.
-    """
+    """Vertex basis (N + 2, nv, 2) of structured_strip(nx, ny): grid vertex (i, j)
+    sits at sum_k c_k (0, eta_j cos(2 pi k i / nx)) + T (i / nx, 0), so the basis
+    is also the vertex velocities of (c_0..c_N, T); quad centres average corners."""
     i, p = np.arange(nx + 1), n_modes + 2
     cos = np.cos(2 * math.pi * np.outer(np.arange(n_modes + 1), i % nx) / nx)
     grid = np.zeros((p, nx + 1, ny + 1, 2))
@@ -284,10 +282,7 @@ def _strip_flux_jacobian(out: dict, velocities: np.ndarray) -> np.ndarray:
 
 def strip_counts(lam: float, T: float, resolution: int) -> tuple[int, int]:
     """Column and row counts (nx, ny) of the period cell's `structured_strip`."""
-    a, h = strip_cell_spacing(lam, T, resolution)
-    nx = max(8, int(round(T / h)))
-    ny = 2 * max(2, int(round(a / h)))
-    return nx, ny
+    return strip_grid_counts(T, *strip_cell_spacing(lam, T, resolution))
 
 
 def strip_cell_spacing(lam: float, T: float, resolution: int) -> tuple[float, float]:
@@ -307,10 +302,10 @@ def bifurcation_mu(
     mesh has the given (nx, ny) counts, or counts sized from T and
     resolution when none are given.
     """
-    a = math.pi / (2.0 * math.sqrt(lam))
     nx, ny = counts or strip_counts(lam, T, resolution)
-    base = _strip_flux_modes(lam, T, (a,), nx, ny, 1)
-    return float(_strip_flux_jacobian(base, _strip_velocities(nx, ny, 1)[1:2])[1, 0])
+    cell, basis, projection = _strip_cell(lam, T, nx, ny, 1)
+    base = _strip_flux_modes(lam, cell, projection)
+    return float(_strip_flux_jacobian(base, basis[1:2])[1, 0])
 
 
 def bifurcation_period(lam: float, resolution: int = 16, rel_tol: float = 1e-6) -> float:
@@ -379,14 +374,13 @@ class BranchPoint:
 
 
 def _branch_residual(
-    z: np.ndarray, lam: float, n_modes: int, nx: int, ny: int, area0: float
+    z: np.ndarray, lam: float, cell: Mesh, basis: np.ndarray, projection: tuple, area0: float
 ) -> tuple[np.ndarray, dict]:
-    c = tuple(z[: n_modes + 1])
-    T = float(z[n_modes + 1])
-    alpha = float(z[n_modes + 2])
+    """Residual at z = (c_0..c_N, T, alpha) on the topology of a `_strip_cell`."""
+    c, T, alpha = z[:-2], float(z[-2]), float(z[-1])
     if T <= 0 or c[0] <= 0:
         raise NewtonDiverged("left the parameter domain (T or c0 nonpositive)")
-    out = _strip_flux_modes(lam, T, c, nx, ny, n_modes)
+    out = _strip_flux_modes(lam, cell.moved(np.tensordot(z[:-1], basis, 1), T), projection)
     # mode 0 pins the flux level, modes 1..N of the deviation vanish, the area is fixed
     f = np.concatenate([[out["mean"] - alpha], out["dev_coeffs"], [2.0 * c[0] * T - area0]])
     return f, out
@@ -436,27 +430,27 @@ def continue_branch(
     flux level; equations: the first N+1 cosine modes of the flux deviation
     vanish, the cell area stays fixed, plus the arclength constraint.  The
     branch parameter is s = c_1.  Accepted points must meet the spread and
-    coefficient-decay limits.  The corrector is Newton's method with the
-    exact Jacobian: its flux rows in the c_0..c_N and T columns come from
-    `_strip_flux_jacobian` on the cell's fixed mesh topology, the rest are
+    coefficient-decay limits.  The period cell is built once, at T0, and
+    each residual places its vertices at basis . (c_0..c_N, T), so the
+    corrector's Newton Jacobian is exact for the mesh it solves: its flux
+    rows come from `_strip_flux_jacobian` along that basis, the rest are
     closed forms.
     """
     if n_modes < 8:
         raise InvalidSpec("Fourier truncation needs at least 8 modes")
     a = math.pi / (2.0 * math.sqrt(lam))
-    nx, ny = strip_counts(lam, T0, resolution)
     area0 = 2.0 * a * T0
-    velocities = _strip_velocities(nx, ny, n_modes)
+    cell, basis, projection = _strip_cell(lam, T0, *strip_counts(lam, T0, resolution), n_modes)
     t, al = n_modes + 1, n_modes + 2  # the period's and the flux level's index in z
 
     # both read the current step's z_prev, tangent and step when called
     def residual(zz: np.ndarray) -> tuple[np.ndarray, dict]:
-        f, out = _branch_residual(zz, lam, n_modes, nx, ny, area0)
+        f, out = _branch_residual(zz, lam, cell, basis, projection, area0)
         return np.append(f, float(tangent @ (zz - z_prev)) - step), out
 
     def jacobian(zz: np.ndarray, out: dict) -> np.ndarray:
         jac = np.zeros((n_modes + 3, n_modes + 3))
-        jac[:t, :al] = _strip_flux_jacobian(out, velocities)
+        jac[:t, :al] = _strip_flux_jacobian(out, basis)
         jac[0, al] = -1.0  # flux level
         jac[t, 0], jac[t, t] = 2.0 * zz[t], 2.0 * zz[0]  # area 2 c_0 T
         jac[al] = tangent  # arclength
@@ -472,7 +466,7 @@ def continue_branch(
 
     # straight-strip start: alpha from the discrete solve so the mode-0
     # equation is satisfied exactly at s = 0
-    base = _strip_flux_modes(lam, T0, (a,), nx, ny, n_modes)
+    base = _strip_flux_modes(lam, cell, projection)
     z = np.zeros(n_modes + 3)
     z[0] = a
     z[t] = T0

@@ -295,15 +295,18 @@ def test_strip_flux_jacobian_matches_central_differences():
     lam, nx, ny, n_modes, step = 1.0, 32, 16, 3, 1e-4
     z = np.array([math.pi / 2, 0.05, -0.01, 0.004, 2 * math.pi])  # c_0..c_3, then T
 
-    def solve(zz):
-        return shapeopt._strip_flux_modes(lam, zz[-1], tuple(zz[:-1]), nx, ny, n_modes)
+    cell, velocities, projection = shapeopt._strip_cell(lam, 2 * math.pi, nx, ny, n_modes)
+
+    def solve(zz):  # the cell moved through the basis, as in every branch residual
+        return shapeopt._strip_flux_modes(
+            lam, cell.moved(np.tensordot(zz, velocities, 1), zz[-1]), projection
+        )
 
     def flux(out):  # lambda1, mean flux, deviation modes, nodal trace
         return np.concatenate([[out["lambda1"], out["mean"]], out["dev_coeffs"],
                                out["trace"].nodal])
 
     base = solve(z)
-    velocities = shapeopt._strip_velocities(nx, ny, n_modes)
     dlam, dg, _ = fem.eigen_shape_derivative(*base["matrices"], base["mesh"], base["eigen"],
                                              base["trace"], velocities)
     exact = np.vstack([dlam, shapeopt._strip_flux_jacobian(base, velocities), dg.T])

@@ -282,6 +282,37 @@ def test_unrolled_cover_matches_dict_numbering():
     _assert_matches_reference(cover)
 
 
+def test_moved_cell_matches_a_fresh_structured_strip():
+    cell = meshing.structured_strip(STRIP_SPECS[0], 24, 8)
+    fresh = meshing.structured_strip(STRIP_SPECS[1], 24, 8)
+    moved = cell.moved(fresh.vertices, STRIP_SPECS[1].period)
+    for name in ("triangles", "boundary_edges", "boundary_edge_tri", "periodic_pairs",
+                 "dof_of_vertex"):
+        assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+    loops = [[lp.tolist() for lp in mesh.boundary_loops] for mesh in (moved, fresh)]
+    assert loops[0] == loops[1]
+    assert np.max(np.abs(moved.boundary_lengths - fresh.boundary_lengths)) <= 1e-14
+    assert np.max(np.abs(moved.boundary_normals - fresh.boundary_normals)) <= 1e-14
+    assert moved.period == fresh.period == 5.3 and moved.is_periodic_x
+
+
+def test_moved_mesh_unrolls_its_own_vertices():
+    cell = meshing.structured_strip(STRIP_SPECS[0], 16, 8)
+    cell.unrolled()  # cached on the template, which the moved mesh must not reuse
+    fresh = meshing.structured_strip(STRIP_SPECS[1], 16, 8)
+    cover = cell.moved(fresh.vertices, STRIP_SPECS[1].period).unrolled()
+    assert cover.vertices.tobytes() == fresh.unrolled().vertices.tobytes()
+    assert np.array_equal(cover.triangles, fresh.unrolled().triangles)
+
+
+def test_moved_mesh_refuses_inverted_and_flat_placements():
+    cell = meshing.structured_strip(STRIP_SPECS[0], 16, 8)  # square quads: 45 and 90 degrees
+    with pytest.raises(MeshQualityFailure):
+        cell.moved(cell.vertices * [1.0, -1.0], cell.period)  # mirrored: every triangle inverted
+    with pytest.raises(MeshQualityFailure):
+        cell.moved(cell.vertices * [1.0, 0.2], cell.period)  # flattened: about 11 degrees
+
+
 def test_edge_shared_by_three_triangles_is_non_conforming():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
     with pytest.raises(MeshQualityFailure, match="non-conforming"):

@@ -5,8 +5,15 @@ import pytest
 
 from extremal_lab import analytic, fem, shapeopt
 from extremal_lab.errors import NoSignChange
-from extremal_lab.geom2d import Disk, Ellipse, Polygon, boundary_geometry, build_domain
-from extremal_lab.geom2d.meshing import mesh_from_arrays
+from extremal_lab.geom2d import (
+    Disk,
+    Ellipse,
+    PeriodicStrip,
+    Polygon,
+    boundary_geometry,
+    build_domain,
+)
+from extremal_lab.geom2d.meshing import mesh_from_arrays, structured_strip
 
 J01SQ = 5.783185962946785
 
@@ -47,18 +54,16 @@ def test_ellipse_velocity_signs():
     assert np.all(vel[at_x_tip] < 0)
 
 
-def test_shape_derivative_against_morph_fd():
-    # morphing the mesh keeps connectivity, so discretization error cancels
-    # in the eigenvalue difference; cos(2 theta) is compatible with the
-    # ellipse's mirror symmetries (odd modes integrate to zero)
-    spec = Ellipse(1.4, 1 / 1.4)
-    mesh = build_domain(spec, 0.05)
+def _ellipse_morph(h, eps=1e-3):
+    """d lambda1 along the morph x -> x (1 + eps cos 2 theta) of the (1.4, 1/1.4)
+    ellipse's mesh at h, times eps: the exact discrete derivative, the morph
+    central difference, and Hadamard's -sum g^2 (V . n) w on the mesh's trace."""
+    mesh = build_domain(Ellipse(1.4, 1 / 1.4), h)
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh)
     tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
     w = tr.lumped_weights
     th = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
-    eps = 1e-3
 
     def lam_of(verts):
         m2 = mesh_from_arrays(verts, mesh.triangles, quality_floor=None)
@@ -72,11 +77,26 @@ def test_shape_derivative_against_morph_fd():
     bg = boundary_geometry(mesh)
     ids = tr.vertex_ids
     assert np.array_equal(bg.vertex_ids, ids)
-    nu = bg.normal
-    disp = mesh.vertices[ids] * (eps * np.cos(2 * th[ids]))[:, None]
-    v_normal = np.einsum("ij,ij->i", disp, nu)
+    disp = mesh.vertices * (eps * np.cos(2 * th))[:, None]
+    v_normal = np.einsum("ij,ij->i", disp[ids], bg.normal)
     predicted = -float((tr.nodal**2 * v_normal * w).sum())
+    exact = float(fem.eigen_shape_derivative(k, m, mesh, ep, tr, disp[None])[0][0])
+    return exact, fd, predicted
+
+
+def test_shape_derivative_against_morph_fd():
+    # morphing the mesh keeps connectivity, so discretization error cancels
+    # in the eigenvalue difference; cos(2 theta) is compatible with the
+    # ellipse's mirror symmetries (odd modes integrate to zero)
+    gaps = []
+    for h in (0.1, 0.05):
+        exact, fd, predicted = _ellipse_morph(h)
+        # the exact derivative of the discrete eigenvalue is what the morph differences
+        assert abs(fd - exact) <= 1e-5 * abs(exact), h
+        gaps.append(abs(predicted - exact) / abs(exact))
     assert fd == pytest.approx(predicted, rel=0.05)
+    # Hadamard's boundary formula is the continuous limit the mesh converges to
+    assert gaps[1] <= 2e-3 and gaps[1] <= gaps[0] / 3, gaps
 
 
 def test_lumped_weights_are_half_edge_lengths(strip_mesh):
@@ -139,9 +159,8 @@ def test_square_flow_decreases_lambda():
 
 def test_straight_strip_spread_is_tiny():
     lam = 1.0
-    out = shapeopt._strip_flux_modes(
-        lam, 6.0, (math.pi / 2,), *shapeopt.strip_counts(lam, 6.0, 12), 4
-    )
+    cell, _, projection = shapeopt._strip_cell(lam, 6.0, *shapeopt.strip_counts(lam, 6.0, 12), 4)
+    out = shapeopt._strip_flux_modes(lam, cell, projection)
     assert out["spread"] < 1e-10
 
 
@@ -231,7 +250,8 @@ def _counting_calls(monkeypatch, name):
 def _max_flux_residual(z, n_modes=10):
     """max |f| of a fresh residual evaluation at z on the 2 pi cell's mesh."""
     nx, ny = shapeopt.strip_counts(1.0, 2 * math.pi, 16)
-    f, _ = shapeopt._branch_residual(z, 1.0, n_modes, nx, ny, 2 * math.pi**2)
+    cell = shapeopt._strip_cell(1.0, 2 * math.pi, nx, ny, n_modes)
+    f, _ = shapeopt._branch_residual(z, 1.0, *cell, 2 * math.pi**2)
     return float(np.max(np.abs(f)))
 
 
@@ -252,6 +272,24 @@ def _counting_newton_steps(monkeypatch, jacobians):
 
     monkeypatch.setattr(shapeopt, "_branch_newton", counted)
     return per_step
+
+
+def test_strip_basis_places_the_cell_vertices():
+    # every branch residual places its cell's vertices as basis . (c, T), so
+    # the basis must be the geometry of `structured_strip` itself
+    nx, ny, c, T = 37, 12, (1.3, 0.12, -0.04, 0.015), 5.1
+    vertices = structured_strip(PeriodicStrip(T, c), nx, ny).vertices
+    placed = np.tensordot(np.array(c + (T,)), shapeopt._strip_velocities(nx, ny, len(c) - 1), 1)
+    assert np.max(np.abs(placed - vertices)) <= 1e-14 * np.max(np.abs(vertices))
+
+
+def test_branch_builds_one_period_cell(monkeypatch):
+    cells = _counting_calls(monkeypatch, "structured_strip")
+    points = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
+    assert len(points) >= 3 and len(cells) == 1
+    # every point's mesh is the one cell topology, moved to the point's shape
+    assert all(p.mesh.triangles is points[0].mesh.triangles for p in points)
+    assert [p.mesh.period for p in points] == [p.period for p in points]
 
 
 def test_branch_corrector_builds_one_jacobian(monkeypatch):
