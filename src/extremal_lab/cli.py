@@ -469,6 +469,8 @@ def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
         "lambda1_final": res.final.lambda1,
         "spread_final": res.final.spread,
         "area_final": res.final.area,
+        "meshes_built": res.meshes_built,
+        "trials_rejected": res.trials_rejected,
     }
     out.write("report.json", _json_dumps(report))
     return report

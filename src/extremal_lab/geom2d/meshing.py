@@ -71,16 +71,13 @@ class Mesh:
         )
 
     def min_angle_deg(self) -> float:
+        # corner i lies between edge i (corner i to i + 1) and the reversed
+        # edge i - 1; the smallest angle is the arccos of the largest cosine
         p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            c = np.einsum("ij,ij->i", u, v) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            )
-            angles.append(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-        return float(np.min(angles))
+        x, y = np.moveaxis(p[:, [1, 2, 0]] - p, 2, 0)
+        lengths, prev = np.sqrt(x * x + y * y), [2, 0, 1]
+        c = -(x * x[:, prev] + y * y[:, prev]) / (lengths * lengths[:, prev])
+        return float(np.degrees(np.arccos(np.clip(np.max(c), -1.0, 1.0))))
 
     def boundary_vertex_ids(self) -> np.ndarray:
         return np.unique(self.boundary_edges)

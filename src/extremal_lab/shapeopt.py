@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from . import fem, overdet
 from .errors import (
@@ -64,6 +66,8 @@ class FlowState:
 class FlowResult:
     states: list[FlowState]
     reason: str
+    meshes_built: int  # build_domain calls: the first shape's and the fallbacks
+    trials_rejected: int
 
     @property
     def final(self) -> FlowState:
@@ -116,14 +120,28 @@ class _FlowEval:
     lambda1: float
     spread: float
     trace: fem.NeumannTrace
+    mesh: Mesh  # its first len(pts) vertices are pts, the boundary
+    k: object  # the mesh's stiffness matrix
+
+    @cached_property
+    def _interior_solve(self):
+        n = len(self.pts)
+        return splu(self.k[n:, n:].tocsc()).solve
+
+    def moved_mesh(self, trial: np.ndarray) -> Mesh:
+        """This mesh with its boundary at trial and its interior moved by the
+        discrete harmonic extension K_II d_I = -K_IB d_B of the boundary step;
+        MeshQualityFailure when that inverts a triangle or breaks the floor."""
+        n = len(trial)
+        d_int = self._interior_solve(self.k[n:, :n] @ (trial - self.mesh.vertices[:n]))
+        return self.mesh.moved(np.vstack([trial, self.mesh.vertices[n:] - d_int]), 0.0)
 
 
-def _evaluate(pts: np.ndarray, h: float) -> _FlowEval:
-    mesh = build_domain(_poly(pts), h)
+def _evaluate(pts: np.ndarray, mesh: Mesh) -> _FlowEval:
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh)
     rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
-    return _FlowEval(pts=pts, lambda1=ep.lambda1, spread=rep.rel_spread, trace=rep.trace)
+    return _FlowEval(pts, ep.lambda1, rep.rel_spread, rep.trace, mesh, k)
 
 
 def flow_to_extremal(
@@ -137,9 +155,10 @@ def flow_to_extremal(
     """Evolve the boundary toward constant flux at fixed area.
 
     Explicit Euler steps on the polygon vertices with Fourier-filtered
-    velocity; every trial step is remeshed, rescaled to the initial area, and
-    accepted only if lambda1 does not increase.  Terminates on the spread
-    tolerance, boundary stagnation, or max_steps.
+    velocity; every trial step is rescaled to the initial area, moves the
+    current mesh (`_FlowEval.moved_mesh`, remeshed only below the quality
+    floor), and is accepted only if lambda1 does not increase.  Terminates on
+    the spread tolerance, boundary stagnation, or max_steps.
     """
     spec0.validate()
     area0 = spec0.area()
@@ -147,9 +166,9 @@ def flow_to_extremal(
     pts = _boundary_points(spec0, n)
     pts = _rescale(pts, area0)
 
-    cur = _evaluate(pts, h)
+    cur = _evaluate(pts, build_domain(_poly(pts), h))
     states = [_state(0, cur, 0.0)]
-    reason = "max_steps"
+    reason, built, trials = "max_steps", 1, 0
     for step in range(1, max_steps + 1):
         if cur.spread < spread_tol:
             reason = "converged"
@@ -164,26 +183,25 @@ def flow_to_extremal(
             reason = "converged"
             break
         dt = move_cap * h / vmax
-        accepted = None
         for _ in range(8):
-            trial = cur.pts + dt * v[:, None] * normals
-            trial = _resample_closed(trial, n)
-            trial = _rescale(trial, area0)
-            if not _is_simple(trial):
-                raise_tangled = True
-            else:
-                raise_tangled = False
+            trials += 1
+            trial = _rescale(_resample_closed(cur.pts + dt * v[:, None] * normals, n), area0)
+            tangled = not _is_simple(trial)
+            if not tangled:
                 try:
-                    cand = _evaluate(trial, h)
+                    try:
+                        mesh = cur.moved_mesh(trial)
+                    except MeshQualityFailure:  # the moved mesh broke the floor: remesh
+                        built += 1
+                        mesh = build_domain(_poly(trial), h)
+                    accepted = _evaluate(trial, mesh)
                 except (MeshQualityFailure, InvalidSpec):
-                    dt *= 0.5
-                    continue
-                if cand.lambda1 <= cur.lambda1 * (1.0 + 1e-12):
-                    accepted = cand
+                    accepted = None  # the trial shape could not be meshed
+                if accepted is not None and accepted.lambda1 <= cur.lambda1 * (1.0 + 1e-12):
                     break
             dt *= 0.5
         else:
-            if raise_tangled:
+            if tangled:
                 raise MeshTangled("boundary self-intersected at every retried step size")
             if len(states) == 1:
                 # nothing ever moved: genuine failure rather than a plateau
@@ -194,7 +212,7 @@ def flow_to_extremal(
             break
         cur = accepted
         states.append(_state(step, cur, dt))
-    return FlowResult(states=states, reason=reason)
+    return FlowResult(states, reason, built, trials - (len(states) - 1))
 
 
 def _poly(pts: np.ndarray) -> Polygon:
@@ -292,7 +310,8 @@ def strip_cell_spacing(lam: float, T: float, resolution: int) -> tuple[float, fl
 
 
 def bifurcation_mu(
-    lam: float, T: float, resolution: int = 12, counts: tuple[int, int] | None = None
+    lam: float, T: float, resolution: int = 12, counts: tuple[int, int] | None = None,
+    cell: tuple | None = None,
 ) -> float:
     """Linearized flux deviation per unit cos(2 pi x / T) wall perturbation.
 
@@ -300,11 +319,13 @@ def bifurcation_mu(
     straight strip, from one eigen solve and one bordered solve, so the
     straight strip's own structured-mesh deviation does not enter.  The cell
     mesh has the given (nx, ny) counts, or counts sized from T and
-    resolution when none are given.
+    resolution when none are given.  Its vertices are placed at basis . (a, 0, T)
+    on `cell`, a one-mode `_strip_cell` at those counts, built here if not given.
     """
     nx, ny = counts or strip_counts(lam, T, resolution)
-    cell, basis, projection = _strip_cell(lam, T, nx, ny, 1)
-    base = _strip_flux_modes(lam, cell, projection)
+    mesh, basis, projection = cell or _strip_cell(lam, T, nx, ny, 1)
+    z = np.array([math.pi / (2.0 * math.sqrt(lam)), 0.0, T])
+    base = _strip_flux_modes(lam, mesh.moved(np.tensordot(z, basis, 1), T), projection)
     return float(_strip_flux_jacobian(base, basis[1:2])[1, 0])
 
 
@@ -324,9 +345,10 @@ def bifurcation_period(lam: float, resolution: int = 16, rel_tol: float = 1e-6) 
     s = math.sqrt(lam)
     t_lin = 2.0 * math.pi / s
     counts = strip_counts(lam, t_lin, resolution)
+    cell = _strip_cell(lam, t_lin, *counts, 1)
 
     def mu(t: float) -> float:
-        return bifurcation_mu(lam, t, resolution, counts=counts)
+        return bifurcation_mu(lam, t, resolution, counts=counts, cell=cell)
 
     lo, hi = 0.99 * t_lin, 1.01 * t_lin
     flo, fhi = mu(lo), mu(hi)

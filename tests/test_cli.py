@@ -488,6 +488,9 @@ def test_flow_assembles_and_traces_once_per_eigen_solve(tmp_path, monkeypatch):
     assert rec.error is None
     assert calls["eigen_smallest"] >= 2
     assert calls["assemble"] == calls["neumann_trace"] == calls["eigen_smallest"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    # every trial moved the first mesh, and each was accepted
+    assert (report["meshes_built"], report["trials_rejected"]) == (1, 0)
 
 
 def test_solve_assembles_and_traces_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,6 +312,29 @@ def test_moved_mesh_refuses_inverted_and_flat_placements():
         cell.moved(cell.vertices * [1.0, -1.0], cell.period)  # mirrored: every triangle inverted
     with pytest.raises(MeshQualityFailure):
         cell.moved(cell.vertices * [1.0, 0.2], cell.period)  # flattened: about 11 degrees
+
+
+def _min_angle_per_corner(mesh):
+    """The smallest of all 3 nt corner angles, each from its own two edge vectors."""
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for i in range(3):
+        u = p[:, (i + 1) % 3] - p[:, i]
+        v = p[:, (i + 2) % 3] - p[:, i]
+        c = np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
+    return float(np.min(angles))
+
+
+def test_min_angle_is_bit_identical_to_the_per_corner_minimum(disk_mesh_h02):
+    # the flow's ellipse mesh, the h 0.02 disk and the (64, 32) strip cell, as
+    # built and with every vertex jittered
+    cell = meshing.structured_strip(PeriodicStrip(2 * math.pi, (math.pi / 2,)), 64, 32)
+    rng = np.random.default_rng(3)
+    for mesh in (build_domain(Ellipse(1.2, 1 / 1.2), 0.05), disk_mesh_h02, cell):
+        jitter = rng.normal(scale=1e-3, size=mesh.vertices.shape)
+        for m in (mesh, replace(mesh, vertices=mesh.vertices + jitter)):
+            assert m.min_angle_deg() == _min_angle_per_corner(m)
 
 
 def test_edge_shared_by_three_triangles_is_non_conforming():

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from extremal_lab import analytic, fem, shapeopt
-from extremal_lab.errors import NoSignChange
+from extremal_lab.errors import MeshQualityFailure, NoSignChange
 from extremal_lab.geom2d import (
     Disk,
     Ellipse,
@@ -13,7 +14,7 @@ from extremal_lab.geom2d import (
     boundary_geometry,
     build_domain,
 )
-from extremal_lab.geom2d.meshing import mesh_from_arrays, structured_strip
+from extremal_lab.geom2d.meshing import Mesh, mesh_from_arrays, structured_strip
 
 J01SQ = 5.783185962946785
 
@@ -154,6 +155,56 @@ def test_square_flow_decreases_lambda():
     assert lams[-1] < lams[0] - 0.05 * (lams[0] - J01SQ)
 
 
+@pytest.fixture(scope="module")
+def flow_eval():
+    """The flow's evaluation of a 64-gon on the (1.2, 1/1.2) ellipse, meshed at
+    its edge length 0.1."""
+    pts = shapeopt._boundary_points(Ellipse(1.2, 1 / 1.2), 64)
+    return shapeopt._evaluate(pts, build_domain(shapeopt._poly(pts), 0.1))
+
+
+def test_moved_mesh_maps_an_affine_boundary_step_exactly(flow_eval):
+    # the P1 harmonic extension reproduces affine data, so an affine map of
+    # the boundary moves every interior vertex by the same map
+    a, b = np.array([[1.05, 0.1], [-0.02, 0.97]]), np.array([0.3, -0.2])
+    mesh = flow_eval.mesh
+    moved = flow_eval.moved_mesh(flow_eval.pts @ a.T + b)
+    assert np.max(np.abs(moved.vertices - (mesh.vertices @ a.T + b))) <= 1e-12
+    assert moved.triangles is mesh.triangles
+
+
+def test_moved_mesh_of_a_zero_step_keeps_the_vertices(flow_eval):
+    moved = flow_eval.moved_mesh(flow_eval.pts.copy())
+    assert np.array_equal(moved.vertices, flow_eval.mesh.vertices)
+
+
+def test_flow_remeshes_where_the_moved_mesh_breaks_the_floor(monkeypatch):
+    builds = _counting_calls(monkeypatch, "build_domain")
+    refused = []
+    moved = Mesh.moved
+
+    def watched(mesh, vertices, period):
+        try:
+            return moved(mesh, vertices, period)
+        except MeshQualityFailure:
+            refused.append(replace(mesh, vertices=vertices))
+            raise
+
+    monkeypatch.setattr(Mesh, "moved", watched)
+    # a first step of a whole mesh size flattens triangles of the moved mesh
+    res = shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.1, max_steps=2, move_cap=1.0)
+    assert len(res.states) == 3 and refused
+    assert all(m.triangle_areas().min() > 0 and m.min_angle_deg() < 20.0 for m in refused)
+    assert res.meshes_built == len(builds) == 1 + len(refused)
+
+
+def test_benchmark_flow_builds_one_mesh(monkeypatch):
+    builds = _counting_calls(monkeypatch, "build_domain")
+    res = shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.05, max_steps=8)
+    assert len(res.states) == 9 and res.trials_rejected == 0
+    assert res.meshes_built == len(builds) == 1
+
+
 # -- bifurcation periods ------------------------------------------------------------
 
 
@@ -200,7 +251,7 @@ def test_bifurcation_period_scaling_law():
 def _counting(monkeypatch, fn):
     calls = []
 
-    def mu(lam, t, resolution=12, counts=None):
+    def mu(lam, t, resolution=12, counts=None, cell=None):
         calls.append(counts)
         return fn(t)
 
@@ -221,6 +272,18 @@ def test_bifurcation_period_without_sign_change(monkeypatch):
         shapeopt.bifurcation_period(4.0)
     # two for the first bracket and two per doubling; the sixth passes [0.1, 50]/sqrt(4)
     assert len(calls) == 14
+
+
+def test_bifurcation_period_builds_one_period_cell(monkeypatch):
+    cells = _counting_calls(monkeypatch, "structured_strip")
+    tstar = shapeopt.bifurcation_period(1.0)
+    assert len(cells) == 1
+    # mu moves the cell's vertices to its T, so the T the cell was built at
+    # does not show
+    counts = shapeopt.strip_counts(1.0, 2 * math.pi, 16)
+    cell = shapeopt._strip_cell(1.0, 2 * math.pi, *counts, 1)
+    mu = shapeopt.bifurcation_mu(1.0, tstar, counts=counts)
+    assert shapeopt.bifurcation_mu(1.0, tstar, counts=counts, cell=cell) == mu
 
 
 @pytest.mark.slow
