@@ -194,6 +194,11 @@ _KEYS = {
 }
 
 
+def _cell_period(values: dict) -> float:
+    """Period of the branch's one cell: T, or else 2 pi / sqrt(lambda), where mu vanishes."""
+    return values["T"] or 2.0 * math.pi / math.sqrt(values["lambda"])
+
+
 def load_config(data: dict, command: str | None = None, out_dir: str | None = None) -> RunConfig:
     """Parse a JSON config against `_KEYS`; raise ConfigInvalid on a key the
     command does not read, a missing required key, or a value out of type or range."""
@@ -234,8 +239,7 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
             and grid_point_count(values["domain"].bbox(), values["grid"]) > MAX_GRID_POINTS):
         raise ConfigInvalid(f"check grid {values['grid']} needs over {MAX_GRID_POINTS} points")
     if cmd == "branch":  # its period cell (0, T) x (-a, a) at the spacing of its mesh counts
-        lam, res = values["lambda"], values["resolution"]
-        period = values["T"] or 2.0 * math.pi / math.sqrt(lam)
+        lam, res, period = values["lambda"], values["resolution"], _cell_period(values)
         # past MAX_GRID_POINTS cells across the half-width the bound fails anyway
         a, h = shapeopt.strip_cell_spacing(lam, period, min(res, MAX_GRID_POINTS))
         if grid_point_count((0.0, period, -a, a), h) > MAX_GRID_POINTS:
@@ -313,13 +317,11 @@ def _boundary_csv(mesh) -> str:
 def _eigen_solution(cfg: RunConfig, mesh):
     """First Dirichlet eigenpair and its flux report, with the eigenfunction
     rescaled to the configured flux target when one is set."""
-    k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, mesh, tol=cfg["tolerances.eigen_tol"])
-    u = ep.u1
-    rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
+    sol = overdet.eigen_flux(mesh, cfg["tolerances.eigen_tol"], 0.0)
+    ep, u, rep = sol.eigen, sol.eigen.u1, sol.report
     if cfg["alpha"] is not None:
         u = fem.ScalarField(mesh, u.values * (cfg["alpha"] / rep.alpha_hat))
-        rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
+        rep = overdet.overdet_residual(sol.k, sol.m, mesh, u, ep.lambda1 * u.values)
     return ep, u, rep
 
 
@@ -477,13 +479,12 @@ def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
 
 
 def _run_branch(cfg: RunConfig, out: _Outputs) -> dict:
-    lam, n_modes, resolution = cfg["lambda"], cfg["n_modes"], cfg["resolution"]
-    t0, tstar = cfg["T"], None
+    lam, n_modes, t0, tstar = cfg["lambda"], cfg["n_modes"], cfg["T"], None
+    # one period cell serves the T* search and the branch
+    cell = shapeopt.strip_cell(lam, _cell_period(cfg.values), cfg["resolution"], n_modes)
     if t0 is None:
-        t0 = tstar = float(shapeopt.bifurcation_period(lam, resolution))
-    points = shapeopt.continue_branch(
-        lam, t0, cfg["s_max"], cfg["ds"], n_modes=n_modes, resolution=resolution
-    )
+        t0 = tstar = float(shapeopt.bifurcation_period(cell))
+    points = shapeopt.continue_branch(cell, t0, cfg["s_max"], cfg["ds"])
     header = (
         ["T", "s"] + [f"c_{i}" for i in range(n_modes + 1)]
         + ["alpha_hat", "spread", "max_u", "lambda"]

@@ -128,7 +128,6 @@ def eigen_smallest(
     m: sparse.csr_matrix,
     mesh: Mesh,
     tol: float = 1e-10,
-    max_iter: int = 500,
     shift: float = 0.0,
 ) -> EigenPair:
     """Generalized eigenpair K x = lambda M x on the interior DOFs.
@@ -136,8 +135,9 @@ def eigen_smallest(
     Shift-inverted power iteration; a shift just below the target eigenvalue
     (e.g. 0.98 * an analytic estimate) speeds up nearly-degenerate spectra,
     and the factorization is re-shifted at the current Rayleigh quotient
-    whenever plain iteration converges slowly.  `k` and `m` are the mesh's
-    assembled matrices; the mesh's boundary vertices are Dirichlet DOFs."""
+    whenever plain iteration converges slowly; at most 500 iterations.  `k`
+    and `m` are the mesh's assembled matrices; the mesh's boundary vertices
+    are Dirichlet DOFs."""
     interior, ki, mi = interior_blocks(k, m, mesh)
     lu = splu((ki - shift * mi).tocsc() if shift else ki)
     v = np.ones(len(interior))
@@ -146,7 +146,7 @@ def eigen_smallest(
     it = 0
     refactors = 0
     residual = math.inf
-    while it < max_iter:
+    while it < 500:
         it += 1
         w = lu.solve(mi @ v)
         nrm = math.sqrt(w @ (mi @ w))
@@ -162,7 +162,7 @@ def eigen_smallest(
             refactors += 1
     else:
         raise IterationLimit(
-            f"eigen iteration hit {max_iter} iterations at residual {residual:.3e}",
+            f"eigen iteration hit 500 iterations at residual {residual:.3e}",
             residual=residual,
         )
 
@@ -279,11 +279,10 @@ def solve_semilinear(
     f: NonlinearitySpec,
     u0: ScalarField,
     tol: float = 1e-10,
-    max_newton: int = 60,
 ) -> ScalarField:
-    """Damped Newton for the discrete residual M f(u) - K u with u = 0 on the
-    boundary, on the mesh's assembled matrices `k` and `m`; returns a
-    nonnegative field or raises NonPositiveSolution."""
+    """Damped Newton, at most 60 steps, for the discrete residual M f(u) - K u
+    with u = 0 on the boundary, on the mesh's assembled matrices `k` and `m`;
+    returns a nonnegative field or raises NonPositiveSolution."""
     interior, ki, mi = interior_blocks(k, m, mesh)
     ui = mesh.reduce(u0.values)[interior]
 
@@ -292,7 +291,7 @@ def solve_semilinear(
 
     r = residual(ui)
     hist: list[float] = [float(np.linalg.norm(r))]
-    for _ in range(max_newton):
+    for _ in range(60):
         if float(np.max(np.abs(r))) <= tol * (1.0 + float(np.max(np.abs(ui), initial=0.0))):
             break
         jac = (mi @ sparse.diags(f.fprime(ui)) - ki).tocsc()
@@ -317,7 +316,7 @@ def solve_semilinear(
                 f"residual not reduced by 0.9 over 10 damped steps ({hist[-11]:.3e} -> {hist[-1]:.3e})"
             )
     else:
-        raise NewtonDiverged(f"no convergence in {max_newton} Newton steps")
+        raise NewtonDiverged("no convergence in 60 Newton steps")
 
     full = np.zeros(mesh.n_dofs)
     full[interior] = ui

@@ -45,7 +45,6 @@ class Mesh:
     boundary_lengths: np.ndarray
     boundary_loops: list[np.ndarray]
     boundary_edge_tri: np.ndarray
-    is_periodic_x: bool = False
     period: float = 0.0
     periodic_pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
     corner_vertices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -62,6 +61,10 @@ class Mesh:
             self.n_dofs = len(uniq)
 
     # -- bookkeeping ---------------------------------------------------------
+
+    @property
+    def is_periodic_x(self) -> bool:  # a right column duplicating the left one
+        return len(self.periodic_pairs) > 0
 
     def triangle_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -196,7 +199,6 @@ def mesh_from_arrays(
     vertices: np.ndarray,
     triangles: np.ndarray,
     *,
-    is_periodic_x: bool = False,
     period: float = 0.0,
     periodic_pairs: np.ndarray | None = None,
     corner_vertices: np.ndarray | None = None,
@@ -257,7 +259,6 @@ def mesh_from_arrays(
         boundary_lengths=lengths,
         boundary_loops=loops,
         boundary_edge_tri=b_tri_arr,
-        is_periodic_x=is_periodic_x,
         period=period,
         periodic_pairs=pairs,
         corner_vertices=(
@@ -312,13 +313,8 @@ def structured_strip(spec: PeriodicStrip, nx: int, ny: int) -> Mesh:
     v00, v10, v11, v01 = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
     sides = ((v00, v10), (v10, v11), (v11, v01), (v01, v00))
     tris = np.stack([np.stack([a, b, cid], axis=-1) for a, b in sides], axis=2).reshape(-1, 3)
-    return mesh_from_arrays(
-        verts,
-        tris,
-        is_periodic_x=True,
-        period=T,
-        periodic_pairs=np.column_stack([vid[nx], vid[0]]),
-    )
+    pairs = np.column_stack([vid[nx], vid[0]])  # duplicate column -> base column
+    return mesh_from_arrays(verts, tris, period=T, periodic_pairs=pairs)
 
 
 # -- relaxed unstructured meshing ----------------------------------------------

@@ -20,8 +20,6 @@ from scipy.sparse.csgraph import connected_components
 
 from ..errors import EmptyDomain, NonTransversal
 from .domain import (
-    Annulus,
-    Disk,
     DomainSpec,
     PeriodicStrip,
     _min_distance_to_polyline,
@@ -253,42 +251,26 @@ def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarr
                     axis=0,
                 )
 
-    elif isinstance(target, PeriodicStrip):
-        spec = target
-        wmax = -bbox[2]
-        copies = int(math.ceil(wmax / spec.period)) + 1
-        wall = _strip_wall_segments(spec, copies, max(512, int(8 * spec.period / g)))
-        half = len(wall) // 2
-
-        def inside(p):
-            return spec.contains(p, tol=1e-10)
-
-        def dist(p):
-            dtop = _min_distance_to_polyline(p, wall[:half], closed=False)
-            dbot = _min_distance_to_polyline(p, wall[half:], closed=False)
-            return np.minimum(dtop, dbot)
-
     else:
         spec = target
 
         def inside(p):
             return spec.contains(p, tol=1e-10)
 
-        if isinstance(spec, Disk):
-            def dist(p):
-                return spec.radius - np.hypot(p[:, 0], p[:, 1])
-        elif isinstance(spec, Annulus):
-            def dist(p):
-                r = np.hypot(p[:, 0], p[:, 1])
-                return np.minimum(r - spec.r_in, spec.r_out - r)
-        else:
-            loops = [lp.points for lp in spec.boundary_loops(_dense_spacing(spec, g))]
+        if isinstance(spec, PeriodicStrip):
+            copies = int(math.ceil(-bbox[2] / spec.period)) + 1
+            wall = _strip_wall_segments(spec, copies, max(512, int(8 * spec.period / g)))
+            half = len(wall) // 2
 
             def dist(p):
-                return np.min(
-                    np.stack([_min_distance_to_polyline(p, c, closed=True) for c in loops]),
-                    axis=0,
-                )
+                dtop = _min_distance_to_polyline(p, wall[:half], closed=False)
+                dbot = _min_distance_to_polyline(p, wall[half:], closed=False)
+                return np.minimum(dtop, dbot)
+
+        else:  # a bounded spec: its own distance to its boundary
+
+            def dist(p):
+                return -spec.signed_distance(p)
 
     xmin, xmax, ymin, ymax = bbox
     xs = xmin + g * (np.arange(max(1, int((xmax - xmin) / g)) ) + 0.5)
@@ -302,11 +284,6 @@ def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarr
     d = dist(pts)
     best = int(np.argmax(d))
     return float(d[best]), pts[best]
-
-
-def _dense_spacing(spec: DomainSpec, g: float) -> float:
-    size = spec.characteristic_size()
-    return max(min(g / 4.0, size / 16.0), size / 4096.0)
 
 
 def _top_loop_index(mesh: Mesh) -> int:
@@ -408,10 +385,10 @@ def _positive_part(p: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
     return slots[full][mask[full]]
 
 
-def cap_reflect(mesh: Mesh, line: Line, tol: float = 1e-10) -> CapReport:
+def cap_reflect(mesh: Mesh, line: Line) -> CapReport:
     """Connected components of the domain on the positive side of the line,
     with the graph-over-chord and reflected-containment predicates."""
-    work = mesh.unrolled()
+    work, tol = mesh.unrolled(), 1e-10
     scale = float(
         max(
             work.vertices[:, 0].max() - work.vertices[:, 0].min(),

@@ -2,7 +2,9 @@
 criteria tied to it.
 
 ``overdet_residual`` measures how far a computed solution is from having
-constant boundary flux.  ``p_function`` evaluates P = |grad u|^2 + 2 F(u),
+constant boundary flux, and ``eigen_flux`` is the one assemble -> eigen solve
+-> trace path that the CLI, the descent flow and the strip share.
+``p_function`` evaluates P = |grad u|^2 + 2 F(u),
 the convexity-criterion comparison 2 max F(u) vs alpha^2, and the boundary
 second-derivative/curvature identity, all from ``patch_recover``: a
 least-squares quadratic fitted to the nodal values over each vertex's patch
@@ -89,6 +91,26 @@ def overdet_residual(
         loop_means=loop_means,
         trace=tr,
     )
+
+
+@dataclass
+class EigenFlux:
+    """One eigen solve on a mesh: its assembled K and M, the first Dirichlet
+    eigenpair, and the flux report of u1 with source lambda1 * u1."""
+
+    mesh: Mesh
+    k: sparse.csr_matrix
+    m: sparse.csr_matrix
+    eigen: fem.EigenPair
+    report: OverdetReport
+
+
+def eigen_flux(mesh: Mesh, tol: float, shift: float) -> EigenFlux:
+    """Assemble, solve for the smallest eigenpair (`fem.eigen_smallest` at
+    `tol` and `shift`) and trace its flux, once, for every consumer."""
+    k, m = fem.assemble(mesh)
+    ep = fem.eigen_smallest(k, m, mesh, tol=tol, shift=shift)
+    return EigenFlux(mesh, k, m, ep, overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values))
 
 
 # -- polynomial-preserving patch recovery -------------------------------------------
@@ -195,7 +217,6 @@ def p_function(
     u: fem.ScalarField,
     f: fem.NonlinearitySpec,
     report: OverdetReport,
-    critical_fraction: float = 0.02,
 ) -> PReport:
     """P-function of the Dirichlet solution u of -Delta u = f(u).
 
@@ -221,7 +242,7 @@ def p_function(
     flags: list[str] = []
     gnorm = np.sqrt(grad_sq)
     gmax = float(gnorm[interior_ids].max()) if len(interior_ids) else 0.0
-    crit = interior_ids[gnorm[interior_ids] < critical_fraction * gmax]
+    crit = interior_ids[gnorm[interior_ids] < 0.02 * gmax]  # near-critical: 2 % of max |grad u|
     if len(crit) == 0:
         flags.append("no_critical_point")
         crit_range = u.values
@@ -428,12 +449,12 @@ def check_T8_convexity(
     u: fem.ScalarField,
     f: fem.NonlinearitySpec,
     report: OverdetReport,
-    tau_k: float | None = None,
 ) -> TheoremCheck:
     """If 2 max F(u) < alpha^2, the complement components must be convex:
     boundary curvature of the domain <= tau_k everywhere (complement-side
-    curvature > -tau_k).  Only meaningful on periodic meshes.  `report` is
-    the overdet_residual report of u with source f(u), as for p_function."""
+    curvature > -tau_k), with tau_k = 1e-3 (1 + max |k|).  Only meaningful
+    on periodic meshes.  `report` is the overdet_residual report of u with
+    source f(u), as for p_function."""
     if not mesh.is_periodic_x:
         return TheoremCheck(
             tag="T8",
@@ -448,8 +469,7 @@ def check_T8_convexity(
     finite = np.isfinite(k)
     complement_curv = -k[finite]
     min_cc = float(complement_curv.min())
-    if tau_k is None:
-        tau_k = 1e-3 * (1.0 + float(np.max(np.abs(k[finite]), initial=0.0)))
+    tau_k = 1e-3 * (1.0 + float(np.max(np.abs(k[finite]), initial=0.0)))
     convex_ok = min_cc > -tau_k
     passed = (not prep.criterion_holds) or convex_ok
     # intermediate identity: recovered u_tt/(-alpha) against geometric k

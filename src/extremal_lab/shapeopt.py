@@ -5,7 +5,9 @@ eigenvalue at fixed area (boundary vertices move along their normals with
 velocity (du/dn)^2 minus its mean, which is the area-preserving descent
 direction), and pseudo-arclength continuation of constant-flux periodic
 strips in Fourier half-width space, starting from the straight strip at the
-period where its flux linearization changes sign.
+period where its flux linearization changes sign.  Every solve is one
+`overdet.eigen_flux`; the strip's come from one `StripCell`, which the
+bifurcation-period search and the continuation share.
 """
 
 from __future__ import annotations
@@ -117,31 +119,20 @@ def _boundary_points(spec: DomainSpec, n: int) -> np.ndarray:
 @dataclass
 class _FlowEval:
     pts: np.ndarray
-    lambda1: float
-    spread: float
-    trace: fem.NeumannTrace
-    mesh: Mesh  # its first len(pts) vertices are pts, the boundary
-    k: object  # the mesh's stiffness matrix
+    sol: overdet.EigenFlux  # on a mesh whose first len(pts) vertices are pts, the boundary
 
     @cached_property
     def _interior_solve(self):
         n = len(self.pts)
-        return splu(self.k[n:, n:].tocsc()).solve
+        return splu(self.sol.k[n:, n:].tocsc()).solve
 
     def moved_mesh(self, trial: np.ndarray) -> Mesh:
         """This mesh with its boundary at trial and its interior moved by the
         discrete harmonic extension K_II d_I = -K_IB d_B of the boundary step;
         MeshQualityFailure when that inverts a triangle or breaks the floor."""
-        n = len(trial)
-        d_int = self._interior_solve(self.k[n:, :n] @ (trial - self.mesh.vertices[:n]))
-        return self.mesh.moved(np.vstack([trial, self.mesh.vertices[n:] - d_int]), 0.0)
-
-
-def _evaluate(pts: np.ndarray, mesh: Mesh) -> _FlowEval:
-    k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, mesh)
-    rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
-    return _FlowEval(pts, ep.lambda1, rep.rel_spread, rep.trace, mesh, k)
+        n, mesh = len(trial), self.sol.mesh
+        d_int = self._interior_solve(self.sol.k[n:, :n] @ (trial - mesh.vertices[:n]))
+        return mesh.moved(np.vstack([trial, mesh.vertices[n:] - d_int]), 0.0)
 
 
 def flow_to_extremal(
@@ -150,15 +141,14 @@ def flow_to_extremal(
     max_steps: int,
     spread_tol: float = 1e-3,
     move_cap: float = 0.25,
-    filter_modes: int = 32,
 ) -> FlowResult:
     """Evolve the boundary toward constant flux at fixed area.
 
-    Explicit Euler steps on the polygon vertices with Fourier-filtered
-    velocity; every trial step is rescaled to the initial area, moves the
-    current mesh (`_FlowEval.moved_mesh`, remeshed only below the quality
-    floor), and is accepted only if lambda1 does not increase.  Terminates on
-    the spread tolerance, boundary stagnation, or max_steps.
+    Explicit Euler steps on the polygon vertices with the velocity's Fourier
+    modes above 32 filtered out; every trial step is rescaled to the initial
+    area, moves the current mesh (`_FlowEval.moved_mesh`, remeshed only below
+    the quality floor), and is accepted only if lambda1 does not increase.
+    Terminates on the spread tolerance, boundary stagnation, or max_steps.
     """
     spec0.validate()
     area0 = spec0.area()
@@ -166,17 +156,18 @@ def flow_to_extremal(
     pts = _boundary_points(spec0, n)
     pts = _rescale(pts, area0)
 
-    cur = _evaluate(pts, build_domain(_poly(pts), h))
+    cur = _FlowEval(pts, overdet.eigen_flux(build_domain(_poly(pts), h), 1e-10, 0.0))
     states = [_state(0, cur, 0.0)]
     reason, built, trials = "max_steps", 1, 0
     for step in range(1, max_steps + 1):
-        if cur.spread < spread_tol:
+        lam1, spread = cur.sol.eigen.lambda1, cur.sol.report.rel_spread
+        if spread < spread_tol:
             reason = "converged"
             break
-        ids, vel = shape_derivative(cur.trace)
+        ids, vel = shape_derivative(cur.sol.report.trace)
         v = np.empty(n)
         v[ids] = vel  # boundary vertex ids are the polygon indices
-        v = _fourier_filter(v, filter_modes)
+        v = _fourier_filter(v, 32)
         normals = _vertex_normals(cur.pts)
         vmax = float(np.max(np.abs(v)))
         if vmax == 0.0:
@@ -194,10 +185,10 @@ def flow_to_extremal(
                     except MeshQualityFailure:  # the moved mesh broke the floor: remesh
                         built += 1
                         mesh = build_domain(_poly(trial), h)
-                    accepted = _evaluate(trial, mesh)
+                    accepted = _FlowEval(trial, overdet.eigen_flux(mesh, 1e-10, 0.0))
                 except (MeshQualityFailure, InvalidSpec):
                     accepted = None  # the trial shape could not be meshed
-                if accepted is not None and accepted.lambda1 <= cur.lambda1 * (1.0 + 1e-12):
+                if accepted is not None and accepted.sol.eigen.lambda1 <= lam1 * (1.0 + 1e-12):
                     break
             dt *= 0.5
         else:
@@ -206,7 +197,7 @@ def flow_to_extremal(
             if len(states) == 1:
                 # nothing ever moved: genuine failure rather than a plateau
                 raise StagnatedFlow(
-                    f"no descent step accepted at step {step} (spread {cur.spread:.3e})"
+                    f"no descent step accepted at step {step} (spread {spread:.3e})"
                 )
             reason = "stagnated"
             break
@@ -221,7 +212,7 @@ def _poly(pts: np.ndarray) -> Polygon:
 
 def _state(step: int, ev: _FlowEval, dt: float) -> FlowState:
     spec = _poly(ev.pts)
-    return FlowState(step, spec, spec.area(), ev.lambda1, ev.spread, dt)
+    return FlowState(step, spec, spec.area(), ev.sol.eigen.lambda1, ev.sol.report.rel_spread, dt)
 
 
 def _rescale(pts: np.ndarray, target_area: float) -> np.ndarray:
@@ -238,40 +229,57 @@ def _perimeter(spec: DomainSpec) -> float:
     return total
 
 
-# -- bifurcation period of the straight strip -----------------------------------------
+# -- the strip's period cell ----------------------------------------------------------
 
 
-def _strip_cell(lam: float, T: float, nx: int, ny: int, n_modes: int):
-    """The straight strip's cell at T, the basis (N + 2, nv, 2) that places its
-    vertices at basis . (c_0..c_N, T), and the projection (top, modes) of the
-    top wall's trace positions onto cos(2 pi k i / nx), k = 1..N, at column i."""
-    cell = structured_strip(PeriodicStrip(T, (math.pi / (2.0 * math.sqrt(lam)),)), nx, ny)
-    ids = cell.boundary_edges[np.concatenate(cell.boundary_loops), 0]  # the trace's walk order
+@dataclass
+class StripCell:
+    """One straight-strip `structured_strip` at lam whose vertices every strip
+    solve moves: `basis` (N + 2, nv, 2) places them at basis . (c_0..c_N, T),
+    and `modes` projects the trace values at the top wall's trace positions
+    `top` onto cos(2 pi k i / nx), k = 1..N, at grid column i."""
+
+    lam: float
+    mesh: Mesh
+    basis: np.ndarray
+    top: np.ndarray
+    modes: np.ndarray
+
+    @property
+    def half_width(self) -> float:  # of the straight strip, pi / (2 sqrt(lam))
+        return math.pi / (2.0 * math.sqrt(self.lam))
+
+    def solve(self, z: np.ndarray) -> tuple[overdet.EigenFlux, np.ndarray]:
+        """Eigen-solve the cell moved to basis . z, z = (c_0..c_N, T): the solve
+        and the projection of its top wall flux on the deviation modes."""
+        mesh = self.mesh.moved(np.tensordot(z, self.basis, 1), float(z[-1]))
+        sol = overdet.eigen_flux(mesh, 1e-11, 0.98 * self.lam)
+        return sol, self.modes @ sol.report.trace.nodal[self.top]
+
+    def flux_jacobian(self, sol: overdet.EigenFlux, velocities: np.ndarray) -> np.ndarray:
+        """Exact derivatives of the mean flux and the deviation modes of a
+        `solve` (rows) along each vertex velocity (columns)."""
+        tr = sol.report.trace
+        _, dg, dw = fem.eigen_shape_derivative(sol.k, sol.m, sol.mesh, sol.eigen, tr, velocities)
+        w = tr.lumped_weights
+        d_mean = (dg @ w + dw @ tr.nodal - sol.report.alpha_hat * dw.sum(axis=1)) / w.sum()
+        return np.vstack([d_mean, self.modes @ dg[:, self.top].T])
+
+
+def strip_cell(lam: float, T: float, resolution: int, n_modes: int) -> StripCell:
+    """The straight strip's period cell at T, meshed at `strip_counts`, with
+    the basis and the deviation modes of c_0..c_N for N = n_modes."""
+    if lam <= 0:
+        raise InvalidSpec("lambda must be positive")
+    a, h = strip_cell_spacing(lam, T, resolution)
+    nx, ny = strip_grid_counts(T, a, h)
+    mesh = structured_strip(PeriodicStrip(T, (a,)), nx, ny)
+    ids = mesh.boundary_edges[np.concatenate(mesh.boundary_loops), 0]  # the trace's walk order
     top = np.nonzero(ids % (ny + 1) == ny)[0]
     cols = ids[top] // (ny + 1) % nx  # the duplicate column is column 0
     cos = np.cos(2 * math.pi * np.outer(np.arange(1, n_modes + 1), cols) / nx)
     modes = 2.0 * (cos - cos.mean(axis=1, keepdims=True)) / len(top)
-    return cell, _strip_velocities(nx, ny, n_modes), (top, modes)
-
-
-def _strip_flux_modes(lam: float, mesh: Mesh, projection: tuple) -> dict:
-    """Eigen-solve a period cell: the mean flux, the `_strip_cell` projection of
-    the top wall's flux deviation, and the solve with its matrices and trace."""
-    k, m = fem.assemble(mesh)
-    ep = fem.eigen_smallest(k, m, mesh, tol=1e-11, shift=0.98 * lam)
-    rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
-    top, modes = projection
-    return {
-        "mean": rep.alpha_hat,
-        "dev_coeffs": modes @ rep.trace.nodal[top],
-        "lambda1": ep.lambda1,
-        "spread": rep.rel_spread,
-        "mesh": mesh,
-        "eigen": ep,
-        "matrices": (k, m),
-        "trace": rep.trace,
-        "modes": projection,
-    }
+    return StripCell(lam, mesh, _strip_velocities(nx, ny, n_modes), top, modes)
 
 
 def _strip_velocities(nx: int, ny: int, n_modes: int) -> np.ndarray:
@@ -287,17 +295,6 @@ def _strip_velocities(nx: int, ny: int, n_modes: int) -> np.ndarray:
     return np.concatenate([grid.reshape(p, -1, 2), centres.reshape(p, -1, 2)], axis=1)
 
 
-def _strip_flux_jacobian(out: dict, velocities: np.ndarray) -> np.ndarray:
-    """Exact derivatives of the mean flux and the deviation modes of
-    `_strip_flux_modes` (rows) along each vertex velocity (columns)."""
-    tr = out["trace"]
-    _, dg, dw = fem.eigen_shape_derivative(*out["matrices"], out["mesh"], out["eigen"], tr,
-                                           velocities)
-    w, (top, modes) = tr.lumped_weights, out["modes"]
-    d_mean = (dg @ w + dw @ tr.nodal - out["mean"] * dw.sum(axis=1)) / w.sum()
-    return np.vstack([d_mean, modes @ dg[:, top].T])
-
-
 def strip_counts(lam: float, T: float, resolution: int) -> tuple[int, int]:
     """Column and row counts (nx, ny) of the period cell's `structured_strip`."""
     return strip_grid_counts(T, *strip_cell_spacing(lam, T, resolution))
@@ -309,54 +306,43 @@ def strip_cell_spacing(lam: float, T: float, resolution: int) -> tuple[float, fl
     return a, min(a / resolution, T / 8.0)
 
 
-def bifurcation_mu(
-    lam: float, T: float, resolution: int = 12, counts: tuple[int, int] | None = None,
-    cell: tuple | None = None,
-) -> float:
+# -- bifurcation period of the straight strip -----------------------------------------
+
+
+def bifurcation_mu(cell: StripCell, T: float) -> float:
     """Linearized flux deviation per unit cos(2 pi x / T) wall perturbation.
 
     The exact derivative of the discrete first deviation mode in c_1 at the
     straight strip, from one eigen solve and one bordered solve, so the
     straight strip's own structured-mesh deviation does not enter.  The cell
-    mesh has the given (nx, ny) counts, or counts sized from T and
-    resolution when none are given.  Its vertices are placed at basis . (a, 0, T)
-    on `cell`, a one-mode `_strip_cell` at those counts, built here if not given.
+    is moved to the straight strip at T, basis . (a, 0, .., 0, T); only the
+    basis rows of c_0, c_1 and T enter, so every n_modes gives the same mu.
     """
-    nx, ny = counts or strip_counts(lam, T, resolution)
-    mesh, basis, projection = cell or _strip_cell(lam, T, nx, ny, 1)
-    z = np.array([math.pi / (2.0 * math.sqrt(lam)), 0.0, T])
-    base = _strip_flux_modes(lam, mesh.moved(np.tensordot(z, basis, 1), T), projection)
-    return float(_strip_flux_jacobian(base, basis[1:2])[1, 0])
+    z = np.zeros(len(cell.basis))
+    z[0], z[-1] = cell.half_width, T
+    sol, _ = cell.solve(z)
+    return float(cell.flux_jacobian(sol, cell.basis[1:2])[1, 0])
 
 
-def bifurcation_period(lam: float, resolution: int = 16, rel_tol: float = 1e-6) -> float:
+def bifurcation_period(cell: StripCell) -> float:
     """Period at which the straight strip's discrete flux linearization
-    changes sign.
+    changes sign, on the period cell that continue_branch then uses.
 
     The closed form (analytic.strip_flux_linearization) vanishes at
     2 pi / sqrt(lam); the FEM mu is bracketed at 0.99 and 1.01 times that
-    period, on the mesh counts that continue_branch uses there, and its zero
-    is found by a secant that bisects whenever a step would leave the
-    bracket.  A bracket without a sign change is widened geometrically until
-    it covers [0.1, 50] / sqrt(lam).
+    period, and its zero is found to 1e-6 relative by a secant that bisects
+    whenever a step would leave the bracket.  A bracket without a sign
+    change is widened geometrically until it covers [0.1, 50] / sqrt(lam).
     """
-    if lam <= 0:
-        raise InvalidSpec("lambda must be positive")
-    s = math.sqrt(lam)
+    s, rel_tol = math.sqrt(cell.lam), 1e-6
     t_lin = 2.0 * math.pi / s
-    counts = strip_counts(lam, t_lin, resolution)
-    cell = _strip_cell(lam, t_lin, *counts, 1)
-
-    def mu(t: float) -> float:
-        return bifurcation_mu(lam, t, resolution, counts=counts, cell=cell)
-
     lo, hi = 0.99 * t_lin, 1.01 * t_lin
-    flo, fhi = mu(lo), mu(hi)
+    flo, fhi = bifurcation_mu(cell, lo), bifurcation_mu(cell, hi)
     while flo * fhi > 0:
         if lo < 0.1 / s and hi > 50.0 / s:
             raise NoSignChange("no sign change of the flux linearization on [0.1, 50]/sqrt(lam)")
         lo, hi = 0.5 * lo, 2.0 * hi
-        flo, fhi = mu(lo), mu(hi)
+        flo, fhi = bifurcation_mu(cell, lo), bifurcation_mu(cell, hi)
     if 0.0 in (flo, fhi):
         return lo if flo == 0.0 else hi
     x0, f0, x1, f1 = lo, flo, hi, fhi
@@ -364,7 +350,7 @@ def bifurcation_period(lam: float, resolution: int = 16, rel_tol: float = 1e-6) 
         t = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else lo
         if not lo < t < hi:  # the secant left the bracket (or is flat): bisect
             t = 0.5 * (lo + hi)
-        ft = mu(t)
+        ft = bifurcation_mu(cell, t)
         if ft == 0.0 or abs(t - x1) <= rel_tol * t:
             return t
         if flo * ft < 0:
@@ -395,26 +381,15 @@ class BranchPoint:
     u: fem.ScalarField = field(repr=False, default=None)
 
 
-def _branch_residual(
-    z: np.ndarray, lam: float, cell: Mesh, basis: np.ndarray, projection: tuple, area0: float
-) -> tuple[np.ndarray, dict]:
-    """Residual at z = (c_0..c_N, T, alpha) on the topology of a `_strip_cell`."""
-    c, T, alpha = z[:-2], float(z[-2]), float(z[-1])
-    if T <= 0 or c[0] <= 0:
-        raise NewtonDiverged("left the parameter domain (T or c0 nonpositive)")
-    out = _strip_flux_modes(lam, cell.moved(np.tensordot(z[:-1], basis, 1), T), projection)
-    # mode 0 pins the flux level, modes 1..N of the deviation vanish, the area is fixed
-    f = np.concatenate([[out["mean"] - alpha], out["dev_coeffs"], [2.0 * c[0] * T - area0]])
-    return f, out
-
-
-def _branch_newton(residual, jacobian, z: np.ndarray, tol: float = 1e-11, max_iter: int = 12):
+def _branch_newton(residual, jacobian, z: np.ndarray):
     """Newton corrector from the predictor z back onto the branch, with the
     exact Jacobian `jacobian(z, out)` at every iterate of `residual(z)` ->
     (g, out); a step that does not lower |g| is halved up to eight times.
+    Stops at max |g| <= 1e-11, or after 12 iterations at 100 times that.
     Returns the point and its residual outputs."""
+    tol = 1e-11
     g, out = residual(z)
-    for _ in range(max_iter):
+    for _ in range(12):
         if float(np.max(np.abs(g))) <= tol:
             return z, out
         try:
@@ -435,64 +410,58 @@ def _branch_newton(residual, jacobian, z: np.ndarray, tol: float = 1e-11, max_it
     raise NewtonDiverged(f"corrector stalled at |g| = {float(np.max(np.abs(g))):.3e}")
 
 
-def continue_branch(
-    lam: float,
-    T0: float,
-    s_max: float,
-    ds: float,
-    n_modes: int = 10,
-    resolution: int = 16,
-    spread_limit: float = 1e-6,
-    decay_limit: float = 1e-8,
-    max_points: int = 64,
-) -> list[BranchPoint]:
+def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list[BranchPoint]:
     """Pseudo-arclength continuation of constant-flux periodic strips.
 
     Unknowns: half-width cosine coefficients c_0..c_N, the period, and the
     flux level; equations: the first N+1 cosine modes of the flux deviation
     vanish, the cell area stays fixed, plus the arclength constraint.  The
-    branch parameter is s = c_1.  Accepted points must meet the spread and
-    coefficient-decay limits.  The period cell is built once, at T0, and
-    each residual places its vertices at basis . (c_0..c_N, T), so the
-    corrector's Newton Jacobian is exact for the mesh it solves: its flux
-    rows come from `_strip_flux_jacobian` along that basis, the rest are
-    closed forms.
+    branch parameter is s = c_1, and N is the cell's n_modes (at least 8).
+    Accepted points have a flux spread of at most 1e-6; |c_N| above 1e-8 |c_1|
+    raises TruncationInsufficient; the branch stops at 64 points.  Every
+    residual, the straight-strip start at T0 included, is a `cell.solve` at
+    basis . (c_0..c_N, T), so the corrector's Newton Jacobian is exact for
+    the mesh it solves: its flux rows come from `cell.flux_jacobian` along
+    that basis, the rest are closed forms.
     """
+    n_modes = len(cell.basis) - 2
     if n_modes < 8:
         raise InvalidSpec("Fourier truncation needs at least 8 modes")
-    a = math.pi / (2.0 * math.sqrt(lam))
-    area0 = 2.0 * a * T0
-    cell, basis, projection = _strip_cell(lam, T0, *strip_counts(lam, T0, resolution), n_modes)
     t, al = n_modes + 1, n_modes + 2  # the period's and the flux level's index in z
+    area0 = 2.0 * cell.half_width * T0
 
     # both read the current step's z_prev, tangent and step when called
-    def residual(zz: np.ndarray) -> tuple[np.ndarray, dict]:
-        f, out = _branch_residual(zz, lam, cell, basis, projection, area0)
-        return np.append(f, float(tangent @ (zz - z_prev)) - step), out
+    def residual(zz: np.ndarray) -> tuple[np.ndarray, overdet.EigenFlux]:
+        if zz[t] <= 0 or zz[0] <= 0:
+            raise NewtonDiverged("left the parameter domain (T or c0 nonpositive)")
+        sol, dev = cell.solve(zz[:al])
+        # mode 0 pins the flux level, modes 1..N of the deviation vanish, the area
+        # is fixed, and the step is one arclength along the tangent
+        area, arc = 2.0 * zz[0] * zz[t] - area0, float(tangent @ (zz - z_prev)) - step
+        return np.concatenate([[sol.report.alpha_hat - zz[al]], dev, [area, arc]]), sol
 
-    def jacobian(zz: np.ndarray, out: dict) -> np.ndarray:
+    def jacobian(zz: np.ndarray, sol: overdet.EigenFlux) -> np.ndarray:
         jac = np.zeros((n_modes + 3, n_modes + 3))
-        jac[:t, :al] = _strip_flux_jacobian(out, basis)
+        jac[:t, :al] = cell.flux_jacobian(sol, cell.basis)
         jac[0, al] = -1.0  # flux level
         jac[t, 0], jac[t, t] = 2.0 * zz[t], 2.0 * zz[0]  # area 2 c_0 T
         jac[al] = tangent  # arclength
         return jac
 
-    def point(z: np.ndarray, out: dict, converged: bool) -> BranchPoint:
-        u = out["eigen"].u1
+    def point(z: np.ndarray, sol: overdet.EigenFlux, converged: bool) -> BranchPoint:
+        u = sol.eigen.u1
         return BranchPoint(
-            period=float(z[t]), s=float(z[1]), coeffs=tuple(z[:t]), lam=lam,
-            alpha_hat=float(z[al]), spread=out["spread"], max_u=float(u.values.max()),
-            lambda1=out["lambda1"], converged=converged, mesh=out["mesh"], u=u,
+            period=float(z[t]), s=float(z[1]), coeffs=tuple(z[:t]), lam=cell.lam,
+            alpha_hat=float(z[al]), spread=sol.report.rel_spread, max_u=float(u.values.max()),
+            lambda1=sol.eigen.lambda1, converged=converged, mesh=sol.mesh, u=u,
         )
 
     # straight-strip start: alpha from the discrete solve so the mode-0
     # equation is satisfied exactly at s = 0
-    base = _strip_flux_modes(lam, cell, projection)
     z = np.zeros(n_modes + 3)
-    z[0] = a
-    z[t] = T0
-    z[al] = base["mean"]
+    z[0], z[t] = cell.half_width, T0
+    base, _ = cell.solve(z[:al])
+    z[al] = base.report.alpha_hat
     points = [point(z, base, True)]
 
     # the sign of ds picks the pitchfork side; arclength steps stay positive
@@ -501,21 +470,21 @@ def continue_branch(
     tangent[1] = math.copysign(1.0, ds)
     z_prev = z
     step = abs(ds)
-    while len(points) < max_points and abs(float(z_prev[1])) < s_max:
+    while len(points) < 64 and abs(float(z_prev[1])) < s_max:
         z_pred = z_prev + step * tangent
         try:
-            z_new, out = _branch_newton(residual, jacobian, z_pred)
+            z_new, sol = _branch_newton(residual, jacobian, z_pred)
         except NewtonDiverged:
             step *= 0.5
             if abs(step) < 1e-4 * abs(ds):
                 break
             continue
         c = z_new[: n_modes + 1]
-        if abs(float(c[n_modes])) > decay_limit * max(abs(float(c[1])), 1e-300):
+        if abs(float(c[n_modes])) > 1e-8 * max(abs(float(c[1])), 1e-300):
             raise TruncationInsufficient(
                 f"|c_N| = {abs(float(c[n_modes])):.3e} vs |c_1| = {abs(float(c[1])):.3e}"
             )
-        points.append(point(z_new, out, bool(out["spread"] <= spread_limit)))
+        points.append(point(z_new, sol, bool(sol.report.rel_spread <= 1e-6)))
         new_tan = z_new - z_prev
         norm = float(np.linalg.norm(new_tan))
         if norm > 0:

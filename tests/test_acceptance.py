@@ -56,8 +56,9 @@ def critical_disk_solution():
 
 @pytest.fixture(scope="module")
 def branch():
-    t_star = shapeopt.bifurcation_period(1.0)
-    points = shapeopt.continue_branch(1.0, t_star, s_max=0.06, ds=0.005)
+    cell = shapeopt.strip_cell(1.0, 2 * math.pi, 16, 10)  # one cell, as the branch command builds
+    t_star = shapeopt.bifurcation_period(cell)
+    points = shapeopt.continue_branch(cell, t_star, s_max=0.06, ds=0.005)
     return t_star, points
 
 
@@ -216,7 +217,7 @@ def _strip_line_sample(mesh, n_random: int, seed: int) -> list[Line]:
 @pytest.mark.slow
 def test_criterion_8_bifurcation_and_branch(branch):
     t1, points = branch
-    t4 = shapeopt.bifurcation_period(4.0)
+    t4 = shapeopt.bifurcation_period(shapeopt.strip_cell(4.0, math.pi, 16, 1))
     accepted = [p for p in points[1:] if p.converged]
     bounded_caps_seen = 0
     caps_ok = True

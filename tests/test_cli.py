@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from extremal_lab import analytic, cli, fem
+from extremal_lab import analytic, cli, fem, shapeopt
 from extremal_lab.errors import ConfigInvalid, VersionMismatch
 from extremal_lab.geom2d.domain import DomainSpec
 from extremal_lab.geom2d.predicates import MAX_GRID_POINTS, grid_point_count
@@ -491,6 +491,22 @@ def test_flow_assembles_and_traces_once_per_eigen_solve(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     # every trial moved the first mesh, and each was accepted
     assert (report["meshes_built"], report["trials_rejected"]) == (1, 0)
+
+
+def test_branch_run_builds_one_period_cell(tmp_path, monkeypatch):
+    calls = {"structured_strip": 0, "bifurcation_mu": 0}
+    for name in calls:
+        original = getattr(shapeopt, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(shapeopt, name, counted)
+    # the strip workload's branch: the T* search and the continuation share one cell
+    rec = _run({"command": "branch", "lambda": 1.0, "s_max": 0.01, "ds": 0.005}, tmp_path)
+    assert rec.error is None
+    assert calls == {"structured_strip": 1, "bifurcation_mu": 5}
 
 
 def test_solve_assembles_and_traces_once(tmp_path, monkeypatch):

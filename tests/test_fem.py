@@ -292,26 +292,23 @@ def test_shape_derivative_of_rigid_motions(disk_mesh_h05, disk_trace_h05):
 
 
 def test_strip_flux_jacobian_matches_central_differences():
-    lam, nx, ny, n_modes, step = 1.0, 32, 16, 3, 1e-4
+    lam, resolution, n_modes, step = 1.0, 8, 3, 1e-4  # a (32, 16) cell
     z = np.array([math.pi / 2, 0.05, -0.01, 0.004, 2 * math.pi])  # c_0..c_3, then T
 
-    cell, velocities, projection = shapeopt._strip_cell(lam, 2 * math.pi, nx, ny, n_modes)
+    cell = shapeopt.strip_cell(lam, 2 * math.pi, resolution, n_modes)
+    assert shapeopt.strip_counts(lam, 2 * math.pi, resolution) == (32, 16)
 
-    def solve(zz):  # the cell moved through the basis, as in every branch residual
-        return shapeopt._strip_flux_modes(
-            lam, cell.moved(np.tensordot(zz, velocities, 1), zz[-1]), projection
-        )
+    def flux(zz):  # lambda1, mean flux, deviation modes, nodal trace
+        sol, dev = cell.solve(zz)  # the cell moved through the basis, as in every branch residual
+        return np.concatenate([[sol.eigen.lambda1, sol.report.alpha_hat], dev,
+                               sol.report.trace.nodal])
 
-    def flux(out):  # lambda1, mean flux, deviation modes, nodal trace
-        return np.concatenate([[out["lambda1"], out["mean"]], out["dev_coeffs"],
-                               out["trace"].nodal])
-
-    base = solve(z)
-    dlam, dg, _ = fem.eigen_shape_derivative(*base["matrices"], base["mesh"], base["eigen"],
-                                             base["trace"], velocities)
-    exact = np.vstack([dlam, shapeopt._strip_flux_jacobian(base, velocities), dg.T])
+    base, _ = cell.solve(z)
+    dlam, dg, _ = fem.eigen_shape_derivative(base.k, base.m, base.mesh, base.eigen,
+                                             base.report.trace, cell.basis)
+    exact = np.vstack([dlam, cell.flux_jacobian(base, cell.basis), dg.T])
     for j, e in enumerate(np.eye(len(z))):
-        central = (flux(solve(z + step * e)) - flux(solve(z - step * e))) / (2 * step)
+        central = (flux(z + step * e) - flux(z - step * e)) / (2 * step)
         assert np.max(np.abs(central - exact[:, j])) <= 1e-6, j
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from extremal_lab import analytic, fem, shapeopt
+from extremal_lab import analytic, fem, overdet, shapeopt
 from extremal_lab.errors import MeshQualityFailure, NoSignChange
 from extremal_lab.geom2d import (
     Disk,
@@ -160,14 +160,15 @@ def flow_eval():
     """The flow's evaluation of a 64-gon on the (1.2, 1/1.2) ellipse, meshed at
     its edge length 0.1."""
     pts = shapeopt._boundary_points(Ellipse(1.2, 1 / 1.2), 64)
-    return shapeopt._evaluate(pts, build_domain(shapeopt._poly(pts), 0.1))
+    mesh = build_domain(shapeopt._poly(pts), 0.1)
+    return shapeopt._FlowEval(pts, overdet.eigen_flux(mesh, 1e-10, 0.0))
 
 
 def test_moved_mesh_maps_an_affine_boundary_step_exactly(flow_eval):
     # the P1 harmonic extension reproduces affine data, so an affine map of
     # the boundary moves every interior vertex by the same map
     a, b = np.array([[1.05, 0.1], [-0.02, 0.97]]), np.array([0.3, -0.2])
-    mesh = flow_eval.mesh
+    mesh = flow_eval.sol.mesh
     moved = flow_eval.moved_mesh(flow_eval.pts @ a.T + b)
     assert np.max(np.abs(moved.vertices - (mesh.vertices @ a.T + b))) <= 1e-12
     assert moved.triangles is mesh.triangles
@@ -175,7 +176,7 @@ def test_moved_mesh_maps_an_affine_boundary_step_exactly(flow_eval):
 
 def test_moved_mesh_of_a_zero_step_keeps_the_vertices(flow_eval):
     moved = flow_eval.moved_mesh(flow_eval.pts.copy())
-    assert np.array_equal(moved.vertices, flow_eval.mesh.vertices)
+    assert np.array_equal(moved.vertices, flow_eval.sol.mesh.vertices)
 
 
 def test_flow_remeshes_where_the_moved_mesh_breaks_the_floor(monkeypatch):
@@ -208,23 +209,39 @@ def test_benchmark_flow_builds_one_mesh(monkeypatch):
 # -- bifurcation periods ------------------------------------------------------------
 
 
+def _cell(lam=1.0, T=2 * math.pi, resolution=16, n_modes=1):
+    return shapeopt.strip_cell(lam, T, resolution, n_modes)
+
+
+def _mu(lam, T, resolution=12):
+    """mu at T on a cell meshed for T."""
+    return shapeopt.bifurcation_mu(_cell(lam, T, resolution), T)
+
+
 def test_straight_strip_spread_is_tiny():
-    lam = 1.0
-    cell, _, projection = shapeopt._strip_cell(lam, 6.0, *shapeopt.strip_counts(lam, 6.0, 12), 4)
-    out = shapeopt._strip_flux_modes(lam, cell, projection)
-    assert out["spread"] < 1e-10
+    cell = _cell(1.0, 6.0, 12, n_modes=4)
+    sol, _ = cell.solve(np.array([cell.half_width, 0, 0, 0, 0, 6.0]))
+    assert sol.report.rel_spread < 1e-10
 
 
 def test_mu_sign_change_brackets_two_pi():
-    assert shapeopt.bifurcation_mu(1.0, 5.5) > 0
-    assert shapeopt.bifurcation_mu(1.0, 7.0) < 0
+    assert _mu(1.0, 5.5) > 0
+    assert _mu(1.0, 7.0) < 0
+
+
+def test_mu_does_not_depend_on_the_cell_modes():
+    # mu reads the basis rows of c_0, c_1 and T only
+    one, ten = _cell(n_modes=1), _cell(n_modes=10)
+    for t in (5.5, 2 * math.pi, 7.0):
+        mu = shapeopt.bifurcation_mu(one, t)
+        assert shapeopt.bifurcation_mu(ten, t) == pytest.approx(mu, rel=1e-12)
 
 
 @pytest.mark.slow
 def test_mu_has_exactly_one_sign_change():
     # dense scan over the searched period window
     ts = np.linspace(0.6, 40.0, 200)
-    mus = np.array([shapeopt.bifurcation_mu(1.0, float(t), resolution=6) for t in ts])
+    mus = np.array([_mu(1.0, float(t), resolution=6) for t in ts])
     signs = np.sign(mus)
     changes = int(np.sum(signs[1:] * signs[:-1] < 0))
     assert changes == 1
@@ -234,25 +251,26 @@ def test_mu_has_exactly_one_sign_change():
 def test_bifurcation_mu_matches_closed_form(lam):
     for t in (2.0, 4.0, 8.0, 12.0):
         ref = analytic.strip_flux_linearization(lam, t)
-        assert shapeopt.bifurcation_mu(lam, t) == pytest.approx(ref, rel=0.03)
+        assert _mu(lam, t) == pytest.approx(ref, rel=0.03)
 
 
 @pytest.mark.slow
 def test_bifurcation_period_scaling_law():
-    t1 = shapeopt.bifurcation_period(1.0)
-    t4 = shapeopt.bifurcation_period(4.0)
+    t1 = shapeopt.bifurcation_period(_cell(1.0))
+    t4 = shapeopt.bifurcation_period(_cell(4.0, math.pi))
     assert abs(t4 - t1 / 2) / (t1 / 2) <= 1e-4
     # the numerical zero sits at the separable-mode crossover 2*pi/sqrt(lam)
     assert t1 == pytest.approx(2 * math.pi, rel=1e-3)
     # a 48-point scan over [0.1, 50] plus bisection found 6.2825790 here
-    assert shapeopt.bifurcation_period(1.0, resolution=12) == pytest.approx(6.2825790, rel=1e-6)
+    assert shapeopt.bifurcation_period(_cell(1.0, resolution=12)) == pytest.approx(6.2825790,
+                                                                                   rel=1e-6)
 
 
 def _counting(monkeypatch, fn):
     calls = []
 
-    def mu(lam, t, resolution=12, counts=None, cell=None):
-        calls.append(counts)
+    def mu(cell, t):
+        calls.append(cell)
         return fn(t)
 
     monkeypatch.setattr(shapeopt, "bifurcation_mu", mu)
@@ -260,61 +278,52 @@ def _counting(monkeypatch, fn):
 
 
 def test_bifurcation_period_widens_the_bracket(monkeypatch):
+    cell = _cell(1.0)
     calls = _counting(monkeypatch, lambda t: (3.0 - t) * (1.0 + 0.1 * t))
-    assert shapeopt.bifurcation_period(1.0) == pytest.approx(3.0, rel=1e-9)
+    assert shapeopt.bifurcation_period(cell) == pytest.approx(3.0, rel=1e-9)
     # one mesh family for every evaluation
-    assert set(calls) == {shapeopt.strip_counts(1.0, 2 * math.pi, 16)}
+    assert {id(c) for c in calls} == {id(cell)}
 
 
 def test_bifurcation_period_without_sign_change(monkeypatch):
+    cell = _cell(4.0, math.pi)
     calls = _counting(monkeypatch, lambda t: 1.0 + t)
     with pytest.raises(NoSignChange):
-        shapeopt.bifurcation_period(4.0)
+        shapeopt.bifurcation_period(cell)
     # two for the first bracket and two per doubling; the sixth passes [0.1, 50]/sqrt(4)
     assert len(calls) == 14
 
 
-def test_bifurcation_period_builds_one_period_cell(monkeypatch):
-    cells = _counting_calls(monkeypatch, "structured_strip")
-    tstar = shapeopt.bifurcation_period(1.0)
-    assert len(cells) == 1
-    # mu moves the cell's vertices to its T, so the T the cell was built at
-    # does not show
-    counts = shapeopt.strip_counts(1.0, 2 * math.pi, 16)
-    cell = shapeopt._strip_cell(1.0, 2 * math.pi, *counts, 1)
-    mu = shapeopt.bifurcation_mu(1.0, tstar, counts=counts)
-    assert shapeopt.bifurcation_mu(1.0, tstar, counts=counts, cell=cell) == mu
-
-
 @pytest.mark.slow
 def test_branch_leaves_its_bifurcation_period_downward():
-    tstar = shapeopt.bifurcation_period(1.0)
+    cell = _cell(1.0, n_modes=10)
+    tstar = shapeopt.bifurcation_period(cell)
     # the branch meshes its start with the counts the search used
     assert shapeopt.strip_counts(1.0, tstar, 16) == shapeopt.strip_counts(1.0, 2 * math.pi, 16)
-    points = shapeopt.continue_branch(1.0, tstar, s_max=0.004, ds=0.005)
+    points = shapeopt.continue_branch(cell, tstar, s_max=0.004, ds=0.005)
     assert -2e-5 < points[1].period - tstar < 0
 
 
 # -- branch continuation --------------------------------------------------------------
 
 
-def _counting_calls(monkeypatch, name):
+def _counting_calls(monkeypatch, name, owner=shapeopt):
     calls = []
-    fn = getattr(shapeopt, name)
+    fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(shapeopt, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def _max_flux_residual(z, n_modes=10):
-    """max |f| of a fresh residual evaluation at z on the 2 pi cell's mesh."""
-    nx, ny = shapeopt.strip_counts(1.0, 2 * math.pi, 16)
-    cell = shapeopt._strip_cell(1.0, 2 * math.pi, nx, ny, n_modes)
-    f, _ = shapeopt._branch_residual(z, 1.0, *cell, 2 * math.pi**2)
+    """max |f| of a fresh residual evaluation at z = (c_0..c_N, T, alpha) on the
+    2 pi cell's mesh: the flux level, the deviation modes and the cell area."""
+    sol, dev = _cell(n_modes=n_modes).solve(z[:-1])
+    f = np.concatenate([[sol.report.alpha_hat - z[-1]], dev, [2.0 * z[0] * z[-2] - 2 * math.pi**2]])
     return float(np.max(np.abs(f)))
 
 
@@ -322,19 +331,21 @@ def _point_z(p):
     return np.array(list(p.coeffs) + [p.period, p.alpha_hat])
 
 
-def _counting_newton_steps(monkeypatch, jacobians):
-    """Jacobian builds per `_branch_newton` call, one entry per corrector step."""
+def _counting_newton_steps(monkeypatch, jacobians, solves=()):
+    """Jacobian builds per `_branch_newton` call, one entry per corrector step;
+    the `StripCell.solve` calls made inside those calls go to `residuals`."""
     newton = shapeopt._branch_newton
-    per_step = []
+    per_step, residuals = [], []
 
     def counted(*args, **kwargs):
-        before = len(jacobians)
+        before, solved = len(jacobians), len(solves)
         result = newton(*args, **kwargs)
         per_step.append(len(jacobians) - before)
+        residuals.extend(solves[solved:])
         return result
 
     monkeypatch.setattr(shapeopt, "_branch_newton", counted)
-    return per_step
+    return per_step, residuals
 
 
 def test_strip_basis_places_the_cell_vertices():
@@ -348,7 +359,7 @@ def test_strip_basis_places_the_cell_vertices():
 
 def test_branch_builds_one_period_cell(monkeypatch):
     cells = _counting_calls(monkeypatch, "structured_strip")
-    points = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
+    points = shapeopt.continue_branch(_cell(n_modes=10), 2 * math.pi, s_max=0.01, ds=0.005)
     assert len(points) >= 3 and len(cells) == 1
     # every point's mesh is the one cell topology, moved to the point's shape
     assert all(p.mesh.triangles is points[0].mesh.triangles for p in points)
@@ -356,10 +367,11 @@ def test_branch_builds_one_period_cell(monkeypatch):
 
 
 def test_branch_corrector_builds_one_jacobian(monkeypatch):
-    residuals = _counting_calls(monkeypatch, "_branch_residual")
-    jacobians = _counting_calls(monkeypatch, "_strip_flux_jacobian")
-    per_step = _counting_newton_steps(monkeypatch, jacobians)
-    points = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
+    cell = _cell(n_modes=10)
+    solves = _counting_calls(monkeypatch, "solve", shapeopt.StripCell)
+    jacobians = _counting_calls(monkeypatch, "flux_jacobian", shapeopt.StripCell)
+    per_step, residuals = _counting_newton_steps(monkeypatch, jacobians, solves)
+    points = shapeopt.continue_branch(cell, 2 * math.pi, s_max=0.01, ds=0.005)
     assert len(points) >= 3 and len(per_step) == len(points) - 1
     # one exact Jacobian per Newton iteration, at most three iterations a step
     assert all(1 <= n <= 3 for n in per_step), per_step
@@ -371,19 +383,20 @@ def test_branch_corrector_builds_one_jacobian(monkeypatch):
 
 
 def test_branch_corrector_refreshes_a_corrupted_jacobian(monkeypatch):
-    reference = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
-    exact = shapeopt._strip_flux_jacobian
+    cell = _cell(n_modes=10)
+    reference = shapeopt.continue_branch(cell, 2 * math.pi, s_max=0.01, ds=0.005)
+    exact = shapeopt.StripCell.flux_jacobian
     jacobians = []
 
-    def corrupted_first(out, velocities):
-        jac = exact(out, velocities)
+    def corrupted_first(cell, sol, velocities):
+        jac = exact(cell, sol, velocities)
         jacobians.append(jac)
         # the first build is wrong by a factor of three in every flux entry
         return 3.0 * jac if len(jacobians) == 1 else jac
 
-    monkeypatch.setattr(shapeopt, "_strip_flux_jacobian", corrupted_first)
-    per_step = _counting_newton_steps(monkeypatch, jacobians)
-    points = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.01, ds=0.005)
+    monkeypatch.setattr(shapeopt.StripCell, "flux_jacobian", corrupted_first)
+    per_step, _ = _counting_newton_steps(monkeypatch, jacobians)
+    points = shapeopt.continue_branch(cell, 2 * math.pi, s_max=0.01, ds=0.005)
     assert len(points) == len(reference)
     # the bad matrix costs its step extra iterations; the next iterate builds afresh
     assert per_step[0] > 1 and all(1 <= n <= 3 for n in per_step[1:]), per_step
@@ -394,7 +407,7 @@ def test_branch_corrector_refreshes_a_corrupted_jacobian(monkeypatch):
 
 @pytest.fixture(scope="module")
 def branch_points():
-    return shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.055, ds=0.005)
+    return shapeopt.continue_branch(_cell(n_modes=10), 2 * math.pi, s_max=0.055, ds=0.005)
 
 
 @pytest.mark.slow
@@ -427,7 +440,7 @@ def test_branch_max_u_exceeds_strip_threshold(branch_points):
 
 @pytest.mark.slow
 def test_branch_pitchfork_symmetry(branch_points):
-    mirror = shapeopt.continue_branch(1.0, 2 * math.pi, s_max=0.02, ds=-0.005)
+    mirror = shapeopt.continue_branch(_cell(n_modes=10), 2 * math.pi, s_max=0.02, ds=-0.005)
     assert len(mirror) >= 3
     for p_neg in mirror[1:4]:
         p_pos = min(branch_points[1:], key=lambda p: abs(p.s + p_neg.s))
