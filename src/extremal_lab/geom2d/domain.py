@@ -1,8 +1,10 @@
 """Parametric planar domain families and their exact boundary curves.
 
-Every spec knows its analytic area, an inside test, and how to emit boundary
-loops sampled *exactly on* the parametric curve (equal arclength for smooth
-curves, corner-preserving subdivision for polygons).  Loops are oriented with
+Every spec knows its analytic area, an inside test and a signed distance to
+its boundary (negative inside; the periodic strip's counts both walls and
+every period).  The bounded specs also emit boundary loops sampled *exactly
+on* the parametric curve (equal arclength for smooth curves,
+corner-preserving subdivision for polygons).  Loops are oriented with
 the domain on the left: outer loops counterclockwise, hole loops clockwise.
 """
 
@@ -254,6 +256,16 @@ class PeriodicStrip:
     def contains(self, pts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.abs(pts[:, 1]) <= self.half_width(pts[:, 0]) + tol
+
+    def signed_distance(self, pts: np.ndarray) -> np.ndarray:
+        # the strip is mirror-symmetric and T-periodic, so the wall point nearest
+        # (x, y) lies on the top wall within T/2 of x mod T: measure from
+        # (x mod T, |y|) to the top wall sampled 1024 times a period
+        pts = np.atleast_2d(pts)
+        q = np.column_stack([np.mod(pts[:, 0], self.period), np.abs(pts[:, 1])])
+        xs = np.linspace(-0.5 * self.period, 1.5 * self.period, 2049)
+        d = _min_distance_to_polyline(q, np.column_stack([xs, self.half_width(xs)]), closed=False)
+        return np.where(self.contains(pts, tol=0.0), -d, d)
 
 
 DomainSpec = Union[Disk, Ellipse, Polygon, Annulus, PeriodicStrip]

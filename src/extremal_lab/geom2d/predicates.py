@@ -1,16 +1,16 @@
 """Geometric predicates on domains and meshes.
 
-These back the quantitative domain checks: grid-sampled inscribed-ball radii,
-cap reflection across a cutting line (graph-over-chord and reflected-cap
+These back the quantitative domain checks: inscribed-ball radii, sampled on a
+grid inside a domain spec and read from the spec's own signed distance, cap
+reflection across a cutting line (graph-over-chord and reflected-cap
 containment), exact point-set diameters, and minimum enclosing circles.
-Periodic meshes are unrolled over three period copies before any predicate
-runs, so features crossing the cell boundary are handled; components touching
-the unrolled cut are reported as unbounded with their distance to the cut.
+Cap reflection unrolls a periodic mesh over three period copies first, so
+caps crossing the cell boundary are handled; components touching the
+unrolled cut are reported as unbounded with their distance to the cut.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -19,13 +19,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from ..errors import EmptyDomain, NonTransversal
-from .domain import (
-    DomainSpec,
-    PeriodicStrip,
-    _min_distance_to_polyline,
-    _min_distance_to_segments,
-    _points_in_loops,
-)
+from .domain import DomainSpec, _points_in_loops
 from .meshing import Mesh
 
 
@@ -176,12 +170,6 @@ def min_enclosing_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
 # -- inscribed ball -------------------------------------------------------------
 
 
-def _strip_wall_segments(spec: PeriodicStrip, copies: int, n_per_period: int) -> np.ndarray:
-    xs = np.linspace(-copies * spec.period, (copies + 1) * spec.period, 2 * copies * n_per_period + 1)
-    w = spec.half_width(xs)
-    return np.vstack([np.column_stack([xs, w]), np.column_stack([xs, -w])])
-
-
 MAX_GRID_POINTS = 4_000_000
 
 
@@ -191,105 +179,30 @@ def grid_point_count(bbox: tuple[float, float, float, float], g: float) -> float
     return max(1.0, (xmax - xmin) / g) * max(1.0, (ymax - ymin) / g)
 
 
-def inscribed_ball(target: DomainSpec | Mesh, g: float) -> tuple[float, np.ndarray]:
-    """Largest distance-to-boundary over a grid of spacing g inside the domain.
+def inscribed_ball(spec: DomainSpec, g: float) -> tuple[float, np.ndarray]:
+    """Largest distance to the boundary, read from the spec's own signed
+    distance, over the points of a grid of spacing g on the spec's bbox that
+    lie in the domain (a periodic strip's bbox is one period cell).
 
     Returns (rho, center); rho is a lower bound for the inradius and is
     within O(g) of it.
     """
     if g <= 0:
         raise ValueError("grid spacing must be positive")
-    if isinstance(target, Mesh):
-        v = target.vertices
-        bbox = (v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
-    else:
-        target.validate()
-        bbox = target.bbox()
-    if grid_point_count(bbox, g) > MAX_GRID_POINTS:
+    spec.validate()
+    xmin, xmax, ymin, ymax = spec.bbox()
+    if grid_point_count((xmin, xmax, ymin, ymax), g) > MAX_GRID_POINTS:
         raise ValueError(f"grid spacing {g} asks for more than {MAX_GRID_POINTS} points")
-
-    if isinstance(target, Mesh):
-        mesh = target
-        if mesh.is_periodic_x:
-            top = max(float(mesh.vertices[:, 1].max()), 0.0)
-            bbox = (0.0, mesh.period, float(mesh.vertices[:, 1].min()), top)
-            # walls only (no cut columns): replicate the boundary edges,
-            # whose endpoint coordinates are contiguous across the seam
-            k = int(math.ceil((top + mesh.period) / mesh.period))
-            a0 = mesh.vertices[mesh.boundary_edges[:, 0]]
-            b0 = mesh.vertices[mesh.boundary_edges[:, 1]]
-            shifts = np.array([[s * mesh.period, 0.0] for s in range(-k, k + 1)])
-            seg_a = np.concatenate([a0 + sh for sh in shifts])
-            seg_b = np.concatenate([b0 + sh for sh in shifts])
-
-            # inside test: between the interpolated walls
-            top_ids = mesh.loop_vertex_ids(_top_loop_index(mesh))
-            bot_ids = mesh.loop_vertex_ids(1 - _top_loop_index(mesh))
-            tx = mesh.vertices[top_ids]
-            bx = mesh.vertices[bot_ids]
-            tx = tx[np.argsort(tx[:, 0])]
-            bx = bx[np.argsort(bx[:, 0])]
-
-            def inside(p):
-                xm = np.mod(p[:, 0], mesh.period)
-                tvals = np.interp(xm, tx[:, 0], tx[:, 1], period=mesh.period)
-                bvals = np.interp(xm, bx[:, 0], bx[:, 1], period=mesh.period)
-                return (p[:, 1] <= tvals + 1e-10) & (p[:, 1] >= bvals - 1e-10)
-
-            def dist(p):
-                return _min_distance_to_segments(p, seg_a, seg_b)
-
-        else:
-            loops = mesh.boundary_polygons()
-
-            def inside(p):
-                return _points_in_loops(p, loops, tol=1e-10)
-
-            def dist(p):
-                return np.min(
-                    np.stack([_min_distance_to_polyline(p, c, closed=True) for c in loops]),
-                    axis=0,
-                )
-
-    else:
-        spec = target
-
-        def inside(p):
-            return spec.contains(p, tol=1e-10)
-
-        if isinstance(spec, PeriodicStrip):
-            copies = int(math.ceil(-bbox[2] / spec.period)) + 1
-            wall = _strip_wall_segments(spec, copies, max(512, int(8 * spec.period / g)))
-            half = len(wall) // 2
-
-            def dist(p):
-                dtop = _min_distance_to_polyline(p, wall[:half], closed=False)
-                dbot = _min_distance_to_polyline(p, wall[half:], closed=False)
-                return np.minimum(dtop, dbot)
-
-        else:  # a bounded spec: its own distance to its boundary
-
-            def dist(p):
-                return -spec.signed_distance(p)
-
-    xmin, xmax, ymin, ymax = bbox
-    xs = xmin + g * (np.arange(max(1, int((xmax - xmin) / g)) ) + 0.5)
-    ys = ymin + g * (np.arange(max(1, int((ymax - ymin) / g)) ) + 0.5)
+    xs = xmin + g * (np.arange(max(1, int((xmax - xmin) / g))) + 0.5)
+    ys = ymin + g * (np.arange(max(1, int((ymax - ymin) / g))) + 0.5)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    mask = inside(pts)
-    if not np.any(mask):
+    pts = pts[spec.contains(pts, tol=1e-10)]
+    if not len(pts):
         raise EmptyDomain("no grid point landed inside the domain")
-    pts = pts[mask]
-    d = dist(pts)
+    d = -spec.signed_distance(pts)
     best = int(np.argmax(d))
     return float(d[best]), pts[best]
-
-
-def _top_loop_index(mesh: Mesh) -> int:
-    y0 = mesh.vertices[mesh.loop_vertex_ids(0), 1].mean()
-    y1 = mesh.vertices[mesh.loop_vertex_ids(1), 1].mean()
-    return 0 if y0 > y1 else 1
 
 
 # -- cap reflection -------------------------------------------------------------

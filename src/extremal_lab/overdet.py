@@ -28,6 +28,7 @@ from . import fem
 from .analytic import ball_solution, r_lambda
 from .errors import NonNegativeAlpha, ZeroBoundary
 from .geom2d.boundary import boundary_geometry
+from .geom2d.domain import DomainSpec
 from .geom2d.meshing import Mesh
 from .geom2d.predicates import (
     Line,
@@ -195,10 +196,8 @@ class PReport:
     """
 
     field: fem.ScalarField
-    boundary_mean: float
     boundary_max: float
     interior_max: float
-    interior_max_vertex: int
     criterion_left: float
     criterion_right: float
     criterion_holds: bool
@@ -256,12 +255,8 @@ def p_function(
     err_p = rec.fit_residual * (2.0 * gnorm + rec.fit_residual)
     tau_p = 3.0 * float(np.max(err_p, initial=0.0))
 
-    interior_max_idx = int(interior_ids[np.argmax(p_vals[interior_ids])]) if len(
-        interior_ids
-    ) else -1
-    interior_max = float(p_vals[interior_max_idx]) if interior_max_idx >= 0 else -math.inf
-    boundary_p = p_vals[b_ids]
-    boundary_max = float(boundary_p.max())
+    interior_max = float(p_vals[interior_ids].max(initial=-math.inf))
+    boundary_max = float(p_vals[b_ids].max())
     # both walk boundary_edges[loop, 0] in loop order, so rows align
     bg = boundary_geometry(mesh)
     assert np.array_equal(bg.vertex_ids, b_ids)
@@ -288,10 +283,8 @@ def p_function(
 
     return PReport(
         field=fem.ScalarField(mesh, p_vals),
-        boundary_mean=float(boundary_p.mean()),
         boundary_max=boundary_max,
         interior_max=interior_max,
-        interior_max_vertex=interior_max_idx,
         criterion_left=criterion_left,
         criterion_right=criterion_right,
         criterion_holds=criterion_holds,
@@ -332,10 +325,11 @@ class TheoremCheck:
         }
 
 
-def check_T4(target, lam: float, g: float) -> TheoremCheck:
-    """Inscribed-ball exclusion: the domain must not contain a closed ball of
-    the critical radius for lam (grid tolerance g)."""
-    rho, center = inscribed_ball(target, g)
+def check_T4(spec: DomainSpec, lam: float, g: float) -> TheoremCheck:
+    """Inscribed-ball exclusion: the domain spec must not contain a closed
+    ball of the critical radius for lam (grid tolerance g); the inradius is
+    read from the spec's own signed distance."""
+    rho, center = inscribed_ball(spec, g)
     bound = r_lambda(lam)
     margin = bound - rho
     return TheoremCheck(
@@ -371,7 +365,8 @@ def check_T5(mesh: Mesh, u: fem.ScalarField, lam: float, alpha_hat: float) -> Th
     radius = r_lambda(lam)
     comps = _superlevel_components(mesh, u.values, h0)
     if mesh.is_periodic_x:
-        comps = _dedupe_periodic_components(comps, mesh.period)
+        # one copy of each physical component: its leftmost point in [0, T)
+        comps = [pts for pts in comps if 0.0 <= float(pts[:, 0].min()) < mesh.period]
     if not comps:
         return TheoremCheck(
             tag="T5",
@@ -401,16 +396,6 @@ def check_T5(mesh: Mesh, u: fem.ScalarField, lam: float, alpha_hat: float) -> Th
             "circumradius_bound": (math.sqrt(5) / 2) * radius,
         },
     )
-
-
-def _dedupe_periodic_components(comps, period: float):
-    """Keep one copy of each physical component (leftmost point in [0, T))."""
-    kept = []
-    for pts in comps:
-        x_left = float(pts[:, 0].min())
-        if 0.0 <= x_left < period:
-            kept.append(pts)
-    return kept
 
 
 def check_cap_heights(mesh: Mesh, lam: float, lines: list[Line]) -> TheoremCheck:

@@ -61,7 +61,6 @@ class FlowState:
     area: float
     lambda1: float
     spread: float
-    step_size: float
 
 
 @dataclass
@@ -157,7 +156,7 @@ def flow_to_extremal(
     pts = _rescale(pts, area0)
 
     cur = _FlowEval(pts, overdet.eigen_flux(build_domain(_poly(pts), h), 1e-10, 0.0))
-    states = [_state(0, cur, 0.0)]
+    states = [_state(0, cur)]
     reason, built, trials = "max_steps", 1, 0
     for step in range(1, max_steps + 1):
         lam1, spread = cur.sol.eigen.lambda1, cur.sol.report.rel_spread
@@ -202,7 +201,7 @@ def flow_to_extremal(
             reason = "stagnated"
             break
         cur = accepted
-        states.append(_state(step, cur, dt))
+        states.append(_state(step, cur))
     return FlowResult(states, reason, built, trials - (len(states) - 1))
 
 
@@ -210,9 +209,9 @@ def _poly(pts: np.ndarray) -> Polygon:
     return Polygon(tuple(map(tuple, pts)))
 
 
-def _state(step: int, ev: _FlowEval, dt: float) -> FlowState:
+def _state(step: int, ev: _FlowEval) -> FlowState:
     spec = _poly(ev.pts)
-    return FlowState(step, spec, spec.area(), ev.sol.eigen.lambda1, ev.sol.report.rel_spread, dt)
+    return FlowState(step, spec, spec.area(), ev.sol.eigen.lambda1, ev.sol.report.rel_spread)
 
 
 def _rescale(pts: np.ndarray, target_area: float) -> np.ndarray:
@@ -417,12 +416,13 @@ def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list
     flux level; equations: the first N+1 cosine modes of the flux deviation
     vanish, the cell area stays fixed, plus the arclength constraint.  The
     branch parameter is s = c_1, and N is the cell's n_modes (at least 8).
-    Accepted points have a flux spread of at most 1e-6; |c_N| above 1e-8 |c_1|
-    raises TruncationInsufficient; the branch stops at 64 points.  Every
-    residual, the straight-strip start at T0 included, is a `cell.solve` at
-    basis . (c_0..c_N, T), so the corrector's Newton Jacobian is exact for
-    the mesh it solves: its flux rows come from `cell.flux_jacobian` along
-    that basis, the rest are closed forms.
+    Accepted points have a flux spread of at most 1e-6; a corrector that
+    lands back on the straight strip (|c_1| <= 1e-6 |ds|) raises NoSignChange,
+    and then |c_N| above 1e-8 |c_1| raises TruncationInsufficient; the branch
+    stops at 64 points.  Every residual, the straight-strip start at T0
+    included, is a `cell.solve` at basis . (c_0..c_N, T), so the corrector's
+    Newton Jacobian is exact for the mesh it solves: its flux rows come from
+    `cell.flux_jacobian` along that basis, the rest are closed forms.
     """
     n_modes = len(cell.basis) - 2
     if n_modes < 8:
@@ -480,6 +480,12 @@ def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list
                 break
             continue
         c = z_new[: n_modes + 1]
+        # points on the branch keep |c_1| above about 1e-4 |ds|
+        if abs(float(c[1])) <= 1e-6 * abs(ds):
+            raise NoSignChange(
+                f"the corrector returned to the straight strip (c_1 = {float(c[1]):.1e}), "
+                f"so no branch leaves T0 = {T0}"
+            )
         if abs(float(c[n_modes])) > 1e-8 * max(abs(float(c[1])), 1e-300):
             raise TruncationInsufficient(
                 f"|c_N| = {abs(float(c[n_modes])):.3e} vs |c_1| = {abs(float(c[1])):.3e}"

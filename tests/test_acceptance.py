@@ -12,6 +12,7 @@ from extremal_lab import analytic, cli, fem, overdet, shapeopt
 from extremal_lab.geom2d import (
     Disk,
     Line,
+    PeriodicStrip,
     build_domain,
 )
 
@@ -131,7 +132,7 @@ def test_criterion_4_ball_exclusion(branch):
     _, points = branch
     margins = []
     for p in points:
-        chk = overdet.check_T4(p.mesh, p.lam, 0.05)
+        chk = overdet.check_T4(PeriodicStrip(p.period, p.coeffs), p.lam, 0.05)
         margins.append(chk.margin if chk.passed else -1.0)
     checks = {
         "critical disk margin within 2g of zero": abs(chk_disk.margin) < 2 * g,
@@ -223,7 +224,7 @@ def test_criterion_8_bifurcation_and_branch(branch):
     caps_ok = True
     t4_ok = True
     for p in accepted:
-        chk_t4 = overdet.check_T4(p.mesh, p.lam, 0.05)
+        chk_t4 = overdet.check_T4(PeriodicStrip(p.period, p.coeffs), p.lam, 0.05)
         t4_ok = t4_ok and bool(chk_t4.passed)
         chk_caps = overdet.check_cap_heights(
             p.mesh, p.lam, _strip_line_sample(p.mesh, 8, seed=11)

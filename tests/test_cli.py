@@ -509,6 +509,17 @@ def test_branch_run_builds_one_period_cell(tmp_path, monkeypatch):
     assert calls == {"structured_strip": 1, "bifurcation_mu": 5}
 
 
+def test_branch_off_the_bifurcation_period_says_no_branch_leaves(tmp_path):
+    # at lambda 2, T* is about 4.443: the second corrector from T 4.3 falls back
+    # onto the straight strip, where the decay test would compare round-off
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "branch", "lambda": 2.0, "T": 4.3}))
+    assert cli.main(["branch", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads((tmp_path / "out" / "record.json").read_text())["error"]
+    assert error.startswith("NoSignChange: the corrector returned to the straight strip")
+    assert "TruncationInsufficient" not in error
+
+
 def test_solve_assembles_and_traces_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch)
     rec = _run({"command": "solve", "domain": {"kind": "disk", "radius": 3.0}, "h": 0.2,

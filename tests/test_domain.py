@@ -99,6 +99,49 @@ def test_polygon_signed_distance_sign():
     assert d[1] == pytest.approx(1.0)
 
 
+def test_straight_strip_signed_distance_is_exact():
+    s = PeriodicStrip(3.0, (0.8,))
+    rng = np.random.default_rng(3)
+    # several periods, inside and outside the strip
+    pts = np.column_stack([rng.uniform(-10.0, 15.0, 400), rng.uniform(-2.0, 2.0, 400)])
+    assert np.max(np.abs(s.signed_distance(pts) - (np.abs(pts[:, 1]) - 0.8))) <= 1e-12
+
+
+def _wall_distance_brute(s, pts, n=100_001):
+    """Distance to both walls, each a polyline through n points on [-T, 2T]."""
+    xs = np.linspace(-s.period, 2.0 * s.period, n)
+    best = np.full(len(pts), np.inf)
+    for sign in (1.0, -1.0):
+        wall = np.column_stack([xs, sign * s.half_width(xs)])
+        a, ab = wall[:-1], np.diff(wall, axis=0)
+        den = np.einsum("ij,ij->i", ab, ab)
+        for i, p in enumerate(pts):
+            ap = p - a
+            t = np.clip(np.einsum("ij,ij->i", ap, ab) / den, 0.0, 1.0)
+            best[i] = min(best[i], float(np.hypot(*(ap - t[:, None] * ab).T).min()))
+    return best
+
+
+def test_bulged_strip_signed_distance_matches_a_dense_wall():
+    s = PeriodicStrip(2 * math.pi, (math.pi / 2, 0.3))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.5 * s.period, 1.5 * s.period, 120)
+    pts = np.column_stack([x, rng.uniform(-2.5, 2.5, 120)])
+    sd = s.signed_distance(pts)
+    assert np.max(np.abs(np.abs(sd) - _wall_distance_brute(s, pts))) <= 1e-5
+    # one period over, and mirrored, the distance is the same
+    assert np.max(np.abs(s.signed_distance(pts + [3 * s.period, 0.0]) - sd)) <= 1e-9
+    assert np.array_equal(s.signed_distance(pts * [1.0, -1.0]), sd)
+
+
+@pytest.mark.parametrize("coeffs", [(0.8,), (math.pi / 2, 0.3), (1.0, 0.25, -0.1)])
+def test_strip_signed_distance_sign_agrees_with_contains(coeffs):
+    s = PeriodicStrip(4.0, coeffs)
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([rng.uniform(-8.0, 12.0, 2000), rng.uniform(-2.5, 2.5, 2000)])
+    assert np.array_equal(s.signed_distance(pts) < 0, s.contains(pts, tol=0.0))
+
+
 # -- polygon simplicity ----------------------------------------------------------
 
 
