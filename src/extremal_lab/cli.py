@@ -183,7 +183,7 @@ _KEYS = {
     "lambda": _Key(_POSITIVE, 1.0, ("check", "branch")),
     "grid": _Key(_POSITIVE, lambda v: v["h"] / 2, ("check",)),
     "theorems": _Key(_list_of(lambda t: t in THEOREMS, f"{THEOREMS}"), THEOREMS, ("check",)),
-    "n_lines": _Key(_where(_integer, lambda n: n >= 1, ">= 1"), 16, ("check",)),
+    "n_lines": _Key(_where(_integer, lambda n: 1 <= n <= 4096, "in [1, 4096]"), 16, ("check",)),
     "max_steps": _Key(_where(_integer, lambda n: n >= 0, ">= 0"), 300, ("flow",)),
     "T": _Key(_nullable(_POSITIVE), None, ("branch",)),  # null: the bifurcation period
     "s_max": _Key(_POSITIVE, 0.05, ("branch",)),
@@ -320,8 +320,8 @@ def _eigen_solution(cfg: RunConfig, mesh):
     sol = overdet.eigen_flux(mesh, cfg["tolerances.eigen_tol"], 0.0)
     ep, u, rep = sol.eigen, sol.eigen.u1, sol.report
     if cfg["alpha"] is not None:
-        u = fem.ScalarField(mesh, u.values * (cfg["alpha"] / rep.alpha_hat))
-        rep = overdet.overdet_residual(sol.k, sol.m, mesh, u, ep.lambda1 * u.values)
+        c = cfg["alpha"] / rep.alpha_hat
+        u, rep = fem.ScalarField(mesh, c * u.values), rep.scaled(c)
     return ep, u, rep
 
 

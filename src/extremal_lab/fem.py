@@ -139,7 +139,8 @@ def eigen_smallest(
     and `m` are the mesh's assembled matrices; the mesh's boundary vertices
     are Dirichlet DOFs."""
     interior, ki, mi = interior_blocks(k, m, mesh)
-    lu = splu((ki - shift * mi).tocsc() if shift else ki)
+    # symmetric patterns: minimum degree on A^T + A, as in the bordered solve
+    lu = splu((ki - shift * mi).tocsc() if shift else ki, permc_spec="MMD_AT_PLUS_A")
     v = np.ones(len(interior))
     v /= math.sqrt(v @ (mi @ v))
     rho = float(v @ (ki @ v))
@@ -158,7 +159,7 @@ def eigen_smallest(
             break
         if it % 25 == 0 and refactors < 4 and residual > 100 * tol:
             sigma = rho * (1.0 - 1e-8)
-            lu = splu((ki - sigma * mi).tocsc())
+            lu = splu((ki - sigma * mi).tocsc(), permc_spec="MMD_AT_PLUS_A")
             refactors += 1
     else:
         raise IterationLimit(

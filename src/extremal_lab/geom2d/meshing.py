@@ -2,8 +2,9 @@
 
 Bounded specs are meshed by seeding a hexagonal lattice inside the exact
 boundary samples and relaxing it as a uniform truss, whose sweeps repair the
-last Delaunay triangulation by Lawson flips (Qhull starts and ends each mesh);
-the fixed boundary vertices sit on the parametric curve to machine precision.
+last Delaunay triangulation by Lawson flips (Qhull starts each mesh; ties keep
+their diagonal); the fixed boundary vertices sit on the parametric curve to
+machine precision.
 Periodic strips use a mapped structured grid: translation-invariant in x,
 mirror-symmetric in y, with the right vertex column an exact duplicate of the
 left one.  Both paths are deterministic functions of (spec, h).
@@ -335,11 +336,11 @@ def _hex_lattice(bbox, h: float, offset: tuple[float, float]) -> np.ndarray:
 
 
 def _lawson_flips(pts: np.ndarray, tris: np.ndarray, nfix: int, tiny: float):
-    """Flip the counterclockwise triangulation ``tris`` of ``pts`` into the
-    Delaunay one, or None unless that is certified unique: every orientation
-    > ``tiny``, every hull edge between two of the ``nfix`` fixed points, and
-    every in-circle determinant beyond 1e-10 of its permanent (no ties).
-    Each round flips strictly violating edges that share no triangle."""
+    """Flip the counterclockwise triangulation ``tris`` of ``pts`` into a
+    Delaunay one, or None unless that is certified: every orientation >
+    ``tiny`` and every hull edge between two of the ``nfix`` fixed points.
+    Each round flips the edges whose in-circle determinant exceeds 1e-10 of
+    its permanent and that share no triangle; a tie keeps its diagonal."""
     m, (x, y) = len(tris), pts.T.copy()
     for _ in range(16):  # violations rarely cascade; at the cap, give up
         dx, dy = x[tris[:, 1:]] - x[tris[:, :1]], y[tris[:, 1:]] - y[tris[:, :1]]
@@ -362,9 +363,7 @@ def _lawson_flips(pts: np.ndarray, tris: np.ndarray, nfix: int, tiny: float):
         x1, y1, x2, y2 = dx[:, [1, 2, 0]], dy[:, [1, 2, 0]], dx[:, [2, 0, 1]], dy[:, [2, 0, 1]]
         det = np.sum(lift * (x1 * y2 - x2 * y1), axis=1)
         perm = np.sum(lift * (np.abs(x1 * y2) + np.abs(x2 * y1)), axis=1)
-        if np.any(np.abs(det) <= 1e-10 * perm):
-            return None
-        bad = np.nonzero(det > 0)[0]
+        bad = np.nonzero(det > 1e-10 * perm)[0]
         if len(bad) == 0:
             return tris
         # a violating edge flips when it is the first one of both its triangles
@@ -397,23 +396,23 @@ def _relaxed_mesh(
         return _points_in_loops(cent, loop_points, tol=0.0)
 
     scale = max(spec.bbox()[1] - spec.bbox()[0], spec.bbox()[3] - spec.bbox()[2])
-    # each sweep carries its whole triangulation to the next, which repairs it
-    # by flips; Qhull runs when Qhull left a point out and nothing was carried,
-    # and on every sweep after the first uncertified repair (the usual cause,
-    # a tie between fixed boundary samples, never goes away).  Truss edges are
-    # sorted unique keys, so simplex order is moot; the final triangulation
-    # below is Qhull's.
-    carried, repair = None, True
-    for _ in range(80):
+    # Qhull starts each mesh; ties keep their diagonal.  Each sweep carries its
+    # whole triangulation to the next, which repairs it by flips, and so does
+    # the final one; Qhull runs again only when it left a point out or a repair
+    # is not certified.  Truss edges are sorted unique keys, so the sweeps do
+    # not depend on simplex order.
+    tiny, carried, moved = 1e-9 * h * h, None, math.inf
+    for sweep in range(81):  # 80 sweeps, then the final triangulation
         if carried is not None:
-            carried = _lawson_flips(pts, carried, nfix, 1e-9 * h * h)
-            repair = carried is not None
+            carried = _lawson_flips(pts, carried, nfix, tiny)
         simplices = carried
         if carried is None:
             tri = Delaunay(pts)
             simplices = tri.simplices
-            carried = _orient_ccw(pts, simplices) if repair and len(tri.coplanar) == 0 else None
+            carried = _orient_ccw(pts, simplices) if len(tri.coplanar) == 0 else None
         simp = simplices[inside_tris(simplices)]
+        if sweep == 80 or moved < 0.02 * h:
+            break
         e = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]).astype(np.int64)
         keys = np.unique(e.min(axis=1) * len(pts) + e.max(axis=1))  # lexicographic (lo, hi)
         edges = np.column_stack(np.divmod(keys, len(pts)))
@@ -422,9 +421,8 @@ def _relaxed_mesh(
         l0 = 1.2 * math.sqrt(float(np.mean(lengths**2)))
         f = np.maximum(l0 - lengths, 0.0) / lengths
         fvec = f[:, None] * d
-        force = np.zeros_like(pts)
-        np.add.at(force, edges[:, 0], -fvec)
-        np.add.at(force, edges[:, 1], fvec)
+        ends, signed = edges.T.ravel(), np.concatenate([-fvec, fvec])  # e0's terms, then e1's
+        force = np.column_stack([np.bincount(ends, signed[:, c], len(pts)) for c in (0, 1)])
         move = 0.2 * force[nfix:]
         pts[nfix:] += move
         out = ~spec.contains(pts[nfix:], tol=0.0)
@@ -440,25 +438,13 @@ def _relaxed_mesh(
             p[:, 0] -= sd_out * gx / g2
             p[:, 1] -= sd_out * gy / g2
             pts[nfix:][out] = p
-        interior_move = np.hypot(move[:, 0], move[:, 1]) if len(move) else np.zeros(1)
-        if float(interior_move.max(initial=0.0)) < 0.02 * h:
-            break
+        moved = float(np.hypot(move[:, 0], move[:, 1]).max(initial=0.0))
 
-    tri = Delaunay(pts)
-    simp = tri.simplices[inside_tris(tri.simplices)]
     used = np.unique(simp)
     remap = -np.ones(len(pts), dtype=int)
     remap[used] = np.arange(len(used))
-    verts = pts[used]
-    simp = remap[simp]
-
-    mesh = mesh_from_arrays(
-        verts,
-        simp,
-        corner_vertices=remap[np.nonzero(corner_mask)[0]][
-            remap[np.nonzero(corner_mask)[0]] >= 0
-        ],
-    )
+    corners = remap[:nfix][corner_mask]
+    mesh = mesh_from_arrays(pts[used], remap[simp], corner_vertices=corners[corners >= 0])
 
     # the discrete boundary must consist of consecutive boundary samples
     if not np.array_equal(np.sort(mesh.boundary_vertex_ids()), np.arange(nfix)):

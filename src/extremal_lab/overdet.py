@@ -19,7 +19,7 @@ statements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -60,6 +60,12 @@ class OverdetReport:
             "max_abs_deviation": self.max_abs_deviation,
             "loop_means": self.loop_means,
         }
+
+    def scaled(self, c: float) -> "OverdetReport":
+        """The report of c u with source c f: the trace is linear in (u, source)."""
+        tr = replace(self.trace, nodal=c * self.trace.nodal, per_edge=c * self.trace.per_edge)
+        return OverdetReport(c * self.alpha_hat, self.rel_spread, abs(c) * self.max_abs_deviation,
+                             [c * x for x in self.loop_means], tr)
 
 
 def overdet_residual(

@@ -1,15 +1,18 @@
 """The relaxation carries its Delaunay triangulation from sweep to sweep and
-repairs it by Lawson flips; the meshes it builds are exactly the meshes of a
-relaxation that calls Qhull on every sweep, and the flip kernel returns either
-Qhull's triangulation or None."""
+repairs it by Lawson flips, to the end: Qhull builds the first triangulation
+of each mesh and is the fallback when a repair is not certified.  The meshes
+match a relaxation that calls Qhull on every sweep, up to the diagonal a
+cocircular quad keeps, and the flip kernel returns a Delaunay triangulation
+or None."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 from extremal_lab import shapeopt
 from extremal_lab.errors import MeshQualityFailure
@@ -95,58 +98,133 @@ def _flow_trial_polygon():
 L_SHAPE = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
 
 
-@pytest.mark.parametrize(
-    "spec, h, carried",
-    [
-        (Disk(1.0), 0.04, True),
-        (Disk(1.0), 0.02, False),  # four cocircular boundary samples tie on every sweep
-        (Ellipse(2.0, 1.0), 0.05, True),
-        (Annulus(0.5, 1.0), 0.08, False),
-        (L_SHAPE, 0.1, False),
-        ("flow trial", 0.05, True),
-    ],
-    ids=["disk_h0.04", "disk_h0.02", "ellipse", "annulus", "l_shape", "flow_trial"],
-)
-def test_build_domain_mesh_matches_per_sweep_qhull(spec, h, carried, monkeypatch):
-    if spec == "flow trial":
-        spec = _flow_trial_polygon()
-    calls = []
-
-    def counted(points):
-        calls.append(len(points))
-        return Delaunay(points)
-
-    monkeypatch.setattr(meshing, "Delaunay", counted)
-    fast = build_domain(spec, h)
-    n_fast = len(calls)
-    monkeypatch.setattr(meshing, "_relaxed_mesh", _ref_relaxed_mesh)
-    ref = build_domain(spec, h)
-    n_ref = len(calls) - n_fast
-    assert np.array_equal(fast.vertices, ref.vertices)
-    assert np.array_equal(fast.triangles, ref.triangles)
-    assert np.array_equal(fast.boundary_edges, ref.boundary_edges)
-    assert np.array_equal(fast.boundary_normals, ref.boundary_normals)
-    # the carried path calls Qhull for the first and the final triangulation only
-    assert (n_fast == 2) if carried else (n_fast == n_ref)
+def _interior_edges(tris):
+    """(u, v, w, d) per interior edge u < v of the counterclockwise ``tris``:
+    (u, v, w) is the triangle where u -> v runs counterclockwise, and d is the
+    vertex opposite w across the edge."""
+    third = {}
+    for a, b, c in np.asarray(tris).tolist():
+        third.update({(a, b): c, (b, c): a, (c, a): b})
+    rows = [(u, v, w, third[v, u]) for (u, v), w in third.items() if u < v and (v, u) in third]
+    return np.array(rows, dtype=int).reshape(-1, 4)
 
 
-def test_first_uncertified_repair_hands_the_mesh_to_qhull(monkeypatch):
-    # the unit disk at h = 0.02 ties on its first repair, and the tie is between
-    # fixed samples: every later sweep goes straight to Qhull
+def _in_circle(pts, quads):
+    """In-circle determinant of d against (u, v, w) per row, and its permanent."""
+    dx = pts[quads[:, :3], 0] - pts[quads[:, 3:], 0]
+    dy = pts[quads[:, :3], 1] - pts[quads[:, 3:], 1]
+    lift = dx * dx + dy * dy
+    x1, y1, x2, y2 = dx[:, [1, 2, 0]], dy[:, [1, 2, 0]], dx[:, [2, 0, 1]], dy[:, [2, 0, 1]]
+    det = np.sum(lift * (x1 * y2 - x2 * y1), axis=1)
+    return det, np.sum(lift * (np.abs(x1 * y2) + np.abs(x2 * y1)), axis=1)
+
+
+def _edge_set(tris):
+    t = np.asarray(tris)
+    e = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    return set(map(tuple, e.tolist()))
+
+
+def _tie_edges(pts, tris):
+    quads = _interior_edges(tris)
+    det, perm = _in_circle(pts, quads)
+    return set(map(tuple, quads[np.abs(det) <= 1e-10 * perm, :2].tolist()))
+
+
+def _by_edge(mesh):
+    order = np.lexsort(mesh.boundary_edges.T[::-1])
+    return mesh.boundary_edges[order], mesh.boundary_normals[order]
+
+
+def _count_calls(monkeypatch, refuse=None):
+    """Count the mesher's Qhull calls and flip repairs; the repair numbered
+    ``refuse`` (from 1) returns None, as an uncertified one does."""
     calls = {"qhull": 0, "flips": 0}
 
-    def counted_qhull(points):
+    def qhull(points):
         calls["qhull"] += 1
         return Delaunay(points)
 
-    def counted_flips(*args):
+    def flips(*args):
         calls["flips"] += 1
-        return _lawson_flips(*args)
+        return None if calls["flips"] == refuse else _lawson_flips(*args)
 
-    monkeypatch.setattr(meshing, "Delaunay", counted_qhull)
-    monkeypatch.setattr(meshing, "_lawson_flips", counted_flips)
+    monkeypatch.setattr(meshing, "Delaunay", qhull)
+    monkeypatch.setattr(meshing, "_lawson_flips", flips)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, h, ties",
+    [
+        (Disk(1.0), 0.04, False),
+        (Disk(1.0), 0.02, False),  # four cocircular boundary samples tie on every sweep
+        (Ellipse(2.0, 1.0), 0.05, False),
+        (Annulus(0.5, 1.0), 0.08, False),
+        (L_SHAPE, 0.1, True),
+        (L_SHAPE, 0.05, True),
+        (Annulus(0.4, 1.0), 0.05, False),
+        ("flow trial", 0.05, False),
+        # the rest of the benchmark's meshes: its bounded commands and the flow's first
+        (Disk(1.0), 0.08, False),
+        (Disk(3.0), 0.1, False),
+        (Disk(float(scipy.special.jn_zeros(0, 1)[0])), 0.05, False),
+        (Ellipse(1.2, 1 / 1.2), 0.05, False),
+    ],
+    ids=["disk_h0.04", "disk_h0.02", "ellipse", "annulus", "l_shape", "l_shape_h0.05",
+         "annulus_0.4", "flow_trial", "disk_h0.08", "disk_r3", "critical_disk", "flow_ellipse"],
+)
+def test_build_domain_mesh_matches_per_sweep_qhull(spec, h, ties, monkeypatch):
+    if spec == "flow trial":
+        spec = _flow_trial_polygon()
+    calls = _count_calls(monkeypatch)
+    fast = build_domain(spec, h)
+    assert calls["qhull"] == 1  # the first triangulation only; flips carry it to the end
+    monkeypatch.setattr(meshing, "_relaxed_mesh", _ref_relaxed_mesh)
+    ref = build_domain(spec, h)
+    assert np.array_equal(fast.vertices, ref.vertices)
+    # boundary edges come in the order of their triangles, so compare them by edge
+    for got, want in zip(_by_edge(fast), _by_edge(ref)):
+        assert np.array_equal(got, want)
+    if not ties:
+        assert _simplex_set(fast.triangles) == _simplex_set(ref.triangles)
+    else:
+        # the two triangulations differ only in the diagonal of cocircular quads
+        ours, theirs = _edge_set(fast.triangles), _edge_set(ref.triangles)
+        assert ours - theirs <= _tie_edges(fast.vertices, fast.triangles)
+        assert theirs - ours <= _tie_edges(ref.vertices, ref.triangles)
+        assert len(fast.triangles) == len(ref.triangles)
+
+
+def test_tie_on_every_sweep_keeps_one_qhull_call(monkeypatch):
+    # the unit disk at h = 0.02 has four cocircular boundary samples: the flips
+    # keep their diagonal, and every sweep after the first and the final
+    # triangulation repair by flips where the per-sweep reference calls Qhull
+    calls = _count_calls(monkeypatch)
     build_domain(Disk(1.0), 0.02)
-    assert calls == {"qhull": 10, "flips": 1}
+    assert calls["qhull"] == 1
+    n_flips, calls["qhull"] = calls["flips"], 0
+    monkeypatch.setattr(meshing, "_relaxed_mesh", _ref_relaxed_mesh)
+    build_domain(Disk(1.0), 0.02)
+    assert n_flips >= 2
+    assert calls["qhull"] == n_flips + 1
+
+
+@pytest.mark.parametrize("fail_at", ["first", "last"])
+def test_uncertified_repair_falls_back_to_qhull(fail_at, monkeypatch):
+    # one repair (a sweep's or the final one) is refused: Qhull triangulates
+    # those points afresh, and the mesh is the one the certified flips give
+    spec, h = Disk(1.0), 0.04
+    calls = _count_calls(monkeypatch)
+    want = build_domain(spec, h)
+    calls = _count_calls(monkeypatch, refuse=1 if fail_at == "first" else calls["flips"])
+    got = build_domain(spec, h)
+    assert calls["qhull"] == 2
+    assert np.array_equal(got.vertices, want.vertices)
+    assert _simplex_set(got.triangles) == _simplex_set(want.triangles)
+    assert np.all(got.triangle_areas() > 0) and got.min_angle_deg() >= meshing.MIN_ANGLE_DEG
+    for a, b in zip(_by_edge(got), _by_edge(want)):
+        assert np.array_equal(a, b)
 
 
 # -- the flip kernel alone -----------------------------------------------------
@@ -181,7 +259,7 @@ _unit = st.floats(-0.9, 0.9, allow_nan=False)
     n_loose=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_flips_give_qhull_triangulation_or_none(
+def test_flips_give_a_delaunay_triangulation_or_none(
     boundary, n_boundary, interior, snap, amplitude, n_loose, seed
 ):
     fixed = boundary(n_boundary)
@@ -196,18 +274,32 @@ def test_flips_give_qhull_triangulation_or_none(
     tris = _orient_ccw(pts, tri.simplices)
     moved = pts.copy()
     moved[nfix:] += np.random.default_rng(seed).uniform(-amplitude, amplitude, (len(pts) - nfix, 2))
-    got = _lawson_flips(moved, tris, nfix, 1e-12)
-    if got is not None:
-        assert _simplex_set(got) == _simplex_set(Delaunay(moved).simplices)
+    tiny = 1e-12
+    got = _lawson_flips(moved, tris, nfix, tiny)
+    if got is None:
+        return
+    # counterclockwise, no sliver, and tiling the convex hull
+    p = moved[got]
+    orient = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+    assert np.all(orient > tiny)
+    assert 0.5 * orient.sum() == pytest.approx(ConvexHull(moved).volume, rel=1e-12)
+    # locally Delaunay up to ties, so Delaunay
+    det, perm = _in_circle(moved, _interior_edges(got))
+    assert np.all(det <= 1e-10 * perm)
+    # and Qhull's triangulation wherever that one has no tie
+    qhull = _orient_ccw(moved, Delaunay(moved).simplices)
+    if not _tie_edges(moved, qhull):
+        assert _simplex_set(got) == _simplex_set(qhull)
 
 
-def test_cocircular_trapezoid_is_not_certified():
+def test_cocircular_trapezoid_keeps_its_diagonal():
     # an isosceles trapezoid inscribed in the unit circle: both diagonals are Delaunay
     s = math.sqrt(0.75)
     pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.5, s], [-0.5, s]])
-    tris = _orient_ccw(pts, Delaunay(pts).simplices)
-    assert len(tris) == 2
-    assert _lawson_flips(pts, tris, 4, 1e-12) is None
+    for diagonal in ([[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]):
+        tris = np.array(diagonal)
+        assert _lawson_flips(pts, tris, 4, 1e-12) is tris
 
 
 def test_point_pushed_across_the_hull_is_not_certified():

@@ -43,10 +43,13 @@ def test_eigen_run_produces_report_and_figures(tmp_path):
     assert 'width="800" height="600"' in svg
 
 
-def test_eigen_alpha_rescaling(tmp_path):
+def test_eigen_alpha_rescaling(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch)
     _run({"command": "eigen", "domain": DISK, "h": 0.08, "alpha": -2.0}, tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["alpha_hat"] == pytest.approx(-2.0, rel=1e-9)
+    # the rescaled report is the first one scaled, not a second trace
+    assert calls == {"assemble": 1, "neumann_trace": 1, "eigen_smallest": 1}
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -121,6 +124,11 @@ def test_config_validation():
         cli.load_config({"command": "eigen", "domain": DISK, "bogus_key": 1})
     with pytest.raises(ConfigInvalid):
         cli.load_config({"command": "flow", "domain": DISK}, command="eigen")
+    # n_lines reaches its bound; one more is the first malformed value
+    check = {"command": "check", "domain": DISK, "h": 0.1}
+    assert cli.load_config({**check, "n_lines": 4096})["n_lines"] == 4096
+    with pytest.raises(ConfigInvalid, match="n_lines"):
+        cli.load_config({**check, "n_lines": 4097})
     # a null period asks branch to compute the bifurcation period
     assert cli.load_config({"command": "branch", "T": None})["T"] is None
 
@@ -169,6 +177,8 @@ _MALFORMED = {
     "n_lines_true": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": True},
     "n_lines_fractional": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": 2.7},
     "n_lines_negative": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": -3},
+    "n_lines_past_the_bound": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": 4097},
+    "n_lines_a_billion": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": 10**9},
     "max_steps_negative": {"command": "flow", "domain": DISK, "h": 0.1, "max_steps": -1},
     "seed_fractional": {"command": "eigen", "domain": DISK, "h": 0.1, "seed": 1.5},
     "seed_amplitude_zero": {"command": "solve", "domain": DISK, "h": 0.1,
@@ -353,7 +363,7 @@ _DECLARED = {
     "lambda": _positive,
     "grid": _positive,
     "theorems": lambda x: isinstance(x, (list, tuple)) and all(t in cli.THEOREMS for t in x),
-    "n_lines": _integer(lambda n: n >= 1),
+    "n_lines": _integer(lambda n: 1 <= n <= 4096),
     "max_steps": _integer(lambda n: n >= 0),
     "T": lambda x: x is None or _positive(x),
     "s_max": _positive,
@@ -427,8 +437,8 @@ def _assert_contract(command, key, value):
     assert _fits_max_grid_points(cfg)
 
 
-_EDGES = [None, True, False, 0, 1, -3, 8, 2.7, 3.0, 1e-320, 0.05, math.nan, math.inf, -math.inf,
-          10**400, "x", [], ["T4"], {}, DISK]
+_EDGES = [None, True, False, 0, 1, -3, 8, 2.7, 3.0, 4096, 4097, 1e-320, 0.05, math.nan, math.inf,
+          -math.inf, 10**400, "x", [], ["T4"], {}, DISK]
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

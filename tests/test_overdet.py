@@ -68,6 +68,24 @@ def test_strip_interpolated_trace(strip_mesh):
     assert abs(rep.loop_means[0] - rep.loop_means[1]) <= 0.005
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scaled_report_matches_a_fresh_trace(ellipse_mesh_h02, sign):
+    # the flux is linear in (u, source): scaling the report replaces a second trace
+    mesh = ellipse_mesh_h02
+    sol = overdet.eigen_flux(mesh, 1e-10, 0.0)
+    c = sign * -2.0 / sol.report.alpha_hat
+    u = fem.ScalarField(mesh, c * sol.eigen.u1.values)
+    fresh = overdet.overdet_residual(sol.k, sol.m, mesh, u, sol.eigen.lambda1 * u.values)
+    scaled = sol.report.scaled(c)
+    for got, want in [(scaled.alpha_hat, fresh.alpha_hat), (scaled.rel_spread, fresh.rel_spread),
+                      (scaled.max_abs_deviation, fresh.max_abs_deviation),
+                      (scaled.loop_means, fresh.loop_means),
+                      (scaled.trace.nodal, fresh.trace.nodal),
+                      (scaled.trace.per_edge, fresh.trace.per_edge)]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert scaled.trace.lumped_weights is sol.report.trace.lumped_weights
+
+
 def test_zero_boundary_raises(disk_mesh_h05):
     u = fem.ScalarField(disk_mesh_h05, np.zeros(len(disk_mesh_h05.vertices)))
     with pytest.raises(ZeroBoundary):
