@@ -59,6 +59,7 @@ class EigenPair:
     u1: ScalarField
     residual: float
     iterations: int
+    refactors: int  # re-shifted factorizations after slow convergence
 
 
 def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,7 +173,8 @@ def eigen_smallest(
     full_dof = np.zeros(mesh.n_dofs)
     full_dof[interior] = v
     u = ScalarField(mesh, mesh.expand(full_dof))
-    return EigenPair(lambda1=float(rho), u1=u, residual=residual, iterations=it)
+    return EigenPair(lambda1=float(rho), u1=u, residual=residual, iterations=it,
+                     refactors=refactors)
 
 
 # -- nonlinearities --------------------------------------------------------------

@@ -10,8 +10,9 @@ mirror-symmetric in y, with the right vertex column an exact duplicate of the
 left one.  Both paths are deterministic functions of (spec, h).
 
 Boundary edges are the int64 undirected edge keys that ``np.unique`` counts
-once, and each relaxation sweep lists its truss edges by the same keys; the
-strip grid and the periodic cover are built by index arithmetic.
+once.  The relaxation builds the half-edge twins once per Qhull triangulation,
+carries them through its flips and lists each sweep's truss edges from them;
+the strip grid and the periodic cover are built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -335,46 +336,75 @@ def _hex_lattice(bbox, h: float, offset: tuple[float, float]) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _lawson_flips(pts: np.ndarray, tris: np.ndarray, nfix: int, tiny: float):
-    """Flip the counterclockwise triangulation ``tris`` of ``pts`` into a
-    Delaunay one, or None unless that is certified: every orientation >
-    ``tiny`` and every hull edge between two of the ``nfix`` fixed points.
-    Each round flips the edges whose in-circle determinant exceeds 1e-10 of
-    its permanent and that share no triangle; a tie keeps its diagonal."""
-    m, (x, y) = len(tris), pts.T.copy()
+def _delaunay(pts: np.ndarray, nfix: int):
+    """Qhull's triangulation of ``pts``, counterclockwise; the twin of each
+    half-edge 3t + i (tris[t, i] -> tris[t, i + 1]) in the other triangle, or
+    -1 on the hull; and whether flips may carry it: Qhull left no point out and
+    every hull edge joins two of the ``nfix`` fixed points.  A flip never
+    changes the hull, and a free point that leaves it inverts a triangle."""
+    tri = Delaunay(pts)
+    tris = _orient_ccw(pts, tri.simplices)
+    a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    keys = np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b)
+    order = np.argsort(keys)
+    pair = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
+    twin = np.full(len(keys), -1)
+    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    # the hull is a cycle, so every hull vertex starts one hull half-edge
+    return tris, twin, len(tri.coplanar) == 0 and bool(np.all(a[twin < 0] < nfix))
+
+
+def _lawson_flips(pts: np.ndarray, tris: np.ndarray, twin: np.ndarray, tiny: float):
+    """Flip the counterclockwise triangulation ``tris`` of ``pts`` with the
+    half-edge twins of `_delaunay` into a Delaunay one; return it with its
+    twins, or None when an orientation is <= ``tiny`` or 16 rounds do not
+    suffice.  Each round flips, in ascending order of edge key, the edges
+    whose in-circle determinant exceeds 1e-10 of its permanent and that share
+    no triangle; a tie keeps its diagonal.  After the first round only the
+    edges of flipped triangles and the violators left over are tested."""
+    n, m, (x, y) = len(pts), len(tris), pts.T.copy()
+    new, lo = np.arange(m), np.nonzero(twin > np.arange(3 * m))[0]  # lo: lower half-edges
     for _ in range(16):  # violations rarely cascade; at the cap, give up
-        dx, dy = x[tris[:, 1:]] - x[tris[:, :1]], y[tris[:, 1:]] - y[tris[:, :1]]
-        if np.min(dx[:, 0] * dy[:, 1] - dy[:, 0] * dx[:, 1]) <= tiny:
+        p, q, r = tris[new].T
+        if np.min((x[q] - x[p]) * (y[r] - y[p]) - (y[q] - y[p]) * (x[r] - x[p])) <= tiny:
             return None
-        # half-edge 3t + i runs tris[t, i] -> tris[t, i + 1], tris[t, i + 2] opposite
-        a, b, opp = tris.ravel(), tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
-        keys = np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b)
-        order = np.argsort(keys)
-        twin = keys[order[1:]] == keys[order[:-1]]
-        lo, hi = order[:-1][twin], order[1:][twin]
-        hull = np.ones(3 * m, dtype=bool)
-        hull[lo] = hull[hi] = False
-        if np.any(np.maximum(a[hull], b[hull]) >= nfix):
-            return None
-        # in-circle test of lo's triangle (a, b, c) against d, the vertex opposite hi
-        abc = np.column_stack([a[lo], b[lo], opp[lo]])
-        dx, dy = x[abc] - x[opp[hi], None], y[abc] - y[opp[hi], None]
+        # in-circle test of lo's triangle (a, b, c) against d, the vertex opposite its twin
+        hi = twin[lo]
+        abc = np.stack([tris[lo // 3, (lo + k) % 3] for k in range(3)])
+        d = tris[hi // 3, (hi + 2) % 3]
+        dx, dy = x[abc] - x[d], y[abc] - y[d]
         lift = dx * dx + dy * dy
-        x1, y1, x2, y2 = dx[:, [1, 2, 0]], dy[:, [1, 2, 0]], dx[:, [2, 0, 1]], dy[:, [2, 0, 1]]
-        det = np.sum(lift * (x1 * y2 - x2 * y1), axis=1)
-        perm = np.sum(lift * (np.abs(x1 * y2) + np.abs(x2 * y1)), axis=1)
+        x1, y1, x2, y2 = dx[[1, 2, 0]], dy[[1, 2, 0]], dx[[2, 0, 1]], dy[[2, 0, 1]]
+        det = np.sum(lift * (x1 * y2 - x2 * y1), axis=0)
+        perm = np.sum(lift * (np.abs(x1 * y2) + np.abs(x2 * y1)), axis=0)
         bad = np.nonzero(det > 1e-10 * perm)[0]
         if len(bad) == 0:
-            return tris
+            return tris, twin
+        bad = bad[np.argsort(np.min(abc[:2, bad], axis=0) * n + np.max(abc[:2, bad], axis=0))]
         # a violating edge flips when it is the first one of both its triangles
         k, t, u = np.arange(len(bad)), lo[bad] // 3, hi[bad] // 3
         first = np.full(m, len(bad))
         np.minimum.at(first, np.concatenate([t, u]), np.concatenate([k, k]))
-        go = (first[t] == k) & (first[u] == k)
-        e, f = lo[bad[go]], hi[bad[go]]
-        tris = tris.copy()
-        tris[e // 3] = np.column_stack([a[e], opp[f], opp[e]])  # (a, d, c)
-        tris[f // 3] = np.column_stack([opp[f], b[e], opp[e]])  # (d, b, c)
+        go = bad[(first[t] == k) & (first[u] == k)]
+        (a, b, c), d, e, f = abc[:, go], d[go], lo[go], hi[go]
+        t, u = e // 3, f // 3
+        # the quad's outer half-edges keep their direction and move slot: c -> a
+        # to (t, 2), b -> c to (u, 1), a -> d to (t, 0) and d -> b to (u, 0); the
+        # new diagonal d -> c, c -> d takes (t, 1), (u, 2)
+        old = np.concatenate([3 * t + (e + 2) % 3, 3 * t + (e + 1) % 3,
+                              3 * u + (f + 1) % 3, 3 * u + (f + 2) % 3, e, f])
+        to = np.concatenate([3 * t + 2, 3 * u + 1, 3 * t, 3 * u, 3 * t + 1, 3 * u + 2])
+        slot = np.arange(3 * m)
+        slot[old] = to
+        outer = np.where(twin[old] < 0, -1, slot[twin[old]])
+        tris, twin = tris.copy(), twin.copy()
+        tris[t], tris[u] = np.column_stack([a, d, c]), np.column_stack([d, b, c])
+        twin[to] = outer
+        twin[outer[outer >= 0]] = to[outer >= 0]
+        # stale indices of violators in flipped triangles point into new ones
+        new = np.concatenate([t, u])
+        h = np.concatenate([(3 * new[:, None] + np.arange(3)).ravel(), lo[bad]])
+        lo = np.unique(np.minimum(h, twin[h])[twin[h] >= 0])
     return None
 
 
@@ -387,7 +417,8 @@ def _relaxed_mesh(
     loop_sizes = [len(lp.points) for lp in loops]
     nfix = len(fixed)
 
-    lattice = _hex_lattice(spec.bbox(), h, offset)
+    bbox = spec.bbox()
+    lattice = _hex_lattice(bbox, h, offset)
     keep = spec.signed_distance(lattice) < -0.55 * h
     pts = np.vstack([fixed, lattice[keep]])
 
@@ -395,27 +426,29 @@ def _relaxed_mesh(
         cent = pts[simplices].mean(axis=1)
         return _points_in_loops(cent, loop_points, tol=0.0)
 
-    scale = max(spec.bbox()[1] - spec.bbox()[0], spec.bbox()[3] - spec.bbox()[2])
+    scale = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
     # Qhull starts each mesh; ties keep their diagonal.  Each sweep carries its
-    # whole triangulation to the next, which repairs it by flips, and so does
-    # the final one; Qhull runs again only when it left a point out or a repair
-    # is not certified.  Truss edges are sorted unique keys, so the sweeps do
-    # not depend on simplex order.
-    tiny, carried, moved = 1e-9 * h * h, None, math.inf
+    # triangulation and half-edge twins to the next, which repairs both by
+    # flips, and so does the final one; Qhull runs again only when it left a
+    # point out or a repair is not certified.  Truss edges come from the twins
+    # in sorted key order, so the sweeps do not depend on simplex order.
+    tiny, certified, moved = 1e-9 * h * h, False, math.inf
     for sweep in range(81):  # 80 sweeps, then the final triangulation
-        if carried is not None:
-            carried = _lawson_flips(pts, carried, nfix, tiny)
-        simplices = carried
-        if carried is None:
-            tri = Delaunay(pts)
-            simplices = tri.simplices
-            carried = _orient_ccw(pts, simplices) if len(tri.coplanar) == 0 else None
-        simp = simplices[inside_tris(simplices)]
+        flipped = _lawson_flips(pts, tris, twin, tiny) if certified else None
+        if flipped is None:
+            tris, twin, certified = _delaunay(pts, nfix)
+        else:
+            tris, twin = flipped
+        inside = inside_tris(tris)
+        simp = tris[inside]
         if sweep == 80 or moved < 0.02 * h:
             break
-        e = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]).astype(np.int64)
-        keys = np.unique(e.min(axis=1) * len(pts) + e.max(axis=1))  # lexicographic (lo, hi)
-        edges = np.column_stack(np.divmod(keys, len(pts)))
+        half = np.nonzero(np.repeat(inside, 3))[0]
+        tw = twin[half]
+        half = half[(tw < 0) | (tw > half) | ~inside[tw // 3]]
+        a, b = tris[half // 3, half % 3], tris[half // 3, (half + 1) % 3]
+        keys = np.sort(np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b))
+        edges = np.column_stack(np.divmod(keys, len(pts)))  # lexicographic (lo, hi)
         d = pts[edges[:, 1]] - pts[edges[:, 0]]
         lengths = np.hypot(d[:, 0], d[:, 1])
         l0 = 1.2 * math.sqrt(float(np.mean(lengths**2)))

@@ -3,7 +3,8 @@ repairs it by Lawson flips, to the end: Qhull builds the first triangulation
 of each mesh and is the fallback when a repair is not certified.  The meshes
 match a relaxation that calls Qhull on every sweep, up to the diagonal a
 cocircular quad keeps, and the flip kernel returns a Delaunay triangulation
-or None."""
+or None: the one a full rescan of every edge in every round gives, with
+half-edge twins equal to a fresh rebuild."""
 
 import math
 
@@ -18,7 +19,7 @@ from extremal_lab import shapeopt
 from extremal_lab.errors import MeshQualityFailure
 from extremal_lab.geom2d import Annulus, Disk, Ellipse, Polygon, build_domain, meshing
 from extremal_lab.geom2d.domain import _points_in_loops
-from extremal_lab.geom2d.meshing import _lawson_flips, _orient_ccw, mesh_from_arrays
+from extremal_lab.geom2d.meshing import _delaunay, _lawson_flips, _orient_ccw, mesh_from_arrays
 
 # -- reference: the relaxation with a fresh Qhull triangulation every sweep ------
 
@@ -90,6 +91,48 @@ def _ref_relaxed_mesh(spec, h, loops, offset):
     return mesh
 
 
+# -- reference: the flip kernel that rebuilds the adjacency and tests every edge
+# in every round, and certifies the hull each time --------------------------
+
+
+def _ref_lawson_flips(pts, tris, nfix, tiny, rounds=16):
+    m, (x, y) = len(tris), pts.T.copy()
+    for _ in range(rounds):
+        dx, dy = x[tris[:, 1:]] - x[tris[:, :1]], y[tris[:, 1:]] - y[tris[:, :1]]
+        if np.min(dx[:, 0] * dy[:, 1] - dy[:, 0] * dx[:, 1]) <= tiny:
+            return None
+        # half-edge 3t + i runs tris[t, i] -> tris[t, i + 1], tris[t, i + 2] opposite
+        a, b, opp = tris.ravel(), tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+        keys = np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b)
+        order = np.argsort(keys)
+        twin = keys[order[1:]] == keys[order[:-1]]
+        lo, hi = order[:-1][twin], order[1:][twin]
+        hull = np.ones(3 * m, dtype=bool)
+        hull[lo] = hull[hi] = False
+        if np.any(np.maximum(a[hull], b[hull]) >= nfix):
+            return None
+        # in-circle test of lo's triangle (a, b, c) against d, the vertex opposite hi
+        abc = np.column_stack([a[lo], b[lo], opp[lo]])
+        dx, dy = x[abc] - x[opp[hi], None], y[abc] - y[opp[hi], None]
+        lift = dx * dx + dy * dy
+        x1, y1, x2, y2 = dx[:, [1, 2, 0]], dy[:, [1, 2, 0]], dx[:, [2, 0, 1]], dy[:, [2, 0, 1]]
+        det = np.sum(lift * (x1 * y2 - x2 * y1), axis=1)
+        perm = np.sum(lift * (np.abs(x1 * y2) + np.abs(x2 * y1)), axis=1)
+        bad = np.nonzero(det > 1e-10 * perm)[0]
+        if len(bad) == 0:
+            return tris
+        # a violating edge flips when it is the first one of both its triangles
+        k, t, u = np.arange(len(bad)), lo[bad] // 3, hi[bad] // 3
+        first = np.full(m, len(bad))
+        np.minimum.at(first, np.concatenate([t, u]), np.concatenate([k, k]))
+        go = (first[t] == k) & (first[u] == k)
+        e, f = lo[bad[go]], hi[bad[go]]
+        tris = tris.copy()
+        tris[e // 3] = np.column_stack([a[e], opp[f], opp[e]])  # (a, d, c)
+        tris[f // 3] = np.column_stack([opp[f], b[e], opp[e]])  # (d, b, c)
+    return None
+
+
 def _flow_trial_polygon():
     # the shape accepted by the first step of the benchmark's ellipse flow
     return shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.05, max_steps=1).final.spec
@@ -138,16 +181,17 @@ def _by_edge(mesh):
 
 def _count_calls(monkeypatch, refuse=None):
     """Count the mesher's Qhull calls and flip repairs; the repair numbered
-    ``refuse`` (from 1) returns None, as an uncertified one does."""
+    ``refuse`` (from 1) returns None instead of the repaired triangles and
+    their twins, as an uncertified one does."""
     calls = {"qhull": 0, "flips": 0}
 
     def qhull(points):
         calls["qhull"] += 1
         return Delaunay(points)
 
-    def flips(*args):
+    def flips(pts, tris, twin, tiny):
         calls["flips"] += 1
-        return None if calls["flips"] == refuse else _lawson_flips(*args)
+        return None if calls["flips"] == refuse else _lawson_flips(pts, tris, twin, tiny)
 
     monkeypatch.setattr(meshing, "Delaunay", qhull)
     monkeypatch.setattr(meshing, "_lawson_flips", flips)
@@ -230,6 +274,14 @@ def test_uncertified_repair_falls_back_to_qhull(fail_at, monkeypatch):
 # -- the flip kernel alone -----------------------------------------------------
 
 
+def _fresh_twins(tris):
+    """Twin of each half-edge 3t + i (tris[t, i] -> tris[t, i + 1]), -1 on the hull."""
+    half = {}
+    for h, (a, b) in enumerate(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)):
+        half[int(a), int(b)] = h
+    return np.array([half.get((b, a), -1) for (a, b) in half], dtype=int)
+
+
 def _simplex_set(tris):
     return {tuple(sorted(t)) for t in np.asarray(tris).tolist()}
 
@@ -249,8 +301,26 @@ def _square(n):  # collinear samples along every side of the hull
 _unit = st.floats(-0.9, 0.9, allow_nan=False)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+def _moved_triangulation(boundary, n_boundary, interior, snap, amplitude, n_loose, seed):
+    """Qhull's triangulation of boundary samples and interior points, its
+    twins and certificate, and the points with the free ones moved; None when
+    Qhull leaves a point out."""
+    fixed = boundary(n_boundary)
+    inner = np.array(interior, dtype=float)
+    if snap:  # a quarter grid: cocircular squares everywhere
+        inner = np.round(4 * inner) / 4
+    inner = np.unique(inner[np.hypot(inner[:, 0], inner[:, 1]) < 0.9], axis=0)
+    pts = np.vstack([fixed, inner])
+    nfix = len(fixed) - n_loose  # loose hull samples move too, so the hull can change
+    if len(Delaunay(pts).coplanar):
+        return None
+    tris, twin, certified = _delaunay(pts, nfix)
+    moved = pts.copy()
+    moved[nfix:] += np.random.default_rng(seed).uniform(-amplitude, amplitude, (len(pts) - nfix, 2))
+    return tris, twin, certified, nfix, moved
+
+
+_cases = dict(
     boundary=st.sampled_from([_circle, _square]),
     n_boundary=st.integers(3, 24),
     interior=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=60),
@@ -259,25 +329,26 @@ _unit = st.floats(-0.9, 0.9, allow_nan=False)
     n_loose=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_cases)
 def test_flips_give_a_delaunay_triangulation_or_none(
     boundary, n_boundary, interior, snap, amplitude, n_loose, seed
 ):
-    fixed = boundary(n_boundary)
-    inner = np.array(interior, dtype=float)
-    if snap:  # a quarter grid: cocircular squares everywhere
-        inner = np.round(4 * inner) / 4
-    inner = np.unique(inner[np.hypot(inner[:, 0], inner[:, 1]) < 0.9], axis=0)
-    pts = np.vstack([fixed, inner])
-    nfix = len(fixed) - n_loose  # loose hull samples move too, so the hull can change
-    tri = Delaunay(pts)
-    assume(len(tri.coplanar) == 0)
-    tris = _orient_ccw(pts, tri.simplices)
-    moved = pts.copy()
-    moved[nfix:] += np.random.default_rng(seed).uniform(-amplitude, amplitude, (len(pts) - nfix, 2))
+    case = _moved_triangulation(boundary, n_boundary, interior, snap, amplitude, n_loose, seed)
+    assume(case is not None)
+    tris, twin, certified, nfix, moved = case
+    if n_loose:
+        assert not certified  # a loose sample is on the hull, which flips keep
+    if not certified:
+        return
     tiny = 1e-12
-    got = _lawson_flips(moved, tris, nfix, tiny)
+    got = _lawson_flips(moved, tris, twin, tiny)
     if got is None:
         return
+    got, got_twin = got
+    assert np.array_equal(got_twin, _fresh_twins(got))
     # counterclockwise, no sliver, and tiling the convex hull
     p = moved[got]
     orient = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
@@ -293,21 +364,62 @@ def test_flips_give_a_delaunay_triangulation_or_none(
         assert _simplex_set(got) == _simplex_set(qhull)
 
 
+def _check_against_reference(tris, twin, certified, nfix, moved):
+    """The kernel gives the full-scan reference's simplex set, or None exactly
+    when the reference does, with twins equal to a fresh rebuild; returns
+    whether the reference flipped in more than one round."""
+    want = _ref_lawson_flips(moved, tris, nfix, 1e-12)
+    got = _lawson_flips(moved, tris, twin, 1e-12) if certified else None
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    assert _simplex_set(got[0]) == _simplex_set(want)
+    assert np.array_equal(got[1], _fresh_twins(got[0]))
+    return _ref_lawson_flips(moved, tris, nfix, 1e-12, rounds=2) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_cases)
+def test_flips_match_the_full_scan_reference(
+    boundary, n_boundary, interior, snap, amplitude, n_loose, seed
+):
+    case = _moved_triangulation(boundary, n_boundary, interior, snap, amplitude, n_loose, seed)
+    assume(case is not None)
+    _check_against_reference(*case)
+
+
+@pytest.mark.parametrize("snap, amplitude", [(False, 0.02), (True, 0.1)])
+def test_flips_match_the_reference_over_several_rounds(snap, amplitude):
+    # 60 interior points of a 16-gon, moved: some repairs flip in more than one
+    # round, where only the edges of the last round's flipped triangles and
+    # its leftover violators are tested again
+    rng = np.random.default_rng(7 + snap)
+    several = 0
+    for _ in range(40):
+        interior = rng.uniform(-0.9, 0.9, (60, 2)).tolist()
+        seed = int(rng.integers(2**32))
+        case = _moved_triangulation(_circle, 16, interior, snap, amplitude, 0, seed)
+        several += case is not None and _check_against_reference(*case)
+    assert several >= 5
+
+
 def test_cocircular_trapezoid_keeps_its_diagonal():
     # an isosceles trapezoid inscribed in the unit circle: both diagonals are Delaunay
     s = math.sqrt(0.75)
     pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.5, s], [-0.5, s]])
     for diagonal in ([[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]):
         tris = np.array(diagonal)
-        assert _lawson_flips(pts, tris, 4, 1e-12) is tris
+        got, twin = _lawson_flips(pts, tris, _fresh_twins(tris), 1e-12)
+        assert got is tris
 
 
 def test_point_pushed_across_the_hull_is_not_certified():
     # a square with one inner point, which moves out through the top side: the
     # triangles at that side fold, and no in-circle or hull test sees it
     pts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-0.14, 0.23]])
-    tris = _orient_ccw(pts, Delaunay(pts).simplices)
-    assert _lawson_flips(pts, tris, 4, 1e-12) is tris  # already Delaunay, no tie
+    tris, twin, certified = _delaunay(pts, 4)
+    assert certified
+    assert _lawson_flips(pts, tris, twin, 1e-12)[0] is tris  # already Delaunay, no tie
     moved = pts.copy()
     moved[4] = [0.85, 1.13]
-    assert _lawson_flips(moved, tris, 4, 1e-12) is None
+    assert _lawson_flips(moved, tris, twin, 1e-12) is None

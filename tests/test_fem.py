@@ -78,6 +78,18 @@ def test_eigen_convergence_order(disk_mesh_h08, disk_mesh_h04, disk_mesh_h02):
     assert 3.2 <= errs[1] / errs[2] <= 4.8
 
 
+def test_eigen_solve_counts_its_refactors(disk_mesh_h08):
+    # unshifted and at shift 5 the power iteration converges without
+    # re-shifting; at shift 10, nearly midway between lambda1 (5.80) and
+    # lambda2 (14.7), it is still slow at iteration 25 and re-shifts once
+    k, m = fem.assemble(disk_mesh_h08)
+    pairs = [fem.eigen_smallest(k, m, disk_mesh_h08, shift=s) for s in (0.0, 5.0, 10.0)]
+    assert [ep.refactors for ep in pairs] == [0, 0, 1]
+    assert pairs[0].iterations < 25 and pairs[1].iterations < 25 < pairs[2].iterations
+    for ep in pairs[1:]:
+        assert ep.lambda1 == pytest.approx(pairs[0].lambda1, rel=1e-12)
+
+
 def test_pi_square_eigenvalue():
     mesh = build_domain(Polygon(((0, 0), (math.pi, 0), (math.pi, math.pi), (0, math.pi))), 0.07)
     k, m = fem.assemble(mesh)
