@@ -26,7 +26,7 @@ class DegenerateTriangle(ExtremalLabError):
 
 
 class IterationLimit(ExtremalLabError):
-    """Eigensolver hit its iteration cap; carries the final residual."""
+    """Eigensolver hit its iteration cap or left the double range; carries the residual."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)

@@ -67,18 +67,11 @@ def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The gradient of the hat function of local vertex i is (b_i, c_i) / (2 area).
     """
-    b, c = _p1_coefficients(mesh.vertices, mesh.triangles)
+    (x, y), nxt, prv = mesh.vertices.T, mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
+    b = y[nxt] - y[prv]  # y1 - y2, y2 - y0, y0 - y1
+    c = x[prv] - x[nxt]  # x2 - x1, x0 - x2, x1 - x0
     area = 0.5 * (c[:, 2] * b[:, 1] - b[:, 2] * c[:, 1])
     return b, c, area
-
-
-def _p1_coefficients(points: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b, c of `p1_gradients` at points (..., nv, 2); linear, so velocities give db, dc."""
-    x, y = points[..., 0], points[..., 1]
-    nxt, prv = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
-    b = y[..., nxt] - y[..., prv]  # y1 - y2, y2 - y0, y0 - y1
-    c = x[..., prv] - x[..., nxt]  # x2 - x1, x0 - x2, x1 - x0
-    return b, c
 
 
 def export_matrix_market(mat: sparse.spmatrix) -> str:
@@ -152,6 +145,8 @@ def eigen_smallest(
         it += 1
         w = lu.solve(mi @ v)
         nrm = math.sqrt(w @ (mi @ w))
+        if not 0.0 < nrm < math.inf:  # the iterate left the double range
+            raise IterationLimit(f"eigen iterate's M-norm is {nrm} at iteration {it}", residual)
         v = w / nrm
         rho = float(v @ (ki @ v)) / float(v @ (mi @ v))
         r = ki @ v - rho * (mi @ v)
@@ -394,6 +389,24 @@ def _boundary_mass(mesh: Mesh, ids: np.ndarray, length: np.ndarray):
     return ia, ib, sparse.coo_matrix((vals, (rows, cols)), shape=(len(ids), len(ids))).tocsc()
 
 
+def _residual_blocks(mesh: Mesh, u: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of the element residuals r = (K_e - lam M_e) u: blocks[k, a, j, t] is
+    d r_a / d(coordinate k of local vertex j) in triangle t, and row (nv, 2) has u . dM u =
+    sum(row * V).  By `p1_gradients`, d area / d(x_j, y_j) = (b_j, c_j) / 2 and d b_a / d y_j
+    = -d c_a / d x_j = p[a, j]; w = -(d r_a / d area) / 2, as K_e u ~ 1 / area, M_e u ~ area."""
+    # triangles last (and contiguous), so that every product runs over the whole mesh
+    b, c, area, ue = (np.ascontiguousarray(g.T) for g in (*p1_gradients(mesh), u[mesh.triangles]))
+    p = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])  # [j = a+1] - [j = a+2]
+    bu, cu, pu = (b * ue).sum(axis=0), (c * ue).sum(axis=0), p.T @ ue
+    w = ((b * bu + c * cu) / (8.0 * area**2) + lam * (ue + ue.sum(axis=0)) / 24.0)[:, None]
+    sx = -(p[..., None] * cu + c[:, None] * pu) / (4.0 * area) - w * b
+    sy = (p[..., None] * bu + b[:, None] * pu) / (4.0 * area) - w * c
+    q = ((ue * ue).sum(axis=0) + ue.sum(axis=0) ** 2) / 24.0  # u . M_e u / (2 area)
+    row = np.stack([np.bincount(mesh.triangles.T.ravel(), (q * g).ravel(), minlength=len(u))
+                    for g in (b, c)], axis=1)
+    return np.stack([sx, sy]), row
+
+
 def eigen_shape_derivative(
     k: sparse.csr_matrix,
     m: sparse.csr_matrix,
@@ -405,47 +418,35 @@ def eigen_shape_derivative(
     """Exact derivatives of lambda1, ``tr.nodal`` and ``tr.lumped_weights``
     along each vertex velocity of the stack (p, nv, 2), at fixed topology.
 
-    `ep` is the mass-normalized eigenpair of the assembled `k`, `m` and `tr`
-    its trace with source lambda1 * u1.  The element derivatives of K and M
-    are contracted with u directly (db, dc, d(area) are linear in the
-    velocities).  One factorization of [[K_II - lambda M_II, -M_II u],
-    [u^T M_II, 0]] gives (du, dlambda) for all p velocities (Nelson, AIAA J.
-    14, 1976), and dg = M_b^-1 (d(K u - lambda M u)_b - dM_b g)."""
-    lam, n_vel = ep.lambda1, len(velocities)
-    b, c, area = p1_gradients(mesh)
-    ue = ep.u1.values[mesh.triangles]
-    bu, cu = (b * ue).sum(axis=1)[:, None], (c * ue).sum(axis=1)[:, None]
-    four_area = (4.0 * area)[:, None]
-    ku = (b * bu + c * cu) / four_area
-    dof = mesh.dof_of_vertex[mesh.triangles].ravel()
-    d_res, u_dm_u = np.empty((mesh.n_dofs, n_vel)), np.empty(n_vel)  # d(K - lambda M) u, u dM u
-    for j, v in enumerate(velocities):  # stacked (p, nt, 3) arrays: +15 MiB peak on the strip
-        db, dc = _p1_coefficients(v, mesh.triangles)
-        darea = 0.5 * (dc[:, 2] * b[:, 1] + c[:, 2] * db[:, 1]
-                       - db[:, 2] * c[:, 1] - b[:, 2] * dc[:, 1])
-        dbu, dcu = (db * ue).sum(axis=1)[:, None], (dc * ue).sum(axis=1)[:, None]
-        dku = (db * bu + b * dbu + dc * cu + c * dcu) / four_area - ku * (darea / area)[:, None]
-        dmu = (darea / 12.0)[:, None] * (ue + ue.sum(axis=1, keepdims=True))
-        d_res[:, j] = np.bincount(dof, (dku - lam * dmu).ravel(), minlength=mesh.n_dofs)
-        u_dm_u[j] = float(np.sum(ue * dmu))
+    `ep` is the mass-normalized eigenpair of the assembled `k`, `m` and `tr` its trace
+    with source lambda1 * u1.  d(K - lambda M)u is one contraction of `_residual_blocks`
+    per velocity.  One factorization of [[K_II - lambda M_II, -M_II u], [u^T M_II, 0]]
+    gives (du, dlambda) for all velocities (Nelson, AIAA J. 14, 1976), and dg = M_b^-1
+    (d(K u - lambda M u)_b - dM_b g).  With N the boundary vertex-edge incidence, M_b g
+    = E(g) len for E(g) = (N diag(N^T g) + diag(g) N) / 6, so dM_b g = E(g) dlen, and
+    M_b's row sums E(1) len move by N dlen / 2."""
+    blocks, row = _residual_blocks(mesh, ep.u1.values, ep.lambda1)
+    dof, tri = mesh.dof_of_vertex[mesh.triangles.T].ravel(), np.ascontiguousarray(mesh.triangles.T)
+    d_res = np.column_stack([  # d(K - lambda M) u
+        np.bincount(dof, np.sum(blocks * v.T[:, None, tri], axis=(0, 2)).ravel(), mesh.n_dofs)
+        for v in velocities])
 
     interior = np.nonzero(~dirichlet_mask(mesh))[0]
-    shifted = (k - lam * m).tocsr()
+    shifted = (k - ep.lambda1 * m).tocsr()
     mu = m @ mesh.reduce(ep.u1.values)
     col = sparse.csr_matrix(mu[interior][:, None])
     bordered = sparse.bmat([[shifted[interior][:, interior], -col], [col.T, None]], format="csc")
-    rhs = np.vstack([-d_res[interior], -0.5 * u_dm_u])
+    rhs = np.vstack([-d_res[interior], -0.5 * np.tensordot(velocities, row, 2)])
     # a symmetric pattern: minimum degree on A^T + A fills in a third of COLAMD's
     sol = splu(bordered, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     bd = mesh.dof_of_vertex[tr.vertex_ids]
     d_rhs = d_res[bd] + shifted[bd][:, interior] @ sol[:-1] - np.outer(mu[bd], sol[-1])
 
-    # M_b is linear in the edge lengths: dM_b is M_b built on their derivatives
     e0, e1 = mesh.boundary_edges.T
-    dlen = np.einsum("ei,pei->pe", mesh.vertices[e1] - mesh.vertices[e0],
-                     velocities[:, e1] - velocities[:, e0]) / mesh.boundary_lengths
-    d_mb = [_boundary_mass(mesh, tr.vertex_ids, dl)[2] for dl in dlen]
-    d_mb_g = np.column_stack([dm @ tr.nodal for dm in d_mb])
-    mb = _boundary_mass(mesh, tr.vertex_ids, mesh.boundary_lengths)[2]
-    d_weights = np.stack([dm @ np.ones(len(tr.nodal)) for dm in d_mb])  # M_b's row sums
-    return sol[-1], splu(mb).solve(d_rhs - d_mb_g).T, d_weights
+    dlen = np.einsum("ei,pei->ep", mesh.vertices[e1] - mesh.vertices[e0],
+                     velocities[:, e1] - velocities[:, e0]) / mesh.boundary_lengths[:, None]
+    ia, ib, mb = _boundary_mass(mesh, tr.vertex_ids, mesh.boundary_lengths)
+    inc = sparse.csr_matrix((np.ones(2 * len(ia)), (np.r_[ia, ib], np.r_[:len(ia), :len(ia)])))
+    inc_dlen = inc @ dlen
+    d_mb_g = (inc @ ((inc.T @ tr.nodal)[:, None] * dlen) + tr.nodal[:, None] * inc_dlen) / 6.0
+    return sol[-1], splu(mb).solve(d_rhs - d_mb_g).T, 0.5 * inc_dlen.T

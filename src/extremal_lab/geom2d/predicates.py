@@ -370,8 +370,7 @@ def cap_reflect(mesh: Mesh, line: Line) -> CapReport:
         # to L are tolerated at the two chord extremes (side walls) but not
         # in the interior, and projection intervals may only touch.
         ov_tol = 1e-9 * scale
-        ta = np.array([line.along(p)[0] for p in pu])
-        tb = np.array([line.along(p)[0] for p in pv])
+        ta, tb = line.along(pu), line.along(pv)
         seg = pv - pu
         orth = (np.abs(tb - ta) < ov_tol) & (np.hypot(seg[:, 0], seg[:, 1]) > 100 * ov_tol)
         orthogonal_ts = 0.5 * (ta[orth] + tb[orth])

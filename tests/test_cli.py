@@ -635,3 +635,20 @@ def test_numerical_failure_exit_code(tmp_path):
     assert proc.returncode == 1
     record = json.loads((out / "record.json").read_text())
     assert record["error"] is not None
+
+
+def test_branch_at_a_vanishing_lambda_is_a_numerical_failure(tmp_path):
+    # the cell is 1.6e100 wide, so the eigen iterate's M-norm overflows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "branch", "lambda": 1e-200}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "extremal_lab.cli", "branch", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads((out / "record.json").read_text())["error"]
+    assert error.startswith("IterationLimit: eigen iterate's M-norm is inf")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import quad
+from scipy.sparse.linalg import splu
 
 from extremal_lab import analytic, fem, shapeopt
 from extremal_lab.errors import DegenerateTriangle, NonPositiveSolution
-from extremal_lab.geom2d import PeriodicStrip, Polygon, build_domain
+from extremal_lab.geom2d import Ellipse, PeriodicStrip, Polygon, build_domain
 from extremal_lab.geom2d.meshing import mesh_from_arrays
 
 J01SQ = 5.783185962946785
@@ -322,6 +323,115 @@ def test_strip_flux_jacobian_matches_central_differences():
     for j, e in enumerate(np.eye(len(z))):
         central = (flux(z + step * e) - flux(z - step * e)) / (2 * step)
         assert np.max(np.abs(central - exact[:, j])) <= 1e-6, j
+
+
+# -- reference: the derivative loop that re-derives every element formula per
+# velocity and builds one boundary mass matrix per velocity ----------------------
+
+
+def _ref_p1_coefficients(points, triangles):
+    x, y = points[..., 0], points[..., 1]
+    nxt, prv = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+    b = y[..., nxt] - y[..., prv]  # y1 - y2, y2 - y0, y0 - y1
+    c = x[..., prv] - x[..., nxt]  # x2 - x1, x0 - x2, x1 - x0
+    return b, c
+
+
+def _ref_eigen_shape_derivative(k, m, mesh, ep, tr, velocities):
+    lam, n_vel = ep.lambda1, len(velocities)
+    b, c, area = fem.p1_gradients(mesh)
+    ue = ep.u1.values[mesh.triangles]
+    bu, cu = (b * ue).sum(axis=1)[:, None], (c * ue).sum(axis=1)[:, None]
+    four_area = (4.0 * area)[:, None]
+    ku = (b * bu + c * cu) / four_area
+    dof = mesh.dof_of_vertex[mesh.triangles].ravel()
+    d_res, u_dm_u = np.empty((mesh.n_dofs, n_vel)), np.empty(n_vel)  # d(K - lambda M) u, u dM u
+    for j, v in enumerate(velocities):
+        db, dc = _ref_p1_coefficients(v, mesh.triangles)
+        darea = 0.5 * (dc[:, 2] * b[:, 1] + c[:, 2] * db[:, 1]
+                       - db[:, 2] * c[:, 1] - b[:, 2] * dc[:, 1])
+        dbu, dcu = (db * ue).sum(axis=1)[:, None], (dc * ue).sum(axis=1)[:, None]
+        dku = (db * bu + b * dbu + dc * cu + c * dcu) / four_area - ku * (darea / area)[:, None]
+        dmu = (darea / 12.0)[:, None] * (ue + ue.sum(axis=1, keepdims=True))
+        d_res[:, j] = np.bincount(dof, (dku - lam * dmu).ravel(), minlength=mesh.n_dofs)
+        u_dm_u[j] = float(np.sum(ue * dmu))
+
+    interior = np.nonzero(~fem.dirichlet_mask(mesh))[0]
+    shifted = (k - lam * m).tocsr()
+    mu = m @ mesh.reduce(ep.u1.values)
+    col = sparse.csr_matrix(mu[interior][:, None])
+    bordered = sparse.bmat([[shifted[interior][:, interior], -col], [col.T, None]], format="csc")
+    rhs = np.vstack([-d_res[interior], -0.5 * u_dm_u])
+    sol = splu(bordered, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    bd = mesh.dof_of_vertex[tr.vertex_ids]
+    d_rhs = d_res[bd] + shifted[bd][:, interior] @ sol[:-1] - np.outer(mu[bd], sol[-1])
+
+    # M_b is linear in the edge lengths: dM_b is M_b built on their derivatives
+    e0, e1 = mesh.boundary_edges.T
+    dlen = np.einsum("ei,pei->pe", mesh.vertices[e1] - mesh.vertices[e0],
+                     velocities[:, e1] - velocities[:, e0]) / mesh.boundary_lengths
+    d_mb = [fem._boundary_mass(mesh, tr.vertex_ids, dl)[2] for dl in dlen]
+    d_mb_g = np.column_stack([dm @ tr.nodal for dm in d_mb])
+    mb = fem._boundary_mass(mesh, tr.vertex_ids, mesh.boundary_lengths)[2]
+    d_weights = np.stack([dm @ np.ones(len(tr.nodal)) for dm in d_mb])  # M_b's row sums
+    return sol[-1], splu(mb).solve(d_rhs - d_mb_g).T, d_weights
+
+
+def _solved(mesh, tol=1e-10):
+    k, m = fem.assemble(mesh)
+    ep = fem.eigen_smallest(k, m, mesh, tol)
+    return k, m, mesh, ep, fem.neumann_trace(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
+
+
+@pytest.fixture(scope="module")
+def derivative_cases():
+    """(K, M, mesh, eigenpair, trace) on a bulged (64, 32) strip cell, whose
+    seam column duplicates vertices, and on a relaxed (2, 1) ellipse mesh."""
+    cell = shapeopt.strip_cell(1.0, 2 * math.pi, 16, 10)
+    assert shapeopt.strip_counts(1.0, 2 * math.pi, 16) == (64, 32)
+    z = np.zeros(12)
+    z[[0, 1, 2, 3, -1]] = math.pi / 2, 0.05, -0.01, 0.004, 2 * math.pi
+    sol, _ = cell.solve(z)
+    return {"strip_cell": (sol.k, sol.m, sol.mesh, sol.eigen, sol.report.trace),
+            "ellipse": _solved(build_domain(Ellipse(2.0, 1.0), 0.08))}
+
+
+@pytest.mark.parametrize("case", ["strip_cell", "ellipse"])
+@pytest.mark.parametrize("p", [1, 12])
+def test_shape_derivative_matches_the_per_velocity_loop(derivative_cases, case, p):
+    args = derivative_cases[case]
+    velocities = np.random.default_rng(p).normal(size=(p, len(args[2].vertices), 2))
+    for got, want in zip(fem.eigen_shape_derivative(*args, velocities),
+                         _ref_eigen_shape_derivative(*args, velocities)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _lambda_gradient(mesh, ep):
+    """u^T S: the residual blocks contracted with u, summed per vertex (nv, 2)."""
+    blocks, _ = fem._residual_blocks(mesh, ep.u1.values, ep.lambda1)
+    per = np.einsum("at,kajt->kjt", ep.u1.values[mesh.triangles.T], blocks)
+    return np.column_stack([np.bincount(mesh.triangles.T.ravel(), per_k.ravel(),
+                                        minlength=len(mesh.vertices)) for per_k in per])
+
+
+def test_lambda_vertex_gradient():
+    # u^T S V is d lambda where the eigen residual vanishes: solve to 1e-13
+    k, m, mesh, ep, tr = _solved(build_domain(Ellipse(1.2, 1 / 1.2), 0.08), 1e-13)
+    grad = _lambda_gradient(mesh, ep)
+    velocities = np.random.default_rng(3).normal(size=(3, len(mesh.vertices), 2))
+    dlam = fem.eigen_shape_derivative(k, m, mesh, ep, tr, velocities)[0]
+    assert np.max(np.abs(np.tensordot(velocities, grad, 2) - dlam)) <= 1e-12 * np.max(np.abs(dlam))
+
+    def lam_of(verts):
+        moved = mesh_from_arrays(verts, mesh.triangles, quality_floor=None)
+        k2, m2 = fem.assemble(moved)
+        return fem.eigen_smallest(k2, m2, moved, tol=1e-12).lambda1
+
+    step = 1e-6
+    for v in velocities:
+        central = (lam_of(mesh.vertices + step * v) - lam_of(mesh.vertices - step * v)) / (2 * step)
+        assert abs(central - float(np.sum(grad * v))) <= 1e-6 * abs(central)
 
 
 def test_field_csv_export(disk_mesh_h05):
