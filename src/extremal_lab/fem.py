@@ -144,7 +144,8 @@ def eigen_smallest(
     while it < 500:
         it += 1
         w = lu.solve(mi @ v)
-        nrm = math.sqrt(w @ (mi @ w))
+        with np.errstate(over="ignore"):  # an overflow is caught just below
+            nrm = math.sqrt(w @ (mi @ w))
         if not 0.0 < nrm < math.inf:  # the iterate left the double range
             raise IterationLimit(f"eigen iterate's M-norm is {nrm} at iteration {it}", residual)
         v = w / nrm

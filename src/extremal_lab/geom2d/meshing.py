@@ -9,10 +9,10 @@ Periodic strips use a mapped structured grid: translation-invariant in x,
 mirror-symmetric in y, with the right vertex column an exact duplicate of the
 left one.  Both paths are deterministic functions of (spec, h).
 
-Boundary edges are the int64 undirected edge keys that ``np.unique`` counts
-once.  The relaxation builds the half-edge twins once per Qhull triangulation,
-carries them through its flips and lists each sweep's truss edges from them;
-the strip grid and the periodic cover are built by index arithmetic.
+Each mesh pairs its half-edge twins once (`_twins`); the boundary edges are
+the half-edges without a twin.  The relaxation pairs each Qhull triangulation
+alike, carries the twins through its flips and lists its truss edges from
+them; the strip grid and the periodic cover are built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class Mesh:
     loops list edge indices in walk order.  For periodic-in-x meshes the
     right vertex column duplicates the left one and ``periodic_pairs`` maps
     duplicate -> base; ``dof_of_vertex`` collapses duplicates to one degree
-    of freedom per physical vertex.
+    of freedom per physical vertex.  ``twin`` pairs half-edges on base
+    vertices, so a periodic mesh's twins pair across the seam.
     """
 
     vertices: np.ndarray
@@ -47,6 +48,7 @@ class Mesh:
     boundary_lengths: np.ndarray
     boundary_loops: list[np.ndarray]
     boundary_edge_tri: np.ndarray
+    twin: np.ndarray  # of half-edge 3t + i (triangles[t, i] -> [t, i + 1]), or -1
     period: float = 0.0
     periodic_pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
     corner_vertices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -186,6 +188,18 @@ def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return triangles
 
 
+def _twins(keys: np.ndarray) -> np.ndarray:
+    """The other half-edge with the same edge key, -1 where the key is unique;
+    MeshQualityFailure when three half-edges share a key."""
+    order = np.argsort(keys)
+    pair = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
+    if np.any(np.diff(pair) == 1):
+        raise MeshQualityFailure("non-conforming: an edge is shared by >2 triangles")
+    twin = np.full(len(keys), -1)
+    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    return twin
+
+
 def _boundary_frame(vertices, triangles, edges, edge_tri) -> tuple[np.ndarray, np.ndarray]:
     """Lengths and unit normals of the boundary edges, away from their triangles."""
     a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
@@ -216,17 +230,13 @@ def mesh_from_arrays(
     )
     base_of = _base_of(len(vertices), pairs)
 
-    # directed edges (a, b), (b, c), (c, a) of every triangle in scan order,
-    # keyed as undirected edges of base vertices; boundary edges occur once
+    # half-edges (a, b), (b, c), (c, a) of every triangle in scan order, keyed
+    # as undirected edges of base vertices; boundary edges have no twin
     directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     ends = base_of[directed]
-    keys = ends.min(axis=1) * len(vertices) + ends.max(axis=1)
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    if np.any(counts > 2):
-        raise MeshQualityFailure("non-conforming: an edge is shared by >2 triangles")
-    pos = np.sort(first[counts == 1])
-    b_edges_arr = directed[pos]
-    b_tri_arr = pos // 3
+    twin = _twins(ends.min(axis=1) * len(vertices) + ends.max(axis=1))
+    pos = np.nonzero(twin < 0)[0]
+    b_edges_arr, b_tri_arr = directed[pos], pos // 3
 
     lengths, normals = _boundary_frame(vertices, triangles, b_edges_arr, b_tri_arr)
 
@@ -261,6 +271,7 @@ def mesh_from_arrays(
         boundary_lengths=lengths,
         boundary_loops=loops,
         boundary_edge_tri=b_tri_arr,
+        twin=twin,
         period=period,
         periodic_pairs=pairs,
         corner_vertices=(
@@ -345,11 +356,7 @@ def _delaunay(pts: np.ndarray, nfix: int):
     tri = Delaunay(pts)
     tris = _orient_ccw(pts, tri.simplices)
     a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
-    keys = np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b)
-    order = np.argsort(keys)
-    pair = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
-    twin = np.full(len(keys), -1)
-    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    twin = _twins(np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b))
     # the hull is a cycle, so every hull vertex starts one hull half-edge
     return tris, twin, len(tri.coplanar) == 0 and bool(np.all(a[twin < 0] < nfix))
 

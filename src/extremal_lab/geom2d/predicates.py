@@ -235,24 +235,20 @@ def superlevel_triangle_components(
     """Triangles of {values > level}, grouped by connectivity.
 
     A triangle is kept when its largest vertex value is above the level; two
-    kept triangles are joined across a shared edge whose larger endpoint value
-    is above the level.  Components come ordered by their lowest triangle
-    index and list their triangles in ascending order.
+    kept triangles are joined through twins (which pair across a periodic
+    seam: pass the ``unrolled()`` cover) whose larger endpoint value is above
+    the level.  Components come by lowest triangle, triangles ascending.
     """
-    kept = np.nonzero(values[mesh.triangles].max(axis=1) > level)[0]
+    keep = values[mesh.triangles].max(axis=1) > level
+    kept = np.nonzero(keep)[0]
     if len(kept) == 0:
         return []
-    edges = np.sort(mesh.triangles[kept][:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
-    owner = np.repeat(np.arange(len(kept)), 3)
-    live = values[edges].max(axis=1) > level
-    key = edges[live, 0] * len(mesh.vertices) + edges[live, 1]
-    owner = owner[live]
-    order = np.argsort(key, kind="stable")
-    key, owner = key[order], owner[order]
-    shared = np.nonzero(key[1:] == key[:-1])[0]
-    adjacency = sparse.coo_matrix(
-        (np.ones(len(shared)), (owner[shared], owner[shared + 1])), shape=(len(kept), len(kept))
-    )
+    h = (3 * kept[:, None] + np.arange(3)).ravel()
+    tw = mesh.twin[h]
+    top = values[mesh.triangles[kept][:, [[0, 1], [1, 2], [2, 0]]]].max(axis=2).ravel()
+    join = (h < tw) & keep[tw // 3] & (top > level)
+    t, u = (np.cumsum(keep) - 1)[np.stack([h[join], tw[join]]) // 3]
+    adjacency = sparse.coo_matrix((np.ones(len(t)), (t, u)), shape=(len(kept), len(kept)))
     n_comp, labels = connected_components(adjacency, directed=False)
     by_label = np.argsort(labels, kind="stable")
     return np.split(kept[by_label], np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
@@ -300,7 +296,8 @@ def _positive_part(p: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
 
 def cap_reflect(mesh: Mesh, line: Line) -> CapReport:
     """Connected components of the domain on the positive side of the line,
-    with the graph-over-chord and reflected-containment predicates."""
+    with the graph-over-chord and reflected-containment predicates, read on
+    the ``unrolled()`` cover: a periodic mesh's twins pair across the seam."""
     work, tol = mesh.unrolled(), 1e-10
     scale = float(
         max(
@@ -327,9 +324,6 @@ def cap_reflect(mesh: Mesh, line: Line) -> CapReport:
         if np.any(sin_angle < 1e-6):
             raise NonTransversal("a boundary edge meets the cutting line at angle < 1e-6")
 
-    n = len(work.vertices)
-    # sorted boundary keys min*n + max, closed by a key no edge reaches
-    boundary_keys = np.append(np.sort(be.min(axis=1) * n + be.max(axis=1)), n * n)
     domain_polys = work.boundary_polygons()
 
     report = CapReport(line=line)
@@ -352,11 +346,9 @@ def cap_reflect(mesh: Mesh, line: Line) -> CapReport:
 
         # boundary edges on the positive side, cut at L, in (triangle, edge) order
         u, v = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
-        key = np.minimum(u, v) * n + np.maximum(u, v)
         su, sv = s_all[u], s_all[v]
-        on = (boundary_keys[np.searchsorted(boundary_keys, key)] == key) & (
-            np.maximum(su, sv) > tol_len
-        )
+        free = work.twin[3 * tris[:, None] + np.arange(3)].ravel() < 0
+        on = free & (np.maximum(su, sv) > tol_len)
         pu, pv, su, sv = work.vertices[u[on]], work.vertices[v[on]], su[on], sv[on]
         cut = (su < 0) | (sv < 0)
         _, cross_pts = edge_crossings(pu, pv, su, sv, 0.0, cut)

@@ -77,7 +77,7 @@ def _ref_cap_reflect(mesh, line, tol=1e-10):
     domain_polys = work.boundary_polygons()
 
     report = CapReport(line=line)
-    for tris in superlevel_triangle_components(work, s_all, tol):
+    for tris in _ref_triangle_components(work, s_all, tol):
         pieces = []
         bnd_segs = []
         for t in tris:
@@ -150,11 +150,43 @@ def _ref_cap_reflect(mesh, line, tol=1e-10):
     return report
 
 
+def _ref_triangle_components(mesh, values, level):
+    """Union-find over the kept triangles: two are joined when they share a
+    pair of base vertices whose larger value is above the level.  Components
+    come ordered by their lowest triangle, each listed in ascending order."""
+    ids, vals = mesh.dof_of_vertex.tolist(), values.tolist()
+    parent, first = {}, {}
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        if max(vals[v] for v in tri) <= level:
+            continue
+        parent[t] = t
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            if max(vals[a], vals[b]) <= level:
+                continue
+            key = (min(ids[a], ids[b]), max(ids[a], ids[b]))
+            if key in first:
+                parent[find(t)] = find(first[key])
+            else:
+                first[key] = t
+    groups = {}
+    for t in parent:  # ascending, so groups come in order of their lowest triangle
+        groups.setdefault(find(t), []).append(t)
+    return [np.asarray(g) for g in groups.values()]
+
+
 def _ref_superlevel_components(mesh, values, level):
     work = mesh.unrolled()
     vals = values if work is mesh else values[work.unroll_base]
     out = []
-    for tris in superlevel_triangle_components(work, vals, level):
+    for tris in _ref_triangle_components(work, vals, level):
         pts = []
         for t in tris:
             tri = work.triangles[t]
@@ -315,6 +347,30 @@ def test_cap_reflect_sees_each_predicate_both_ways(meshes):
 
 
 # -- T5 superlevel point sets --------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("field", ["smooth", "on_levels"])
+def test_superlevel_triangle_components_match_union_find(meshes, name, field):
+    # the mesh (a periodic cell pairs across its seam) and its unrolled cover,
+    # with one value per physical vertex
+    mesh = meshes[name]
+    values = mesh.expand(mesh.reduce(_fields(mesh)[field]))
+    work = mesh.unrolled()
+    cases = [(mesh, values)] + ([(work, values[work.unroll_base])] if work is not mesh else [])
+    sizes = set()
+    for m, vals in cases:
+        for frac in (0.1, 0.3, 0.5, 0.8):
+            level = float(vals.min() + frac * (vals.max() - vals.min()))
+            if field == "on_levels":
+                level = float(np.round(level))
+            got = superlevel_triangle_components(m, vals, level)
+            ref = _ref_triangle_components(m, vals, level)
+            assert [g.tolist() for g in got] == [r.tolist() for r in ref]
+            sizes.add(len(ref))
+    assert max(sizes) >= 1
+    if field == "on_levels":
+        assert max(sizes) > 1  # scattered values split the superlevel set
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

@@ -45,6 +45,22 @@ def _check_invariants(mesh):
             counts[(min(a, b), max(a, b))] = counts.get((min(a, b), max(a, b)), 0) + 1
     assert set(counts.values()) <= {1, 2}
     assert sum(1 for c in counts.values() if c == 1) == len(mesh.boundary_edges)
+    _check_twins(mesh)
+
+
+def _check_twins(mesh):
+    """Paired half-edges are each other's twins and join the same base
+    vertices in opposite directions; the unpaired ones are the boundary."""
+    twin, base = mesh.twin, mesh.dof_of_vertex
+    tail, head = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
+    assert twin.shape == tail.shape and np.all((twin >= -1) & (twin < len(twin)))
+    paired = np.nonzero(twin >= 0)[0]
+    assert np.array_equal(twin[twin[paired]], paired) and np.all(twin[paired] != paired)
+    assert np.array_equal(base[tail[paired]], base[head[twin[paired]]])
+    assert np.array_equal(base[head[paired]], base[tail[twin[paired]]])
+    free = np.nonzero(twin < 0)[0]
+    assert np.array_equal(mesh.boundary_edges, np.column_stack([tail[free], head[free]]))
+    assert np.array_equal(mesh.boundary_edge_tri, free // 3)
 
 
 @pytest.mark.parametrize("spec,h", ZOO, ids=lambda z: getattr(z, "kind", str(z)))
@@ -287,7 +303,7 @@ def test_moved_cell_matches_a_fresh_structured_strip():
     cell = meshing.structured_strip(STRIP_SPECS[0], 24, 8)
     fresh = meshing.structured_strip(STRIP_SPECS[1], 24, 8)
     moved = cell.moved(fresh.vertices, STRIP_SPECS[1].period)
-    for name in ("triangles", "boundary_edges", "boundary_edge_tri", "periodic_pairs",
+    for name in ("triangles", "boundary_edges", "boundary_edge_tri", "twin", "periodic_pairs",
                  "dof_of_vertex"):
         assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
     loops = [[lp.tolist() for lp in mesh.boundary_loops] for mesh in (moved, fresh)]
@@ -295,6 +311,25 @@ def test_moved_cell_matches_a_fresh_structured_strip():
     assert np.max(np.abs(moved.boundary_lengths - fresh.boundary_lengths)) <= 1e-14
     assert np.max(np.abs(moved.boundary_normals - fresh.boundary_normals)) <= 1e-14
     assert moved.period == fresh.period == 5.3 and moved.is_periodic_x
+
+
+def test_strip_twins_pair_across_the_seam_and_the_cover_does_not():
+    cell = meshing.structured_strip(STRIP_SPECS[1], 16, 8)
+    cover = cell.unrolled()
+    for mesh in (cell, cover):
+        _check_invariants(mesh)
+    tail, head = cell.triangles.ravel(), cell.triangles[:, [1, 2, 0]].ravel()
+    dup, base = cell.periodic_pairs.T
+    right = np.nonzero(np.isin(tail, dup) & np.isin(head, dup))[0]
+    left = np.nonzero(np.isin(tail, base) & np.isin(head, base))[0]
+    assert len(right) == len(left) == 8
+    assert np.array_equal(np.sort(cell.twin[right]), left)
+    # the cover's outer seams, at x = -T and 2T, are boundary edges
+    x = cover.vertices[:, 0]
+    tail, head = cover.triangles.ravel(), cover.triangles[:, [1, 2, 0]].ravel()
+    for end in (-cell.period, 2 * cell.period):
+        seam = np.nonzero((x[tail] == end) & (x[head] == end))[0]
+        assert len(seam) == 8 and np.all(cover.twin[seam] < 0)
 
 
 def test_moved_mesh_unrolls_its_own_vertices():
