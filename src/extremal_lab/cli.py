@@ -242,6 +242,8 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
         lam, res, period = values["lambda"], values["resolution"], _cell_period(values)
         # past MAX_GRID_POINTS cells across the half-width the bound fails anyway
         a, h = shapeopt.strip_cell_spacing(lam, period, min(res, MAX_GRID_POINTS))
+        if abs(values["ds"]) >= a:  # the first predictor's c_1 = ds would pinch the strip
+            raise ConfigInvalid(f"step ds {values['ds']} is not below the half-width {a}")
         if grid_point_count((0.0, period, -a, a), h) > MAX_GRID_POINTS:
             raise ConfigInvalid(f"the branch cell needs over {MAX_GRID_POINTS} mesh points")
         nx = shapeopt.strip_counts(lam, period, res)[0]
@@ -404,6 +406,8 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
                 "criterion_holds": pr.criterion_holds,
                 "p_interior_max": pr.interior_max,
                 "p_boundary_max": pr.boundary_max,
+                "p_max_on_boundary": pr.max_on_boundary,
+                "p_tau": pr.tau_p,
                 "p_flags": pr.flags,
             }
         )

@@ -192,9 +192,6 @@ class Linear:
         u = np.asarray(u, dtype=float)
         return 0.5 * self.lam * u * u
 
-    def lipschitz(self) -> float:
-        return abs(self.lam)
-
 
 @dataclass(frozen=True)
 class AllenCahn:
@@ -211,9 +208,6 @@ class AllenCahn:
     def antiderivative(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * u * u - 0.25 * u**4
-
-    def lipschitz(self, umax: float = 1.0) -> float:
-        return max(1.0, 3.0 * umax * umax - 1.0)
 
 
 @dataclass(frozen=True)
@@ -260,9 +254,6 @@ class Tabulated:
     def antiderivative(self, u):
         u = np.asarray(u, dtype=float)
         return self._accumulated(u) - self._accumulated(np.zeros(1))[0]
-
-    def lipschitz(self) -> float:
-        return self.lipschitz_constant
 
 
 NonlinearitySpec = Union[Linear, AllenCahn, Tabulated]

@@ -217,7 +217,6 @@ class CapComponent:
     graph_over_chord: bool | None
     reflection_contained: bool | None
     distance_to_cut: float | None
-    n_triangles: int
 
 
 @dataclass
@@ -341,7 +340,7 @@ def cap_reflect(mesh: Mesh, line: Line) -> CapReport:
             bounded = True
 
         if not bounded:
-            report.components.append(CapComponent(False, None, None, None, dist_cut, len(tris)))
+            report.components.append(CapComponent(False, None, None, None, dist_cut))
             continue
 
         # boundary edges on the positive side, cut at L, in (triangle, edge) order
@@ -386,5 +385,5 @@ def cap_reflect(mesh: Mesh, line: Line) -> CapReport:
             contained = True
 
         height = float(line.signed_distance(verts).max())
-        report.components.append(CapComponent(True, height, graph, contained, dist_cut, len(tris)))
+        report.components.append(CapComponent(True, height, graph, contained, dist_cut))
     return report

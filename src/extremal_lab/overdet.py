@@ -13,7 +13,10 @@ than 7 vertices), whose linear and quadratic coefficients are the recovered
 gradient and Hessian.
 The ``check_*`` routines return TheoremCheck records for the inscribed-ball
 exclusion, superlevel-set diameter, cap-height, and complement-convexity
-statements.
+statements; each record's ``details`` reach ``checks.json``.  The cap-height
+record (L3R) counts its bounded caps, and among them those that are a graph
+over their chord and those whose reflection across the line stays in the
+domain: the two hypotheses of Alexandrov's reflection argument.
 """
 
 from __future__ import annotations
@@ -211,7 +214,6 @@ class PReport:
     u_tt: np.ndarray
     implied_curvature: np.ndarray
     geometric_curvature: np.ndarray
-    boundary_vertex_ids: np.ndarray
     tau_p: float
     max_on_boundary: bool
     flags: list[str] = field(default_factory=list)
@@ -298,7 +300,6 @@ def p_function(
         u_tt=u_tt,
         implied_curvature=implied,
         geometric_curvature=k_geom,
-        boundary_vertex_ids=b_ids,
         tau_p=tau_p,
         max_on_boundary=max_on_boundary,
         flags=flags,
@@ -328,6 +329,7 @@ class TheoremCheck:
             "bound": self.bound,
             "margin": self.margin,
             "flags": self.flags,
+            "details": self.details,
         }
 
 
@@ -405,34 +407,27 @@ def check_T5(mesh: Mesh, u: fem.ScalarField, lam: float, alpha_hat: float) -> Th
 
 
 def check_cap_heights(mesh: Mesh, lam: float, lines: list[Line]) -> TheoremCheck:
-    """Every bounded cap cut by the sampled lines must have height <= 3R."""
+    """Every bounded cap cut by the sampled lines must have height <= 3R.
+
+    The details count the lines, the bounded caps, and the bounded caps on
+    which each hypothesis of Alexandrov's reflection argument holds: the cap
+    is a graph over its chord (``graphs_over_chord``) and its reflection
+    across the line lies in the closed domain (``reflections_contained``).
+    """
     bound = 3.0 * r_lambda(lam)
-    worst = None
-    n_caps = 0
-    for line in lines:
-        rep = cap_reflect(mesh, line)
-        for cap in rep.bounded_components():
-            n_caps += 1
-            if worst is None or cap.height > worst:
-                worst = cap.height
-    if worst is None:
-        return TheoremCheck(
-            tag="L3R",
-            passed=True,
-            measured=None,
-            bound=bound,
-            margin=None,
-            flags=["no_bounded_caps"],
-            details={"lines": len(lines)},
-        )
-    return TheoremCheck(
-        tag="L3R",
-        passed=bool(worst <= bound + 1e-9),
-        measured=worst,
-        bound=bound,
-        margin=bound - worst,
-        details={"lines": len(lines), "bounded_caps": n_caps},
-    )
+    caps = [cap for line in lines for cap in cap_reflect(mesh, line).bounded_components()]
+    details = {
+        "lines": len(lines),
+        "bounded_caps": len(caps),
+        "graphs_over_chord": sum(cap.graph_over_chord for cap in caps),
+        "reflections_contained": sum(cap.reflection_contained for cap in caps),
+    }
+    if not caps:
+        return TheoremCheck(tag="L3R", passed=True, measured=None, bound=bound, margin=None,
+                            flags=["no_bounded_caps"], details=details)
+    worst = max(cap.height for cap in caps)
+    return TheoremCheck(tag="L3R", passed=bool(worst <= bound + 1e-9), measured=worst,
+                        bound=bound, margin=bound - worst, details=details)
 
 
 def check_T8_convexity(

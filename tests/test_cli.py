@@ -109,6 +109,9 @@ def test_solve_command_allen_cahn(tmp_path):
     assert 0.5 < report["max_u"] < 1.0
     assert (tmp_path / "p.csv").exists()
     assert (tmp_path / "p_field.svg").exists()
+    # the P-function's maximum-principle verdict and its noise tolerance
+    assert isinstance(report["p_max_on_boundary"], bool)
+    assert report["p_tau"] >= 0
 
 
 def test_config_validation():
@@ -233,6 +236,8 @@ _MALFORMED = {
     "branch_n_modes_aliased": {"command": "branch", "n_modes": 1e7},
     "branch_n_modes_at_half_the_columns": {"command": "branch", "n_modes": 32},
     "branch_n_modes_on_a_short_cell": {"command": "branch", "T": 1.0},
+    # the first predictor sets c_1 = ds, which pinches a strip of half-width at most |ds|
+    "branch_step_past_the_half_width": {"command": "branch", "lambda": 1e6, "s_max": 0.01},
 }
 
 
@@ -390,8 +395,8 @@ _JSON = st.recursive(
 
 def _fits_max_grid_points(cfg):
     """The size bounds across keys: the domain's bbox at h, or the branch's
-    period cell at its strip spacing, within MAX_GRID_POINTS, and n_modes
-    below half the cell's columns."""
+    period cell at its strip spacing, within MAX_GRID_POINTS, n_modes below
+    half the cell's columns, and |ds| below the strip's half-width."""
     if cfg.command == "branch":
         lam = cfg["lambda"]
         a = math.pi / (2 * math.sqrt(lam))
@@ -399,7 +404,7 @@ def _fits_max_grid_points(cfg):
         h = min(a / cfg["resolution"], period / 8)
         nx = max(8, round(period / h))
         return (grid_point_count((0, period, -a, a), h) <= MAX_GRID_POINTS
-                and cfg["n_modes"] < nx / 2)
+                and cfg["n_modes"] < nx / 2 and abs(cfg["ds"]) < a)
     if "domain" in cfg.values:
         return grid_point_count(cfg["domain"].bbox(), cfg["h"]) <= MAX_GRID_POINTS
     return True
@@ -546,23 +551,30 @@ def test_report_aggregation(tmp_path):
         _run({"command": "eigen", "domain": DISK, "h": h}, out)
         recs.append(str(out / "record.json"))
     chk = tmp_path / "chk"
-    _run(
-        {
-            "command": "check",
-            "domain": DISK,
-            "h": 0.08,
-            "lambda": 8.0,
-            "theorems": ["T4"],
-        },
-        chk,
-    )
+    _run({"command": "check", "domain": DISK, "h": 0.08, "lambda": 8.0}, chk)
     recs.append(str(chk / "record.json"))
+    # every check writes out the details of its verdict
+    checks = json.loads((chk / "checks.json").read_text())["checks"]
+    details = {c["theorem"]: c["details"] for c in checks}
+    assert {tag: set(d) for tag, d in details.items()} == {
+        "T4": {"center", "grid"},
+        "T5": {"h0", "n_components", "max_circumradius", "circumradius_bound"},
+        "L3R": {"lines", "bounded_caps", "graphs_over_chord", "reflections_contained"},
+        "T8": set(),
+    }
+    caps = details["L3R"]
+    assert caps["lines"] == 16
+    assert 0 <= caps["graphs_over_chord"] <= caps["bounded_caps"]
+    assert 0 <= caps["reflections_contained"] <= caps["bounded_caps"]
     out = tmp_path / "summary"
     rec = _run({"command": "report", "records": recs}, out)
     assert rec.error is None
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_records"] == 3
-    assert summary["check_counts"]["T4"]["pass"] + summary["check_counts"]["T4"]["fail"] == 1
+    counts = summary["check_counts"]
+    assert sorted(counts) == ["L3R", "T4", "T5", "T8"]
+    assert all(sum(c.values()) == 1 for c in counts.values())
+    assert counts["T8"]["na"] == 1
     assert len(summary["observed_orders"]) == 1
     assert 1.5 <= summary["observed_orders"][0] <= 2.5
     assert (out / "convergence.csv").exists()

@@ -111,9 +111,7 @@ def _ref_cap_reflect(mesh, line, tol=1e-10):
         else:
             dist_cut, bounded = None, True
         if not bounded:
-            report.components.append(
-                CapComponent(False, None, None, None, dist_cut, len(tris))
-            )
+            report.components.append(CapComponent(False, None, None, None, dist_cut))
             continue
         graph = True
         ov_tol = 1e-9 * scale
@@ -145,7 +143,7 @@ def _ref_cap_reflect(mesh, line, tol=1e-10):
         else:
             contained = True
         report.components.append(
-            CapComponent(True, float(heights.max()), graph, contained, dist_cut, len(tris))
+            CapComponent(True, float(heights.max()), graph, contained, dist_cut)
         )
     return report
 

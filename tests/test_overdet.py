@@ -367,6 +367,22 @@ def test_cap_heights_critical_disk(critical_disk):
     assert chk.measured <= 2 * R1
 
 
+def test_cap_heights_count_the_minor_caps_of_a_disk():
+    # the centre at signed distance s: the positive-side cap is the minor cap,
+    # a graph over its chord with its reflection inside, exactly when s < 0
+    h, offsets = 0.1, (-0.8, -0.5, -0.35, -0.2, 0.2, 0.35, 0.5, 0.8)
+    lines = []
+    for k, s in enumerate(offsets):
+        theta = 0.7 + 2 * math.pi * k / len(offsets)
+        normal = np.array([-math.sin(theta), math.cos(theta)])
+        lines.append(Line(tuple(-s * normal), (math.cos(theta), math.sin(theta))))
+    chk = overdet.check_cap_heights(build_domain(Disk(1.0), h), LAM, lines)
+    assert chk.details == {"lines": 8, "bounded_caps": 8, "graphs_over_chord": 4,
+                           "reflections_contained": 4}
+    # the highest cap is the major one at the largest s
+    assert chk.measured == pytest.approx(1.0 + max(offsets), abs=h**2)
+
+
 def test_t8_straight_strip_borderline(strip_eigen):
     mesh, ep, rep = strip_eigen
     chk = overdet.check_T8_convexity(mesh, ep.u1, fem.Linear(ep.lambda1), rep)
@@ -389,4 +405,4 @@ def test_theorem_check_json(critical_disk):
     chk = overdet.check_T5(mesh, u, LAM, rep.alpha_hat)
     blob = chk.to_json()
     assert blob["theorem"] == "T5"
-    assert set(blob) == {"theorem", "pass", "measured", "bound", "margin", "flags"}
+    assert set(blob) == {"theorem", "pass", "measured", "bound", "margin", "flags", "details"}

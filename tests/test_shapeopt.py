@@ -266,6 +266,18 @@ def test_bifurcation_period_scaling_law():
                                                                                    rel=1e-6)
 
 
+@pytest.mark.slow
+def test_bifurcation_period_converges_at_second_order():
+    # the discrete T* approaches 2 pi / sqrt(lam) as resolution^-2
+    res = np.array([16, 24, 32])
+    err = np.array([shapeopt.bifurcation_period(_cell(1.0, resolution=int(n), n_modes=8))
+                    for n in res]) - 2 * math.pi
+    orders = np.log(err[:-1] / err[1:]) / np.log(res[1:] / res[:-1])
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
+    richardson = (res[2] ** 2 * err[2] - res[1] ** 2 * err[1]) / (res[2] ** 2 - res[1] ** 2)
+    assert abs(richardson) <= 1e-7
+
+
 def _counting(monkeypatch, fn):
     calls = []
 
