@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 from . import __version__, analytic, fem, overdet, shapeopt, svgfig
 from .errors import ConfigInvalid, ExtremalLabError, VersionMismatch
 from .geom2d import Line, build_domain, domain_spec_from_json, domain_spec_to_json
-from .geom2d.domain import PeriodicStrip, json_number
+from .geom2d.domain import Annulus, PeriodicStrip, json_number
 from .geom2d.predicates import MAX_GRID_POINTS, grid_point_count
 
 COMMANDS = ("solve", "eigen", "check", "flow", "branch", "report")
@@ -233,8 +233,9 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
         else:
             values[key] = row.default(values) if callable(row.default) else row.default
 
-    if cmd == "flow" and isinstance(values["domain"], PeriodicStrip):
-        raise ConfigInvalid("flow needs a bounded domain, not a periodic strip")
+    if cmd == "flow" and isinstance(values["domain"], (PeriodicStrip, Annulus)):
+        kind = values["domain"].kind
+        raise ConfigInvalid(f"flow needs a bounded single-loop domain, not {kind!r}")
     if (cmd == "check" and "T4" in values["theorems"]
             and grid_point_count(values["domain"].bbox(), values["grid"]) > MAX_GRID_POINTS):
         raise ConfigInvalid(f"check grid {values['grid']} needs over {MAX_GRID_POINTS} points")

@@ -14,7 +14,7 @@ more accurate than sampling raw element gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -276,31 +276,34 @@ def solve_semilinear(
     interior, ki, mi = interior_blocks(k, m, mesh)
     ui = mesh.reduce(u0.values)[interior]
 
-    def residual(ui_: np.ndarray) -> np.ndarray:
-        return mi @ f.f(ui_) - ki @ ui_
+    def residual(ui_: np.ndarray) -> tuple[np.ndarray, float]:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is caught below
+            r_ = mi @ f.f(ui_) - ki @ ui_
+            return r_, float(np.linalg.norm(r_))
 
-    r = residual(ui)
-    hist: list[float] = [float(np.linalg.norm(r))]
+    r, norm = residual(ui)
+    hist: list[float] = [norm]
     for _ in range(60):
         if float(np.max(np.abs(r))) <= tol * (1.0 + float(np.max(np.abs(ui), initial=0.0))):
             break
+        if not math.isfinite(norm):  # the iterate left the double range
+            raise NewtonDiverged(f"residual norm is {norm}")
         jac = (mi @ sparse.diags(f.fprime(ui)) - ki).tocsc()
         delta = splu(jac).solve(-r)
         # Armijo backtracking, factor 1/2, at most 10 halvings
         t = 1.0
-        base = float(np.linalg.norm(r))
         accepted = False
         for _ in range(11):
             trial = ui + t * delta
-            r_trial = residual(trial)
-            if float(np.linalg.norm(r_trial)) <= (1.0 - 1e-4 * t) * base:
-                ui, r = trial, r_trial
+            r_trial, norm_trial = residual(trial)
+            if norm_trial <= (1.0 - 1e-4 * t) * norm:
+                ui, r, norm = trial, r_trial, norm_trial
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             raise NewtonDiverged("line search exhausted 10 halvings without descent")
-        hist.append(float(np.linalg.norm(r)))
+        hist.append(norm)
         if len(hist) > 10 and hist[-1] > 0.9 * hist[-11] and hist[-1] > tol:
             raise NewtonDiverged(
                 f"residual not reduced by 0.9 over 10 damped steps ({hist[-11]:.3e} -> {hist[-1]:.3e})"
@@ -322,9 +325,9 @@ def solve_semilinear(
 class NeumannTrace:
     """Outward normal derivative along the boundary.
 
-    ``nodal`` holds one flux value per boundary vertex (walk order per loop,
-    concatenated as in ``vertex_ids``); ``per_edge`` averages the two
-    endpoint values of each boundary edge, aligned with mesh.boundary_edges;
+    ``nodal`` holds one flux value per boundary vertex, at ``vertex_ids``, the
+    starts of mesh.boundary_edges (loop after loop, in walk order);
+    ``per_edge`` averages the two endpoint values of each boundary edge;
     ``lumped_weights`` gives each boundary vertex half the length of its two
     boundary edges (the row sums of the boundary mass matrix).
     """
@@ -332,9 +335,7 @@ class NeumannTrace:
     vertex_ids: np.ndarray
     nodal: np.ndarray
     per_edge: np.ndarray
-    edge_lengths: np.ndarray
     lumped_weights: np.ndarray
-    loop_slices: list[slice] = field(default_factory=list)
 
 
 def neumann_trace(
@@ -352,33 +353,28 @@ def neumann_trace(
     if source is not None:
         rhs_full = rhs_full - m @ mesh.reduce(np.asarray(source, dtype=float))
 
-    # walk-ordered boundary vertices (concatenated loops)
-    ids = np.concatenate([mesh.loop_vertex_ids(i) for i in range(len(mesh.boundary_loops))])
-    off = np.cumsum([0] + [len(loop) for loop in mesh.boundary_loops]).tolist()
-    slices = [slice(a, b) for a, b in zip(off, off[1:])]
-    length = mesh.boundary_lengths
-    ia, ib, mb = _boundary_mass(mesh, ids, length)
+    ids, length = mesh.boundary_edges[:, 0], mesh.boundary_lengths
+    nxt, mb = _boundary_mass(mesh, length)
     g = splu(mb).solve(rhs_full[mesh.dof_of_vertex[ids]])
-    half = np.concatenate([0.5 * length, 0.5 * length])
     return NeumannTrace(
         vertex_ids=ids,
         nodal=g,
-        per_edge=0.5 * (g[ia] + g[ib]),
-        edge_lengths=length.copy(),
-        lumped_weights=np.bincount(np.concatenate([ia, ib]), weights=half, minlength=len(ids)),
-        loop_slices=slices,
+        per_edge=0.5 * (g + g[nxt]),
+        lumped_weights=np.bincount(nxt, weights=0.5 * length, minlength=len(ids)) + 0.5 * length,
     )
 
 
-def _boundary_mass(mesh: Mesh, ids: np.ndarray, length: np.ndarray):
-    """Trace positions (ia, ib) of the boundary edges' ends among the walk-ordered
-    `ids` (periodic loops close), and the 1D P1 boundary mass matrix M_b for `length`."""
-    pos = np.empty(mesh.n_dofs, dtype=int)
-    pos[mesh.dof_of_vertex[ids]] = np.arange(len(ids))
-    ia, ib = pos[mesh.dof_of_vertex[mesh.boundary_edges]].T
-    rows, cols = np.concatenate([ia, ib, ia, ib]), np.concatenate([ia, ib, ib, ia])
+def _boundary_mass(mesh: Mesh, length: np.ndarray):
+    """The next edge along each boundary edge's loop (a loop's last edge wraps
+    to its first, so periodic loops close), and the 1D P1 boundary mass matrix
+    M_b for `length` on the trace's vertices, the edges' starts: edge e joins
+    trace rows e and next[e]."""
+    ia, nxt = np.arange(len(length)), np.arange(1, len(length) + 1)
+    for sl in mesh.boundary_loops:
+        nxt[sl.stop - 1] = sl.start
+    rows, cols = np.concatenate([ia, nxt, ia, nxt]), np.concatenate([ia, nxt, nxt, ia])
     vals = np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0])
-    return ia, ib, sparse.coo_matrix((vals, (rows, cols)), shape=(len(ids), len(ids))).tocsc()
+    return nxt, sparse.coo_matrix((vals, (rows, cols)), shape=(len(ia), len(ia))).tocsc()
 
 
 def _residual_blocks(mesh: Mesh, u: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -437,8 +433,9 @@ def eigen_shape_derivative(
     e0, e1 = mesh.boundary_edges.T
     dlen = np.einsum("ei,pei->ep", mesh.vertices[e1] - mesh.vertices[e0],
                      velocities[:, e1] - velocities[:, e0]) / mesh.boundary_lengths[:, None]
-    ia, ib, mb = _boundary_mass(mesh, tr.vertex_ids, mesh.boundary_lengths)
-    inc = sparse.csr_matrix((np.ones(2 * len(ia)), (np.r_[ia, ib], np.r_[:len(ia), :len(ia)])))
+    nxt, mb = _boundary_mass(mesh, mesh.boundary_lengths)
+    n = len(nxt)
+    inc = sparse.csr_matrix((np.ones(2 * n), (np.r_[:n, nxt], np.r_[:n, :n])))
     inc_dlen = inc @ dlen
     d_mb_g = (inc @ ((inc.T @ tr.nodal)[:, None] * dlen) + tr.nodal[:, None] * inc_dlen) / 6.0
     return sol[-1], splu(mb).solve(d_rhs - d_mb_g).T, 0.5 * inc_dlen.T

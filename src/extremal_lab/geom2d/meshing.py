@@ -10,9 +10,10 @@ mirror-symmetric in y, with the right vertex column an exact duplicate of the
 left one.  Both paths are deterministic functions of (spec, h).
 
 Each mesh pairs its half-edge twins once (`_twins`); the boundary edges are
-the half-edges without a twin.  The relaxation pairs each Qhull triangulation
-alike, carries the twins through its flips and lists its truss edges from
-them; the strip grid and the periodic cover are built by index arithmetic.
+the half-edges without a twin, stored loop after loop in walk order.  The
+relaxation pairs each Qhull triangulation alike, carries the twins through its
+flips and lists its truss edges from them; the strip grid and the periodic
+cover are built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ MIN_ANGLE_DEG = 20.0
 class Mesh:
     """Triangulation with oriented boundary loops and outward edge normals.
 
-    ``boundary_edges[e] = (a, b)`` is ordered with the domain on the left;
-    loops list edge indices in walk order.  For periodic-in-x meshes the
-    right vertex column duplicates the left one and ``periodic_pairs`` maps
-    duplicate -> base; ``dof_of_vertex`` collapses duplicates to one degree
-    of freedom per physical vertex.  ``twin`` pairs half-edges on base
-    vertices, so a periodic mesh's twins pair across the seam.
+    ``boundary_edges[e] = (a, b)`` is ordered with the domain on the left and
+    stored loop after loop, each loop in walk order: ``boundary_loops`` holds
+    one slice per loop, and edge e + 1 starts where edge e ends, except that
+    a loop's last edge ends at its first edge's start (on base vertices).
+    For periodic-in-x meshes the right vertex column duplicates the left one
+    and ``periodic_pairs`` maps duplicate -> base; ``dof_of_vertex``
+    collapses duplicates to one degree of freedom per physical vertex.
+    ``twin`` pairs half-edges on base vertices, so a periodic mesh's twins
+    pair across the seam.
     """
 
     vertices: np.ndarray
@@ -46,7 +50,7 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_normals: np.ndarray
     boundary_lengths: np.ndarray
-    boundary_loops: list[np.ndarray]
+    boundary_loops: list[slice]
     boundary_edge_tri: np.ndarray
     twin: np.ndarray  # of half-edge 3t + i (triangles[t, i] -> [t, i + 1]), or -1
     period: float = 0.0
@@ -89,10 +93,6 @@ class Mesh:
     def boundary_vertex_ids(self) -> np.ndarray:
         return np.unique(self.boundary_edges)
 
-    def loop_vertex_ids(self, loop_idx: int) -> np.ndarray:
-        """Ordered start vertices of the loop's edges (one per edge)."""
-        return self.boundary_edges[self.boundary_loops[loop_idx], 0]
-
     def reduce(self, values_full: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_dofs, dtype=float)
         out[self.dof_of_vertex] = values_full
@@ -103,7 +103,7 @@ class Mesh:
 
     def boundary_polygons(self) -> list[np.ndarray]:
         """Closed vertex polylines, one per loop, in walk order."""
-        return [self.vertices[self.loop_vertex_ids(i)] for i in range(len(self.boundary_loops))]
+        return [self.vertices[self.boundary_edges[sl, 0]] for sl in self.boundary_loops]
 
     def unrolled(self) -> "Mesh":
         """Planar cover of a periodic mesh over the period copies -1, 0, 1.
@@ -236,12 +236,9 @@ def mesh_from_arrays(
     ends = base_of[directed]
     twin = _twins(ends.min(axis=1) * len(vertices) + ends.max(axis=1))
     pos = np.nonzero(twin < 0)[0]
-    b_edges_arr, b_tri_arr = directed[pos], pos // 3
-
-    lengths, normals = _boundary_frame(vertices, triangles, b_edges_arr, b_tri_arr)
 
     # walk loops: edges are domain-left ordered, successor starts where we end
-    starts = base_of[b_edges_arr[:, 0]]
+    starts = base_of[directed[pos, 0]]
     if len(np.unique(starts)) < len(starts):
         raise MeshQualityFailure("pinched boundary: vertex with >2 boundary edges")
     # with no pinched vertex every edge end is some edge's start: boundary
@@ -249,19 +246,22 @@ def mesh_from_arrays(
     # a vertex with more in than out forces another with two out
     start_of = np.empty(len(vertices), dtype=int)
     start_of[starts] = np.arange(len(starts))
-    successor = start_of[base_of[b_edges_arr[:, 1]]].tolist()
-    loops: list[np.ndarray] = []
-    seen = [False] * len(successor)
+    successor = start_of[base_of[directed[pos, 1]]].tolist()
+    walk, bounds, seen = [], [0], [False] * len(successor)
     for e0 in range(len(successor)):
         if seen[e0]:
             continue
-        walk = []
         e = e0
         while not seen[e]:
             seen[e] = True
             walk.append(e)
             e = successor[e]
-        loops.append(np.asarray(walk, dtype=int))
+        bounds.append(len(walk))
+    half = pos[np.asarray(walk, dtype=int)]  # loop after loop, each in walk order
+    b_edges_arr, b_tri_arr = directed[half], half // 3
+    loops = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    lengths, normals = _boundary_frame(vertices, triangles, b_edges_arr, b_tri_arr)
 
     mesh = Mesh(
         vertices=vertices,

@@ -82,7 +82,7 @@ def overdet_residual(
     (f(u) per vertex; None for pure Laplace), traced on the mesh's assembled
     matrices `k` and `m`.  The report keeps the trace for later consumers."""
     tr = fem.neumann_trace(k, m, mesh, u, source=source)
-    w = tr.edge_lengths
+    w = mesh.boundary_lengths
     total = float(w.sum())
     mean = float((tr.per_edge * w).sum() / total)
     if abs(mean) < 1e-13 * (1.0 + float(np.max(np.abs(u.values)))):
@@ -91,8 +91,7 @@ def overdet_residual(
     max_dev = float(np.max(np.abs(tr.per_edge - mean)))
     loop_means = []
     for loop in mesh.boundary_loops:
-        lw = mesh.boundary_lengths[loop]
-        le = tr.per_edge[loop]
+        lw, le = w[loop], tr.per_edge[loop]
         loop_means.append(float((le * lw).sum() / lw.sum()))
     return OverdetReport(
         alpha_hat=mean,
@@ -265,9 +264,7 @@ def p_function(
 
     interior_max = float(p_vals[interior_ids].max(initial=-math.inf))
     boundary_max = float(p_vals[b_ids].max())
-    # both walk boundary_edges[loop, 0] in loop order, so rows align
-    bg = boundary_geometry(mesh)
-    assert np.array_equal(bg.vertex_ids, b_ids)
+    bg = boundary_geometry(mesh)  # its rows are the trace's: boundary_edges[:, 0]
 
     # tangential second derivative from the recovered Hessian, sign fixed so
     # that u_tt / (-alpha_hat) reproduces the geometric curvature
@@ -275,7 +272,7 @@ def p_function(
     k_geom = bg.curvature
     # one 5-point tangential averaging pass (same stencil width as the
     # curvature fit) knocks down the per-vertex recovery noise
-    for sl in tr.loop_slices:
+    for sl in mesh.boundary_loops:
         seg = u_tt[sl]
         if len(seg) >= 5:
             u_tt[sl] = sum(np.roll(seg, s) for s in (-2, -1, 0, 1, 2)) / 5.0

@@ -273,7 +273,7 @@ def strip_cell(lam: float, T: float, resolution: int, n_modes: int) -> StripCell
     a, h = strip_cell_spacing(lam, T, resolution)
     nx, ny = strip_grid_counts(T, a, h)
     mesh = structured_strip(PeriodicStrip(T, (a,)), nx, ny)
-    ids = mesh.boundary_edges[np.concatenate(mesh.boundary_loops), 0]  # the trace's walk order
+    ids = mesh.boundary_edges[:, 0]  # the trace's vertices
     top = np.nonzero(ids % (ny + 1) == ny)[0]
     cols = ids[top] // (ny + 1) % nx  # the duplicate column is column 0
     cos = np.cos(2 * math.pi * np.outer(np.arange(1, n_modes + 1), cols) / nx)

@@ -175,6 +175,8 @@ _MALFORMED = {
     "flow_on_periodic_strip": {"command": "flow", "h": 0.1,
                                "domain": {"kind": "periodic_strip", "period": 6.0,
                                           "half_width_coeffs": [1.0]}},
+    "flow_on_annulus": {"command": "flow", "h": 0.1,
+                        "domain": {"kind": "annulus", "r_in": 0.5, "r_out": 1.5}},
     "grid_too_fine": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-300},
     "grid_below_double_range": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-320},
     "n_lines_true": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": True},
@@ -647,6 +649,27 @@ def test_numerical_failure_exit_code(tmp_path):
     assert proc.returncode == 1
     record = json.loads((out / "record.json").read_text())
     assert record["error"] is not None
+
+
+@pytest.mark.parametrize("amplitude", [1e100, 1e160])
+def test_solve_from_a_huge_seed_is_a_numerical_failure(amplitude, tmp_path):
+    # at 1e100 the residual's norm overflows, at 1e160 the residual itself
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "solve", "domain": {"kind": "disk", "radius": 3.0},
+                               "h": 0.1, "nonlinearity": {"kind": "allen_cahn"},
+                               "seed_amplitude": amplitude}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "extremal_lab.cli", "solve", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: NewtonDiverged"), lines
+    error = json.loads((out / "record.json").read_text())["error"]
+    assert error.startswith("NewtonDiverged: residual norm is")
 
 
 def test_branch_at_a_vanishing_lambda_is_a_numerical_failure(tmp_path):

@@ -241,7 +241,7 @@ def test_disk_trace_constant(disk_eigen_h02, disk_mesh_h02):
     tr = fem.neumann_trace(
         *fem.assemble(disk_mesh_h02), disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values
     )
-    w = tr.edge_lengths
+    w = disk_mesh_h02.boundary_lengths
     mean = float((tr.per_edge * w).sum() / w.sum())
     spread = math.sqrt(float((((tr.per_edge - mean) ** 2) * w).sum() / w.sum())) / abs(mean)
     assert spread <= 0.01
@@ -254,10 +254,10 @@ def test_strip_trace_matches_alpha(strip_mesh):
     vals = ss.profile(strip_mesh.vertices[:, 1] + math.pi / 2)
     u = fem.ScalarField(strip_mesh, vals)
     tr = fem.neumann_trace(*fem.assemble(strip_mesh), strip_mesh, u, source=1.0 * vals)
-    w = tr.edge_lengths
+    w = strip_mesh.boundary_lengths
     mean = float((tr.per_edge * w).sum() / w.sum())
     assert mean == pytest.approx(-1.0, rel=0.01)
-    loop_means = [float(np.mean(tr.nodal[sl])) for sl in tr.loop_slices]
+    loop_means = [float(np.mean(tr.nodal[sl])) for sl in strip_mesh.boundary_loops]
     assert abs(loop_means[0] - loop_means[1]) <= 0.005 * abs(mean)
 
 
@@ -265,7 +265,7 @@ def test_trace_divergence_identity(disk_eigen_h02, disk_mesh_h02):
     ep = disk_eigen_h02
     k, m = fem.assemble(disk_mesh_h02)
     tr = fem.neumann_trace(k, m, disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values)
-    total_flux = float((tr.per_edge * tr.edge_lengths).sum())
+    total_flux = float((tr.per_edge * disk_mesh_h02.boundary_lengths).sum())
     f_integral = float(
         np.ones(disk_mesh_h02.n_dofs)
         @ (m @ disk_mesh_h02.reduce(ep.lambda1 * ep.u1.values))
@@ -370,9 +370,9 @@ def _ref_eigen_shape_derivative(k, m, mesh, ep, tr, velocities):
     e0, e1 = mesh.boundary_edges.T
     dlen = np.einsum("ei,pei->pe", mesh.vertices[e1] - mesh.vertices[e0],
                      velocities[:, e1] - velocities[:, e0]) / mesh.boundary_lengths
-    d_mb = [fem._boundary_mass(mesh, tr.vertex_ids, dl)[2] for dl in dlen]
+    d_mb = [fem._boundary_mass(mesh, dl)[1] for dl in dlen]
     d_mb_g = np.column_stack([dm @ tr.nodal for dm in d_mb])
-    mb = fem._boundary_mass(mesh, tr.vertex_ids, mesh.boundary_lengths)[2]
+    mb = fem._boundary_mass(mesh, mesh.boundary_lengths)[1]
     d_weights = np.stack([dm @ np.ones(len(tr.nodal)) for dm in d_mb])  # M_b's row sums
     return sol[-1], splu(mb).solve(d_rhs - d_mb_g).T, d_weights
 

@@ -50,7 +50,8 @@ def _check_invariants(mesh):
 
 def _check_twins(mesh):
     """Paired half-edges are each other's twins and join the same base
-    vertices in opposite directions; the unpaired ones are the boundary."""
+    vertices in opposite directions; the unpaired ones are the boundary,
+    each once, stored loop after loop in walk order."""
     twin, base = mesh.twin, mesh.dof_of_vertex
     tail, head = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
     assert twin.shape == tail.shape and np.all((twin >= -1) & (twin < len(twin)))
@@ -58,9 +59,21 @@ def _check_twins(mesh):
     assert np.array_equal(twin[twin[paired]], paired) and np.all(twin[paired] != paired)
     assert np.array_equal(base[tail[paired]], base[head[twin[paired]]])
     assert np.array_equal(base[head[paired]], base[tail[twin[paired]]])
-    free = np.nonzero(twin < 0)[0]
-    assert np.array_equal(mesh.boundary_edges, np.column_stack([tail[free], head[free]]))
-    assert np.array_equal(mesh.boundary_edge_tri, free // 3)
+    # the boundary edge's half-edge is the slot of its start in its triangle
+    tri = mesh.triangles[mesh.boundary_edge_tri]
+    slot = np.argmax(tri == mesh.boundary_edges[:, :1], axis=1)
+    half = 3 * mesh.boundary_edge_tri + slot
+    assert np.array_equal(np.sort(half), np.nonzero(twin < 0)[0])
+    assert np.array_equal(mesh.boundary_edges, np.column_stack([tail[half], head[half]]))
+    # the loops tile the edges; within each, an edge's end is the next one's
+    # start on base vertices, and the last edge closes the loop
+    stops = [0] + [sl.stop for sl in mesh.boundary_loops]
+    assert [sl.start for sl in mesh.boundary_loops] == stops[:-1]
+    assert stops[-1] == len(mesh.boundary_edges)
+    assert all(sl.step is None for sl in mesh.boundary_loops)
+    for sl in mesh.boundary_loops:
+        a, b = base[mesh.boundary_edges[sl]].T
+        assert len(a) >= 3 and np.array_equal(b, np.roll(a, -1))
 
 
 @pytest.mark.parametrize("spec,h", ZOO, ids=lambda z: getattr(z, "kind", str(z)))
@@ -255,9 +268,10 @@ def _assert_matches_reference(mesh):
     b_edges, b_tri, loops, base_of = _reference_boundary(
         mesh.vertices, mesh.triangles, mesh.periodic_pairs
     )
-    assert np.array_equal(mesh.boundary_edges, np.asarray(b_edges).reshape(-1, 2))
-    assert np.array_equal(mesh.boundary_edge_tri, b_tri)
-    assert [lp.tolist() for lp in mesh.boundary_loops] == loops
+    walk = np.concatenate(loops)  # the reference's edges in walk order
+    assert np.array_equal(mesh.boundary_edges, np.asarray(b_edges).reshape(-1, 2)[walk])
+    assert np.array_equal(mesh.boundary_edge_tri, np.asarray(b_tri)[walk])
+    assert [sl.stop - sl.start for sl in mesh.boundary_loops] == [len(lp) for lp in loops]
     assert np.array_equal(mesh.dof_of_vertex, np.unique(base_of, return_inverse=True)[1])
 
 
@@ -279,7 +293,7 @@ def test_strip_topology_depends_on_counts_only():
     a, b = (meshing.structured_strip(spec, 24, 8) for spec in STRIP_SPECS)
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.boundary_edges, b.boundary_edges)
-    assert [lp.tolist() for lp in a.boundary_loops] == [lp.tolist() for lp in b.boundary_loops]
+    assert a.boundary_loops == b.boundary_loops
     assert np.array_equal(a.periodic_pairs, b.periodic_pairs)
     assert not np.array_equal(a.vertices, b.vertices)
 
@@ -306,8 +320,7 @@ def test_moved_cell_matches_a_fresh_structured_strip():
     for name in ("triangles", "boundary_edges", "boundary_edge_tri", "twin", "periodic_pairs",
                  "dof_of_vertex"):
         assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
-    loops = [[lp.tolist() for lp in mesh.boundary_loops] for mesh in (moved, fresh)]
-    assert loops[0] == loops[1]
+    assert moved.boundary_loops == fresh.boundary_loops
     assert np.max(np.abs(moved.boundary_lengths - fresh.boundary_lengths)) <= 1e-14
     assert np.max(np.abs(moved.boundary_normals - fresh.boundary_normals)) <= 1e-14
     assert moved.period == fresh.period == 5.3 and moved.is_periodic_x

@@ -28,7 +28,7 @@ def critical_disk():
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh)
     rep = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
-    w = rep.edge_lengths
+    w = mesh.boundary_lengths
     alpha0 = float((rep.per_edge * w).sum() / w.sum())
     u = fem.ScalarField(mesh, ep.u1.values * (-1.0 / alpha0))
     report = overdet.overdet_residual(k, m, mesh, u, LAM * u.values)

@@ -106,8 +106,8 @@ def test_lumped_weights_are_half_edge_lengths(strip_mesh):
     ep = fem.eigen_smallest(k, m, strip_mesh)
     tr = fem.neumann_trace(k, m, strip_mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
     assert tr.lumped_weights.sum() == pytest.approx(strip_mesh.boundary_lengths.sum(), rel=1e-14)
-    for sl, loop in zip(tr.loop_slices, strip_mesh.boundary_loops):
-        lengths = strip_mesh.boundary_lengths[loop]
+    for sl in strip_mesh.boundary_loops:
+        lengths = strip_mesh.boundary_lengths[sl]
         assert np.allclose(tr.lumped_weights[sl], 0.5 * (lengths + np.roll(lengths, 1)), rtol=1e-14)
 
 
