@@ -250,9 +250,13 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
         nx = shapeopt.strip_counts(lam, period, res)[0]
         if values["n_modes"] >= nx / 2:  # where the nx wall samples alias
             raise ConfigInvalid(f"n_modes {values['n_modes']} is not below half of {nx} columns")
-    elif ("domain" in values
-          and grid_point_count(values["domain"].bbox(), values["h"]) > MAX_GRID_POINTS):
-        raise ConfigInvalid(f"a mesh of size {values['h']} needs over {MAX_GRID_POINTS} points")
+    elif "domain" in values:
+        domain, h = values["domain"], values["h"]
+        if h >= domain.characteristic_size():
+            raise ConfigInvalid(f"mesh size {h} is not below the characteristic size "
+                                f"{domain.characteristic_size():.6g}")
+        if grid_point_count(domain.bbox(), h) > MAX_GRID_POINTS:
+            raise ConfigInvalid(f"a mesh of size {h} needs over {MAX_GRID_POINTS} points")
     return RunConfig(cmd, out_dir or values["out_dir"], values, dict(data))
 
 
@@ -344,10 +348,7 @@ def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
     report = {
         "lambda1": ep.lambda1,
         "eigen_residual": ep.residual,
-        "alpha_hat": rep.alpha_hat,
-        "rel_spread": rep.rel_spread,
-        "max_abs_deviation": rep.max_abs_deviation,
-        "loop_means": rep.loop_means,
+        **rep.to_json(),
         "n_vertices": len(mesh.vertices),
         "n_triangles": len(mesh.triangles),
         "h": cfg["h"],

@@ -104,16 +104,9 @@ def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     return k, m
 
 
-def dirichlet_mask(mesh: Mesh) -> np.ndarray:
-    """Boolean mask over DOFs marking the boundary vertices."""
-    mask = np.zeros(mesh.n_dofs, dtype=bool)
-    mask[mesh.dof_of_vertex[mesh.boundary_vertex_ids()]] = True
-    return mask
-
-
 def interior_blocks(k: sparse.csr_matrix, m: sparse.csr_matrix, mesh: Mesh):
     """Interior DOF ids and the interior blocks of K and M, in CSC form."""
-    interior = np.nonzero(~dirichlet_mask(mesh))[0]
+    interior = mesh.interior_dofs()
     return interior, k[interior][:, interior].tocsc(), m[interior][:, interior].tocsc()
 
 
@@ -325,14 +318,13 @@ def solve_semilinear(
 class NeumannTrace:
     """Outward normal derivative along the boundary.
 
-    ``nodal`` holds one flux value per boundary vertex, at ``vertex_ids``, the
-    starts of mesh.boundary_edges (loop after loop, in walk order);
+    ``nodal`` holds one flux value per boundary vertex, at the starts
+    ``mesh.boundary_edges[:, 0]`` (loop after loop, in walk order);
     ``per_edge`` averages the two endpoint values of each boundary edge;
     ``lumped_weights`` gives each boundary vertex half the length of its two
     boundary edges (the row sums of the boundary mass matrix).
     """
 
-    vertex_ids: np.ndarray
     nodal: np.ndarray
     per_edge: np.ndarray
     lumped_weights: np.ndarray
@@ -353,14 +345,13 @@ def neumann_trace(
     if source is not None:
         rhs_full = rhs_full - m @ mesh.reduce(np.asarray(source, dtype=float))
 
-    ids, length = mesh.boundary_edges[:, 0], mesh.boundary_lengths
+    length = mesh.boundary_lengths
     nxt, mb = _boundary_mass(mesh, length)
-    g = splu(mb).solve(rhs_full[mesh.dof_of_vertex[ids]])
+    g = splu(mb).solve(rhs_full[mesh.dof_of_vertex[mesh.boundary_edges[:, 0]]])
     return NeumannTrace(
-        vertex_ids=ids,
         nodal=g,
         per_edge=0.5 * (g + g[nxt]),
-        lumped_weights=np.bincount(nxt, weights=0.5 * length, minlength=len(ids)) + 0.5 * length,
+        lumped_weights=np.bincount(nxt, weights=0.5 * length, minlength=len(g)) + 0.5 * length,
     )
 
 
@@ -419,7 +410,7 @@ def eigen_shape_derivative(
         np.bincount(dof, np.sum(blocks * v.T[:, None, tri], axis=(0, 2)).ravel(), mesh.n_dofs)
         for v in velocities])
 
-    interior = np.nonzero(~dirichlet_mask(mesh))[0]
+    interior = mesh.interior_dofs()
     shifted = (k - ep.lambda1 * m).tocsr()
     mu = m @ mesh.reduce(ep.u1.values)
     col = sparse.csr_matrix(mu[interior][:, None])
@@ -427,13 +418,14 @@ def eigen_shape_derivative(
     rhs = np.vstack([-d_res[interior], -0.5 * np.tensordot(velocities, row, 2)])
     # a symmetric pattern: minimum degree on A^T + A fills in a third of COLAMD's
     sol = splu(bordered, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    bd = mesh.dof_of_vertex[tr.vertex_ids]
+    bd = mesh.dof_of_vertex[mesh.boundary_edges[:, 0]]
     d_rhs = d_res[bd] + shifted[bd][:, interior] @ sol[:-1] - np.outer(mu[bd], sol[-1])
 
     e0, e1 = mesh.boundary_edges.T
+    length = mesh.boundary_lengths
     dlen = np.einsum("ei,pei->ep", mesh.vertices[e1] - mesh.vertices[e0],
-                     velocities[:, e1] - velocities[:, e0]) / mesh.boundary_lengths[:, None]
-    nxt, mb = _boundary_mass(mesh, mesh.boundary_lengths)
+                     velocities[:, e1] - velocities[:, e0]) / length[:, None]
+    nxt, mb = _boundary_mass(mesh, length)
     n = len(nxt)
     inc = sparse.csr_matrix((np.ones(2 * n), (np.r_[:n, nxt], np.r_[:n, :n])))
     inc_dlen = inc @ dlen

@@ -20,9 +20,8 @@ _COLLINEAR_TOL = 1e-14
 
 @dataclass
 class BoundaryGeometry:
-    """Arrays indexed by boundary vertex, at ``vertex_ids = mesh.boundary_edges[:, 0]``."""
+    """Arrays indexed by boundary vertex, in the order of ``mesh.boundary_edges[:, 0]``."""
 
-    vertex_ids: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
     curvature: np.ndarray
@@ -72,4 +71,4 @@ def boundary_geometry(mesh: Mesh) -> BoundaryGeometry:
     norm = np.column_stack([tang[:, 1], -tang[:, 0]])
     curv = _circle_fit_curvature(stencil, norm)
     curv[np.isin(be[:, 0], mesh.corner_vertices)] = np.nan
-    return BoundaryGeometry(vertex_ids=be[:, 0], tangent=tang, normal=norm, curvature=curv)
+    return BoundaryGeometry(tangent=tang, normal=norm, curvature=curv)

@@ -25,19 +25,21 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from ..errors import InvalidSpec, MeshQualityFailure
-from .domain import BoundaryLoop, DomainSpec, PeriodicStrip, _points_in_loops
+from .domain import BoundaryLoop, DomainSpec, PeriodicStrip, _orient, _points_in_loops
 
 MIN_ANGLE_DEG = 20.0
 
 
 @dataclass
 class Mesh:
-    """Triangulation with oriented boundary loops and outward edge normals.
+    """Triangulation with oriented boundary loops: topology and vertices only.
 
     ``boundary_edges[e] = (a, b)`` is ordered with the domain on the left and
     stored loop after loop, each loop in walk order: ``boundary_loops`` holds
     one slice per loop, and edge e + 1 starts where edge e ends, except that
     a loop's last edge ends at its first edge's start (on base vertices).
+    Each boundary degree of freedom starts exactly one edge.  Lengths and
+    normals are read from the vertices where they are used.
     For periodic-in-x meshes the right vertex column duplicates the left one
     and ``periodic_pairs`` maps duplicate -> base; ``dof_of_vertex``
     collapses duplicates to one degree of freedom per physical vertex.
@@ -48,10 +50,7 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_normals: np.ndarray
-    boundary_lengths: np.ndarray
     boundary_loops: list[slice]
-    boundary_edge_tri: np.ndarray
     twin: np.ndarray  # of half-edge 3t + i (triangles[t, i] -> [t, i + 1]), or -1
     period: float = 0.0
     periodic_pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
@@ -74,12 +73,14 @@ class Mesh:
     def is_periodic_x(self) -> bool:  # a right column duplicating the left one
         return len(self.periodic_pairs) > 0
 
+    @property
+    def boundary_lengths(self) -> np.ndarray:
+        d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
+        return np.hypot(d[:, 0], d[:, 1])
+
     def triangle_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-        )
+        return 0.5 * _orient(p[:, 0], p[:, 1], p[:, 2])
 
     def min_angle_deg(self) -> float:
         # corner i lies between edge i (corner i to i + 1) and the reversed
@@ -90,8 +91,9 @@ class Mesh:
         c = -(x * x[:, prev] + y * y[:, prev]) / (lengths * lengths[:, prev])
         return float(np.degrees(np.arccos(np.clip(np.max(c), -1.0, 1.0))))
 
-    def boundary_vertex_ids(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
+    def interior_dofs(self) -> np.ndarray:
+        """The DOFs off the boundary, ascending: each boundary DOF starts one edge."""
+        return np.setdiff1d(np.arange(self.n_dofs), self.dof_of_vertex[self.boundary_edges[:, 0]])
 
     def reduce(self, values_full: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_dofs, dtype=float)
@@ -142,18 +144,16 @@ class Mesh:
         return out
 
     def moved(self, vertices: np.ndarray, period: float) -> "Mesh":
-        """This topology at new vertices and period, with the boundary frame
-        recomputed and no cover carried; MeshQualityFailure on an inverted
-        triangle or below the MIN_ANGLE_DEG floor."""
-        lengths, normals = _boundary_frame(vertices, self.triangles, self.boundary_edges,
-                                           self.boundary_edge_tri)
-        mesh = replace(self, vertices=vertices, period=period,
-                       boundary_lengths=lengths, boundary_normals=normals)
+        """This topology at new vertices and period, with no cover carried;
+        MeshQualityFailure on an inverted triangle or below the MIN_ANGLE_DEG floor."""
+        mesh = replace(self, vertices=vertices, period=period)
         if np.min(mesh.triangle_areas()) <= 0 or mesh.min_angle_deg() < MIN_ANGLE_DEG:
             raise MeshQualityFailure(f"moved mesh inverted or below the {MIN_ANGLE_DEG} deg floor")
         return mesh
 
     def export_text(self) -> str:
+        """Vertices, triangles, then each boundary edge with its outward unit
+        normal, the right turn of the edge (the domain lies on its left)."""
         lines = [
             f"OFF-like: {len(self.vertices)} {len(self.triangles)} {len(self.boundary_edges)}"
         ]
@@ -161,8 +161,9 @@ class Mesh:
             lines.append(f"{float(x)!r} {float(y)!r}")
         for i, j, k in self.triangles:
             lines.append(f"{i} {j} {k}")
-        for e, (i, j) in enumerate(self.boundary_edges):
-            nx, ny = self.boundary_normals[e]
+        d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
+        normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+        for (i, j), (nx, ny) in zip(self.boundary_edges, normals):
             lines.append(f"{i} {j} {float(nx)!r} {float(ny)!r}")
         return "\n".join(lines) + "\n"
 
@@ -179,10 +180,7 @@ def _base_of(n_vertices: int, periodic_pairs: np.ndarray) -> np.ndarray:
 
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p = vertices[triangles]
-    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 1, 1] - p[:, 0, 1]
-    ) * (p[:, 2, 0] - p[:, 0, 0])
-    flip = area2 < 0
+    flip = _orient(p[:, 0], p[:, 1], p[:, 2]) < 0
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return triangles
@@ -198,17 +196,6 @@ def _twins(keys: np.ndarray) -> np.ndarray:
     twin = np.full(len(keys), -1)
     twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
     return twin
-
-
-def _boundary_frame(vertices, triangles, edges, edge_tri) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and unit normals of the boundary edges, away from their triangles."""
-    a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
-    d = b - a
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    cent = vertices[triangles[edge_tri]].mean(axis=1)
-    normals[np.einsum("ij,ij->i", normals, cent - 0.5 * (a + b)) > 0] *= -1.0
-    return lengths, normals
 
 
 def mesh_from_arrays(
@@ -257,20 +244,11 @@ def mesh_from_arrays(
             walk.append(e)
             e = successor[e]
         bounds.append(len(walk))
-    half = pos[np.asarray(walk, dtype=int)]  # loop after loop, each in walk order
-    b_edges_arr, b_tri_arr = directed[half], half // 3
-    loops = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-    lengths, normals = _boundary_frame(vertices, triangles, b_edges_arr, b_tri_arr)
-
     mesh = Mesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=b_edges_arr,
-        boundary_normals=normals,
-        boundary_lengths=lengths,
-        boundary_loops=loops,
-        boundary_edge_tri=b_tri_arr,
+        boundary_edges=directed[pos[walk]],  # loop after loop, each in walk order
+        boundary_loops=[slice(a, b) for a, b in zip(bounds, bounds[1:])],
         twin=twin,
         period=period,
         periodic_pairs=pairs,
@@ -487,7 +465,7 @@ def _relaxed_mesh(
     mesh = mesh_from_arrays(pts[used], remap[simp], corner_vertices=corners[corners >= 0])
 
     # the discrete boundary must consist of consecutive boundary samples
-    if not np.array_equal(np.sort(mesh.boundary_vertex_ids()), np.arange(nfix)):
+    if not np.array_equal(np.sort(mesh.boundary_edges[:, 0]), np.arange(nfix)):
         raise MeshQualityFailure("boundary chord missing from the triangulation")
     offsets = np.cumsum([0] + loop_sizes)
     a, b = mesh.boundary_edges.T

@@ -153,7 +153,7 @@ def patch_recover(mesh: Mesh, values: np.ndarray) -> Recovery:
     )
     adj = (inc @ inc.T).tocsr()
     wide = np.diff(adj.indptr) < 7
-    wide[mesh.dof_of_vertex[mesh.boundary_vertex_ids()]] = True
+    wide[mesh.dof_of_vertex[mesh.boundary_edges[:, 0]]] = True
     patch = (adj + sparse.diags(wide.astype(float)) @ adj @ adj).tocsr()
     patch.sort_indices()
 
@@ -237,13 +237,13 @@ def p_function(
 
     # on the boundary u = 0, so |grad u| is the variational flux magnitude
     tr = report.trace
-    b_ids = tr.vertex_ids
+    b_ids = mesh.boundary_edges[:, 0]
     p_vals = p_vals.copy()
     p_vals[b_ids] = tr.nodal**2 + 2.0 * f.antiderivative(0.0)
     for dup, base in mesh.periodic_pairs:
         p_vals[dup] = p_vals[base]
 
-    interior_ids = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertex_ids())
+    interior_ids = np.nonzero(np.isin(mesh.dof_of_vertex, mesh.interior_dofs()))[0]
 
     flags: list[str] = []
     gnorm = np.sqrt(grad_sq)

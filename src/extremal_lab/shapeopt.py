@@ -35,20 +35,20 @@ from .geom2d.meshing import Mesh, build_domain, strip_grid_counts, structured_st
 # -- eigenvalue shape derivative ----------------------------------------------------
 
 
-def shape_derivative(tr: fem.NeumannTrace) -> tuple[np.ndarray, np.ndarray]:
+def shape_derivative(tr: fem.NeumannTrace) -> np.ndarray:
     """Steepest-descent normal velocity for lambda1 at fixed area.
 
     `tr` must be the Neumann trace of the mass-normalized eigenfunction u1
     with source lambda1 * u1, the same pair the eigen solve returned.
-    Returns (vertex_ids, velocity): per boundary vertex, the squared flux
-    minus its length-weighted mean, so the weighted mean of the output is
-    zero (area preserved to first order).  Positive velocity moves the
-    boundary outward.
+    Returns the velocity at the trace's vertices, the mesh's boundary edge
+    starts: the squared flux minus its length-weighted mean, so the weighted
+    mean of the output is zero (area preserved to first order).  Positive
+    velocity moves the boundary outward.
     """
     q2 = tr.nodal**2
     weights = tr.lumped_weights
     mean = float((q2 * weights).sum() / weights.sum())
-    return tr.vertex_ids, q2 - mean
+    return q2 - mean
 
 
 # -- descent flow --------------------------------------------------------------------
@@ -163,9 +163,8 @@ def flow_to_extremal(
         if spread < spread_tol:
             reason = "converged"
             break
-        ids, vel = shape_derivative(cur.sol.report.trace)
-        v = np.empty(n)
-        v[ids] = vel  # boundary vertex ids are the polygon indices
+        v = np.empty(n)  # the boundary vertex ids are the polygon indices
+        v[cur.sol.mesh.boundary_edges[:, 0]] = shape_derivative(cur.sol.report.trace)
         v = _fourier_filter(v, 32)
         normals = _vertex_normals(cur.pts)
         vmax = float(np.max(np.abs(v)))

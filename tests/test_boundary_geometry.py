@@ -88,7 +88,7 @@ def test_batched_fit_matches_the_per_stencil_reference(name):
     mesh = build_domain(*MESHES[name])
     bg = boundary_geometry(mesh)
     ids, tang, curv = _ref_boundary_geometry(mesh)
-    assert np.array_equal(bg.vertex_ids, ids)
+    assert np.array_equal(mesh.boundary_edges[:, 0], ids)
     assert np.array_equal(bg.tangent, tang)
     assert np.array_equal(bg.normal, np.column_stack([tang[:, 1], -tang[:, 0]]))
     assert np.array_equal(np.isnan(bg.curvature), np.isnan(curv))
@@ -118,7 +118,7 @@ def test_ellipse_curvature_extremes():
     bg = boundary_geometry(mesh)
     assert np.nanmax(bg.curvature) == pytest.approx(2.0, rel=0.05)
     assert np.nanmin(bg.curvature) == pytest.approx(0.25, rel=0.05)
-    ids = bg.vertex_ids
+    ids = mesh.boundary_edges[:, 0]
     at_tip = np.argmax(np.abs(mesh.vertices[ids, 0]))
     assert bg.curvature[at_tip] == pytest.approx(2.0, rel=0.05)
 
@@ -133,7 +133,7 @@ def test_annulus_hole_curvature_negative():
     # inner loop bounds a hole: the domain is locally concave there
     mesh = build_domain(Annulus(0.5, 1.25), 0.05)
     bg = boundary_geometry(mesh)
-    ids = bg.vertex_ids
+    ids = mesh.boundary_edges[:, 0]
     r = np.hypot(*mesh.vertices[ids].T)
     inner = r < 0.9
     assert np.all(bg.curvature[inner] < 0)
@@ -148,6 +148,6 @@ def test_corner_curvature_flagged():
     # corners are flagged by NaN curvature, and only they are
     mesh = build_domain(Polygon(((0, 0), (1, 0), (1, 1), (0, 1))), 0.25)
     bg = boundary_geometry(mesh)
-    corner = np.isin(bg.vertex_ids, mesh.corner_vertices)
+    corner = np.isin(mesh.boundary_edges[:, 0], mesh.corner_vertices)
     assert corner.sum() == 4
     assert np.array_equal(np.isnan(bg.curvature), corner)

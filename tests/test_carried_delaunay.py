@@ -79,7 +79,7 @@ def _ref_relaxed_mesh(spec, h, loops, offset):
     remap[used] = np.arange(len(used))
     corners = remap[np.nonzero(corner_mask)[0]]
     mesh = mesh_from_arrays(pts[used], remap[simp], corner_vertices=corners[corners >= 0])
-    if not np.array_equal(np.sort(mesh.boundary_vertex_ids()), np.arange(nfix)):
+    if not np.array_equal(np.unique(mesh.boundary_edges), np.arange(nfix)):
         raise MeshQualityFailure("boundary chord missing from the triangulation")
     offsets = np.cumsum([0] + loop_sizes)
     a, b = mesh.boundary_edges.T
@@ -176,7 +176,7 @@ def _tie_edges(pts, tris):
 
 def _by_edge(mesh):
     order = np.lexsort(mesh.boundary_edges.T[::-1])
-    return mesh.boundary_edges[order], mesh.boundary_normals[order]
+    return mesh.boundary_edges[order], mesh.boundary_lengths[order]
 
 
 def _count_calls(monkeypatch, refuse=None):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,9 @@ from extremal_lab.geom2d.domain import DomainSpec
 from extremal_lab.geom2d.predicates import MAX_GRID_POINTS, grid_point_count
 
 DISK = {"kind": "disk", "radius": 1.0}
+# the environment of the CLI run as a program: it imports this checkout's package
+_CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 def _run(data: dict, out: Path) -> cli.ExperimentRecord:
@@ -177,6 +181,11 @@ _MALFORMED = {
                                           "half_width_coeffs": [1.0]}},
     "flow_on_annulus": {"command": "flow", "h": 0.1,
                         "domain": {"kind": "annulus", "r_in": 0.5, "r_out": 1.5}},
+    "h_not_below_the_disk_radius": {"command": "eigen", "h": 0.05,
+                                    "domain": {"kind": "disk", "radius": 0.01}},
+    "h_not_below_the_strip_half_width": {"command": "check", "h": 0.05,
+                                         "domain": {"kind": "periodic_strip", "period": 6.0,
+                                                    "half_width_coeffs": [0.3, 0.29]}},
     "grid_too_fine": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-300},
     "grid_below_double_range": {"command": "check", "domain": DISK, "h": 0.1, "grid": 1e-320},
     "n_lines_true": {"command": "check", "domain": DISK, "h": 0.1, "n_lines": True},
@@ -608,9 +617,7 @@ def test_cli_entry_point_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "eigen", "domain": DISK, "h": 0.1}))
     env_out = tmp_path / "via_env"
-    import os
-
-    env = dict(os.environ, EXTREMAL_LAB_OUT=str(env_out))
+    env = dict(_CLI_ENV, EXTREMAL_LAB_OUT=str(env_out))
     proc = subprocess.run(
         [sys.executable, "-m", "extremal_lab.cli", "eigen", "--config", str(cfg),
          "--out", str(tmp_path / "ignored")],
@@ -628,16 +635,20 @@ def test_cli_entry_point_exit_codes(tmp_path):
         [sys.executable, "-m", "extremal_lab.cli", "eigen", "--config", str(bad)],
         capture_output=True,
         text=True,
+        env=_CLI_ENV,
     )
     assert proc.returncode == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # h below the config floor check but above the domain's feature size:
-    # meshing fails numerically, the record keeps the error, exit code is 1
+    # h passes the config checks (it is below the characteristic size 0.5)
+    # but the 0.1-wide neck cannot be meshed at it: meshing fails numerically,
+    # the record keeps the error, exit code is 1
+    neck = [[0, 0], [1, 0], [1, 0.45], [1.2, 0.45], [1.2, 0], [2.2, 0], [2.2, 1], [1.2, 1],
+            [1.2, 0.55], [1, 0.55], [1, 1], [0, 1]]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"command": "eigen", "domain": {"kind": "disk", "radius": 0.3}, "h": 0.4})
+        json.dumps({"command": "eigen", "domain": {"kind": "polygon", "vertices": neck}, "h": 0.3})
     )
     out = tmp_path / "out"
     proc = subprocess.run(
@@ -645,6 +656,7 @@ def test_numerical_failure_exit_code(tmp_path):
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_CLI_ENV,
     )
     assert proc.returncode == 1
     record = json.loads((out / "record.json").read_text())
@@ -664,6 +676,7 @@ def test_solve_from_a_huge_seed_is_a_numerical_failure(amplitude, tmp_path):
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_CLI_ENV,
     )
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
@@ -682,6 +695,7 @@ def test_branch_at_a_vanishing_lambda_is_a_numerical_failure(tmp_path):
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_CLI_ENV,
     )
     assert proc.returncode == 1
     # the overflow is caught as a numerical failure, with no numpy warning before it

@@ -107,19 +107,18 @@ def test_unit_square_eigenvalue():
 
 def test_eigenfunction_properties(disk_mesh_h05):
     k, m = fem.assemble(disk_mesh_h05)
-    mask = fem.dirichlet_mask(disk_mesh_h05)
+    interior = disk_mesh_h05.interior_dofs()
     ep = fem.eigen_smallest(k, m, disk_mesh_h05)
     u = disk_mesh_h05.reduce(ep.u1.values)
     # mass normalization and constant interior sign
     assert u @ (m @ u) == pytest.approx(1.0, abs=1e-10)
-    assert np.all(u[~mask] > 0)
-    assert np.all(u[mask] == 0.0)
+    assert np.all(u[interior] > 0)
+    assert np.all(np.delete(u, interior) == 0.0)
 
 
 def test_discrete_maximum_principle_surrogate(disk_mesh_h05):
     k, m = fem.assemble(disk_mesh_h05)
-    mask = fem.dirichlet_mask(disk_mesh_h05)
-    interior = np.nonzero(~mask)[0]
+    interior = disk_mesh_h05.interior_dofs()
     rng = np.random.default_rng(42)
     w = np.abs(rng.normal(size=len(interior)))
     from scipy.sparse.linalg import splu
@@ -193,8 +192,7 @@ def test_semilinear_wrong_basin_raises():
 def test_newton_jacobian_matches_finite_differences(strip_mesh):
     f = fem.AllenCahn()
     k, m = fem.assemble(strip_mesh)
-    mask = fem.dirichlet_mask(strip_mesh)
-    interior = np.nonzero(~mask)[0]
+    interior = strip_mesh.interior_dofs()
     ki = k[interior][:, interior]
     mi = m[interior][:, interior]
     rng = np.random.default_rng(0)
@@ -356,14 +354,14 @@ def _ref_eigen_shape_derivative(k, m, mesh, ep, tr, velocities):
         d_res[:, j] = np.bincount(dof, (dku - lam * dmu).ravel(), minlength=mesh.n_dofs)
         u_dm_u[j] = float(np.sum(ue * dmu))
 
-    interior = np.nonzero(~fem.dirichlet_mask(mesh))[0]
+    interior = mesh.interior_dofs()
     shifted = (k - lam * m).tocsr()
     mu = m @ mesh.reduce(ep.u1.values)
     col = sparse.csr_matrix(mu[interior][:, None])
     bordered = sparse.bmat([[shifted[interior][:, interior], -col], [col.T, None]], format="csc")
     rhs = np.vstack([-d_res[interior], -0.5 * u_dm_u])
     sol = splu(bordered, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    bd = mesh.dof_of_vertex[tr.vertex_ids]
+    bd = mesh.dof_of_vertex[mesh.boundary_edges[:, 0]]
     d_rhs = d_res[bd] + shifted[bd][:, interior] @ sol[:-1] - np.outer(mu[bd], sol[-1])
 
     # M_b is linear in the edge lengths: dM_b is M_b built on their derivatives

@@ -29,14 +29,13 @@ def _check_invariants(mesh):
     areas = mesh.triangle_areas()
     assert np.all(areas > 0)
     assert mesh.min_angle_deg() >= 20.0
-    # each boundary edge belongs to exactly one triangle, and its stored
-    # normal points away from the owner centroid
-    mids = 0.5 * (
-        mesh.vertices[mesh.boundary_edges[:, 0]] + mesh.vertices[mesh.boundary_edges[:, 1]]
-    )
-    cent = mesh.vertices[mesh.triangles[mesh.boundary_edge_tri]].mean(axis=1)
-    dots = np.einsum("ij,ij->i", mesh.boundary_normals, cent - mids)
-    assert np.all(dots < 0)
+    # each untwinned half-edge's triangle lies on its left
+    tail, head = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
+    half = np.nonzero(mesh.twin < 0)[0]
+    cent = mesh.vertices[mesh.triangles[half // 3]].mean(axis=1)
+    p = mesh.vertices[tail[half]]
+    e, c = mesh.vertices[head[half]] - p, cent - p
+    assert np.all(e[:, 0] * c[:, 1] - e[:, 1] * c[:, 0] > 0)
     # conforming: interior edges shared by exactly two triangles
     counts = {}
     for tri in mesh.triangles:
@@ -59,12 +58,14 @@ def _check_twins(mesh):
     assert np.array_equal(twin[twin[paired]], paired) and np.all(twin[paired] != paired)
     assert np.array_equal(base[tail[paired]], base[head[twin[paired]]])
     assert np.array_equal(base[head[paired]], base[tail[twin[paired]]])
-    # the boundary edge's half-edge is the slot of its start in its triangle
-    tri = mesh.triangles[mesh.boundary_edge_tri]
-    slot = np.argmax(tri == mesh.boundary_edges[:, :1], axis=1)
-    half = 3 * mesh.boundary_edge_tri + slot
-    assert np.array_equal(np.sort(half), np.nonzero(twin < 0)[0])
-    assert np.array_equal(mesh.boundary_edges, np.column_stack([tail[half], head[half]]))
+    # the boundary edges are the untwinned half-edges, matched by (tail, head)
+    half, n = np.nonzero(twin < 0)[0], len(mesh.vertices)
+    assert np.array_equal(np.sort(mesh.boundary_edges @ [n, 1]),
+                          np.sort(tail[half] * n + head[half]))
+    # each boundary DOF starts exactly one edge, as Mesh.interior_dofs relies on
+    starts = base[mesh.boundary_edges[:, 0]]
+    assert len(np.unique(starts)) == len(starts)
+    assert np.array_equal(np.sort(starts), np.unique(base[mesh.boundary_edges]))
     # the loops tile the edges; within each, an edge's end is the next one's
     # start on base vertices, and the last edge closes the loop
     stops = [0] + [sl.stop for sl in mesh.boundary_loops]
@@ -95,7 +96,7 @@ def test_disk_triangle_count_and_exact_boundary(disk_mesh_h05):
     mesh = disk_mesh_h05
     expected = math.pi / ((math.sqrt(3) / 4) * 0.05**2)
     assert 0.6 * expected <= len(mesh.triangles) <= 1.4 * expected
-    r = np.hypot(*mesh.vertices[mesh.boundary_vertex_ids()].T)
+    r = np.hypot(*mesh.vertices[np.unique(mesh.boundary_edges)].T)
     assert np.max(np.abs(r - 1.0)) <= 1e-12
 
 
@@ -122,7 +123,7 @@ def test_periodic_strip_identification():
     assert len(np.unique(mesh.periodic_pairs[:, 0])) == len(mesh.periodic_pairs)
     assert len(np.unique(mesh.periodic_pairs[:, 1])) == len(mesh.periodic_pairs)
     # boundary vertices sit exactly on the half-width curve
-    for vid in mesh.boundary_vertex_ids():
+    for vid in np.unique(mesh.boundary_edges):
         x, y = mesh.vertices[vid]
         assert abs(abs(y) - spec.half_width(x)) <= 1e-9
 
@@ -151,11 +152,23 @@ def test_export_text_format(square_mesh):
     assert nt == len(square_mesh.triangles)
     assert nbe == len(square_mesh.boundary_edges)
     assert len(lines) == 1 + nv + nt + nbe
-    # boundary edge lines carry the unit normal
-    parts = lines[1 + nv + nt].split()
-    assert len(parts) == 4
-    nx, ny = float(parts[2]), float(parts[3])
-    assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-12)
+    # boundary edge lines carry the unit normal, orthogonal to the edge and
+    # pointing away from the centroid of the edge's (untwinned half-edge's) triangle
+    rows = [line.split() for line in lines[1 + nv + nt:]]
+    assert all(len(parts) == 4 for parts in rows)
+    edges = np.array([[int(i), int(j)] for i, j, _, _ in rows])
+    normals = np.array([[float(nx), float(ny)] for _, _, nx, ny in rows])
+    assert np.array_equal(edges, square_mesh.boundary_edges)
+    assert np.allclose(np.hypot(normals[:, 0], normals[:, 1]), 1.0, rtol=0, atol=1e-12)
+    v = square_mesh.vertices
+    d = v[edges[:, 1]] - v[edges[:, 0]]
+    assert np.max(np.abs(np.einsum("ij,ij->i", normals, d))) <= 1e-12
+    tail, head = square_mesh.triangles.ravel(), square_mesh.triangles[:, [1, 2, 0]].ravel()
+    half = np.nonzero(square_mesh.twin < 0)[0]
+    owner = dict(zip(zip(tail[half].tolist(), head[half].tolist()), (half // 3).tolist()))
+    cent = v[square_mesh.triangles[[owner[tuple(e)] for e in edges.tolist()]]].mean(axis=1)
+    mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
+    assert np.all(np.einsum("ij,ij->i", normals, cent - mids) < 0)
 
 
 def test_mesh_from_arrays_single_triangle():
@@ -265,12 +278,11 @@ def _reference_strip(spec, nx, ny):
 
 
 def _assert_matches_reference(mesh):
-    b_edges, b_tri, loops, base_of = _reference_boundary(
+    b_edges, _, loops, base_of = _reference_boundary(
         mesh.vertices, mesh.triangles, mesh.periodic_pairs
     )
     walk = np.concatenate(loops)  # the reference's edges in walk order
     assert np.array_equal(mesh.boundary_edges, np.asarray(b_edges).reshape(-1, 2)[walk])
-    assert np.array_equal(mesh.boundary_edge_tri, np.asarray(b_tri)[walk])
     assert [sl.stop - sl.start for sl in mesh.boundary_loops] == [len(lp) for lp in loops]
     assert np.array_equal(mesh.dof_of_vertex, np.unique(base_of, return_inverse=True)[1])
 
@@ -317,12 +329,10 @@ def test_moved_cell_matches_a_fresh_structured_strip():
     cell = meshing.structured_strip(STRIP_SPECS[0], 24, 8)
     fresh = meshing.structured_strip(STRIP_SPECS[1], 24, 8)
     moved = cell.moved(fresh.vertices, STRIP_SPECS[1].period)
-    for name in ("triangles", "boundary_edges", "boundary_edge_tri", "twin", "periodic_pairs",
-                 "dof_of_vertex"):
+    for name in ("triangles", "boundary_edges", "twin", "periodic_pairs", "dof_of_vertex"):
         assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
     assert moved.boundary_loops == fresh.boundary_loops
     assert np.max(np.abs(moved.boundary_lengths - fresh.boundary_lengths)) <= 1e-14
-    assert np.max(np.abs(moved.boundary_normals - fresh.boundary_normals)) <= 1e-14
     assert moved.period == fresh.period == 5.3 and moved.is_periodic_x
 
 

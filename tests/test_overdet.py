@@ -163,7 +163,7 @@ def test_recovery_widens_a_boundary_patch_with_a_full_one_ring():
     fan = [[0, i, i + 1] for i in range(1, 7)]
     band = [t for i in range(1, 7) for t in ([i, i + 7, i + 8], [i, i + 8, i + 1])]
     mesh = mesh_from_arrays(pts, fan + band, quality_floor=None)
-    assert 0 in mesh.boundary_vertex_ids()
+    assert 0 in mesh.boundary_edges
     x, y = pts.T
     u = x**3 - 2 * x**2 * y + x * y**2 + 0.5 * y**3 + x  # cubic: the patch matters
 
@@ -191,7 +191,7 @@ def test_boundary_identity_on_ellipse():
         k, m = fem.assemble(mesh)
         ep = fem.eigen_smallest(k, m, mesh)
         tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
-        hess = overdet.patch_recover(mesh, ep.u1.values).hessian[tr.vertex_ids]
+        hess = overdet.patch_recover(mesh, ep.u1.values).hessian[mesh.boundary_edges[:, 0]]
         bg = boundary_geometry(mesh)
         u_tt = -np.einsum("ni,nij,nj->n", bg.tangent, hess, bg.tangent)  # as in p_function
         errs.append(float(np.max(np.abs(u_tt / -tr.nodal - bg.curvature) / bg.curvature)))
@@ -266,7 +266,7 @@ def test_delta_p_identity_disk_numeric(critical_disk):
     lap_p = mesh.expand(-(k @ mesh.reduce(pr.field.values)) / mlump)
     # integrate away from the boundary (recovery there is first-order)
     ring = np.zeros(len(mesh.vertices), bool)
-    ring[mesh.boundary_vertex_ids()] = True
+    ring[np.unique(mesh.boundary_edges)] = True
     for _ in range(2):
         grow = np.zeros_like(ring)
         grow[mesh.triangles[ring[mesh.triangles].any(axis=1)].ravel()] = True
@@ -337,7 +337,7 @@ def test_check_t5_nonvacuous_pass_and_fail(disk_mesh_h05):
     # stretched plateau on a long rectangle: diameter exceeds 2 R
     rect = build_domain(Polygon(((0, 0), (12, 0), (12, 1), (0, 1))), 0.2)
     vals = np.full(len(rect.vertices), 2.5)
-    vals[rect.boundary_vertex_ids()] = 0.0
+    vals[np.unique(rect.boundary_edges)] = 0.0
     chk2 = overdet.check_T5(rect, fem.ScalarField(rect, vals), LAM, -1.0)
     assert not chk2.passed
     assert chk2.measured > 2 * R1
