@@ -37,6 +37,7 @@ from . import __version__, analytic, fem, overdet, shapeopt, svgfig
 from .errors import ConfigInvalid, ExtremalLabError, VersionMismatch
 from .geom2d import Line, build_domain, domain_spec_from_json, domain_spec_to_json
 from .geom2d.domain import Annulus, PeriodicStrip, json_number
+from .geom2d.meshing import strip_grid_counts
 from .geom2d.predicates import MAX_GRID_POINTS, grid_point_count
 
 COMMANDS = ("solve", "eigen", "check", "flow", "branch", "report")
@@ -247,7 +248,7 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
             raise ConfigInvalid(f"step ds {values['ds']} is not below the half-width {a}")
         if grid_point_count((0.0, period, -a, a), h) > MAX_GRID_POINTS:
             raise ConfigInvalid(f"the branch cell needs over {MAX_GRID_POINTS} mesh points")
-        nx = shapeopt.strip_counts(lam, period, res)[0]
+        nx = strip_grid_counts(period, a, h)[0]
         if values["n_modes"] >= nx / 2:  # where the nx wall samples alias
             raise ConfigInvalid(f"n_modes {values['n_modes']} is not below half of {nx} columns")
     elif "domain" in values:
@@ -313,6 +314,12 @@ def _csv_cell(c) -> str:
     return str(c)
 
 
+def _field_csv(mesh, values: np.ndarray) -> str:
+    rows = [[i, float(x), float(y), float(v)]
+            for i, ((x, y), v) in enumerate(zip(mesh.vertices, values))]
+    return _csv(["vertex_index", "x", "y", "value"], rows)
+
+
 def _boundary_csv(mesh) -> str:
     rows = []
     for li, loop in enumerate(mesh.boundary_polygons()):
@@ -328,21 +335,21 @@ def _eigen_solution(cfg: RunConfig, mesh):
     ep, u, rep = sol.eigen, sol.eigen.u1, sol.report
     if cfg["alpha"] is not None:
         c = cfg["alpha"] / rep.alpha_hat
-        u, rep = fem.ScalarField(mesh, c * u.values), rep.scaled(c)
+        u, rep = c * u, rep.scaled(c)
     return ep, u, rep
 
 
 def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
     mesh = build_domain(cfg["domain"], cfg["h"])
     ep, u, rep = _eigen_solution(cfg, mesh)
-    out.write("u.csv", u.export_csv())
+    out.write("u.csv", _field_csv(mesh, u))
     out.write("boundary.csv", _boundary_csv(mesh))
     digest = cfg.digest()
     out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), digest))
     out.write(
         "levels.svg",
         svgfig.level_set_figure(
-            mesh.vertices, mesh.triangles, u.values, mesh.boundary_polygons(), digest
+            mesh.vertices, mesh.triangles, u, mesh.boundary_polygons(), digest
         ),
     )
     report = {
@@ -353,7 +360,7 @@ def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
         "n_triangles": len(mesh.triangles),
         "h": cfg["h"],
         "domain": domain_spec_to_json(cfg["domain"]),
-        "max_u": float(u.values.max()),
+        "max_u": float(u.max()),
     }
     out.write("report.json", _json_dumps(report))
     return report
@@ -367,36 +374,35 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
     tors = splu(ki).solve(mi @ np.ones(len(interior)))
     seed_dof = np.zeros(mesh.n_dofs)
     seed_dof[interior] = tors * (cfg["seed_amplitude"] / float(tors.max()))
-    u0 = fem.ScalarField(mesh, mesh.expand(seed_dof))
     u = fem.solve_semilinear(
-        k, m, mesh, cfg["nonlinearity"], u0, tol=cfg["tolerances.newton_tol"]
+        k, m, mesh, cfg["nonlinearity"], mesh.expand(seed_dof), tol=cfg["tolerances.newton_tol"]
     )
-    trivial = bool(float(np.max(np.abs(u.values))) < 1e-8)
+    trivial = bool(float(np.max(np.abs(u))) < 1e-8)
     report: dict = {
         "trivial_solution": trivial,
-        "max_u": float(u.values.max()),
+        "max_u": float(u.max()),
         "h": cfg["h"],
         "domain": domain_spec_to_json(cfg["domain"]),
         "nonlinearity": _nonlinearity_to_json(cfg["nonlinearity"]),
     }
-    out.write("u.csv", u.export_csv())
+    out.write("u.csv", _field_csv(mesh, u))
     out.write("boundary.csv", _boundary_csv(mesh))
     digest = cfg.digest()
     out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), digest))
     if not trivial:
-        rep = overdet.overdet_residual(k, m, mesh, u, cfg["nonlinearity"].f(u.values))
+        rep = overdet.overdet_residual(k, m, mesh, u, cfg["nonlinearity"].f(u))
         pr = overdet.p_function(mesh, u, cfg["nonlinearity"], rep)
-        out.write("p.csv", pr.field.export_csv())
+        out.write("p.csv", _field_csv(mesh, pr.p))
         out.write(
             "levels.svg",
             svgfig.level_set_figure(
-                mesh.vertices, mesh.triangles, u.values, mesh.boundary_polygons(), digest
+                mesh.vertices, mesh.triangles, u, mesh.boundary_polygons(), digest
             ),
         )
         out.write(
             "p_field.svg",
             svgfig.level_set_figure(
-                mesh.vertices, mesh.triangles, pr.field.values, mesh.boundary_polygons(), digest
+                mesh.vertices, mesh.triangles, pr.p, mesh.boundary_polygons(), digest
             ),
         )
         report.update(
@@ -461,7 +467,7 @@ def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
     )
     rows = [[s.step, s.lambda1, s.area, s.spread] for s in res.states]
     out.write("trajectory.csv", _csv(["step", "lambda1", "area", "spread"], rows))
-    pts = np.asarray(res.final.spec.vertices)
+    pts = res.final.boundary
     out.write("final_boundary.csv", _csv(["x", "y"], [[float(x), float(y)] for x, y in pts]))
     digest = cfg.digest()
     steps = np.array([s.step for s in res.states], dtype=float)
@@ -630,7 +636,7 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
         hs = np.array([r[1] for r in conv_rows], dtype=float)
         es = np.array([max(float(r[2]), 1e-16) for r in conv_rows], dtype=float)
         files["convergence.svg"] = svgfig.chart_figure(
-            [(hs, es, "lambda1 error")], digest, logx=True, logy=True
+            [(hs, es, "lambda1 error")], digest, log=True
         )
     summary = {
         "n_records": len(records),

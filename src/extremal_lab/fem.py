@@ -8,7 +8,8 @@ Dirichlet eigenpair comes from shift-inverted iteration with Rayleigh
 acceleration on a sparse direct factorization, the semilinear solver is a
 damped Newton iteration, and boundary fluxes are recovered variationally
 (lumped through the one-dimensional boundary mass matrix), which is markedly
-more accurate than sampling raw element gradients.
+more accurate than sampling raw element gradients.  Nodal fields are plain
+arrays with one value per mesh vertex.
 """
 
 from __future__ import annotations
@@ -29,34 +30,16 @@ from .errors import (
 )
 from .geom2d.meshing import Mesh
 
-# -- fields and matrices --------------------------------------------------------
-
-
-@dataclass
-class ScalarField:
-    """Per-vertex nodal values on a mesh (duplicated periodic columns agree)."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) != len(self.mesh.vertices):
-            raise ValueError("field length must equal the vertex count")
-
-    def export_csv(self) -> str:
-        lines = ["vertex_index,x,y,value"]
-        for i, ((x, y), v) in enumerate(zip(self.mesh.vertices, self.values)):
-            lines.append(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+# -- matrices ---------------------------------------------------------------------
 
 
 @dataclass
 class EigenPair:
-    """Smallest Dirichlet eigenvalue with its mass-normalized eigenfunction."""
+    """Smallest Dirichlet eigenvalue with its mass-normalized eigenfunction,
+    one value per mesh vertex (duplicated periodic columns agree)."""
 
     lambda1: float
-    u1: ScalarField
+    u1: np.ndarray
     residual: float
     iterations: int
     refactors: int  # re-shifted factorizations after slow convergence
@@ -161,9 +144,8 @@ def eigen_smallest(
         v = -v
     full_dof = np.zeros(mesh.n_dofs)
     full_dof[interior] = v
-    u = ScalarField(mesh, mesh.expand(full_dof))
-    return EigenPair(lambda1=float(rho), u1=u, residual=residual, iterations=it,
-                     refactors=refactors)
+    return EigenPair(lambda1=float(rho), u1=mesh.expand(full_dof), residual=residual,
+                     iterations=it, refactors=refactors)
 
 
 # -- nonlinearities --------------------------------------------------------------
@@ -260,14 +242,15 @@ def solve_semilinear(
     m: sparse.csr_matrix,
     mesh: Mesh,
     f: NonlinearitySpec,
-    u0: ScalarField,
+    u0: np.ndarray,
     tol: float = 1e-10,
-) -> ScalarField:
+) -> np.ndarray:
     """Damped Newton, at most 60 steps, for the discrete residual M f(u) - K u
-    with u = 0 on the boundary, on the mesh's assembled matrices `k` and `m`;
-    returns a nonnegative field or raises NonPositiveSolution."""
+    with u = 0 on the boundary, on the mesh's assembled matrices `k` and `m`,
+    from the per-vertex start `u0`; returns the nonnegative per-vertex solution
+    or raises NonPositiveSolution."""
     interior, ki, mi = interior_blocks(k, m, mesh)
-    ui = mesh.reduce(u0.values)[interior]
+    ui = mesh.reduce(u0)[interior]
 
     def residual(ui_: np.ndarray) -> tuple[np.ndarray, float]:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is caught below
@@ -308,7 +291,7 @@ def solve_semilinear(
     full[interior] = ui
     if float(np.min(full)) < -1e-8:
         raise NonPositiveSolution(f"solution dips to {float(np.min(full)):.3e}")
-    return ScalarField(mesh, mesh.expand(full))
+    return mesh.expand(full)
 
 
 # -- variational Neumann trace ------------------------------------------------------
@@ -334,16 +317,14 @@ def neumann_trace(
     k: sparse.csr_matrix,
     m: sparse.csr_matrix,
     mesh: Mesh,
-    u: ScalarField,
-    source: np.ndarray | None = None,
+    u: np.ndarray,
+    source: np.ndarray,
 ) -> NeumannTrace:
     """Variational boundary flux: solve M_b g = (K u - M s) on boundary rows,
-    where K and M are the mesh's assembled matrices, s holds the per-vertex
-    reaction values f(u) (None for pure Laplace) and M_b is the 1D P1 mass
-    matrix over the boundary loops."""
-    rhs_full = k @ mesh.reduce(u.values)
-    if source is not None:
-        rhs_full = rhs_full - m @ mesh.reduce(np.asarray(source, dtype=float))
+    where K and M are the mesh's assembled matrices, u and s hold the per-vertex
+    solution and reaction values f(u), and M_b is the 1D P1 mass matrix over
+    the boundary loops."""
+    rhs_full = k @ mesh.reduce(u) - m @ mesh.reduce(source)
 
     length = mesh.boundary_lengths
     nxt, mb = _boundary_mass(mesh, length)
@@ -404,7 +385,7 @@ def eigen_shape_derivative(
     (d(K u - lambda M u)_b - dM_b g).  With N the boundary vertex-edge incidence, M_b g
     = E(g) len for E(g) = (N diag(N^T g) + diag(g) N) / 6, so dM_b g = E(g) dlen, and
     M_b's row sums E(1) len move by N dlen / 2."""
-    blocks, row = _residual_blocks(mesh, ep.u1.values, ep.lambda1)
+    blocks, row = _residual_blocks(mesh, ep.u1, ep.lambda1)
     dof, tri = mesh.dof_of_vertex[mesh.triangles.T].ravel(), np.ascontiguousarray(mesh.triangles.T)
     d_res = np.column_stack([  # d(K - lambda M) u
         np.bincount(dof, np.sum(blocks * v.T[:, None, tri], axis=(0, 2)).ravel(), mesh.n_dofs)
@@ -412,7 +393,7 @@ def eigen_shape_derivative(
 
     interior = mesh.interior_dofs()
     shifted = (k - ep.lambda1 * m).tocsr()
-    mu = m @ mesh.reduce(ep.u1.values)
+    mu = m @ mesh.reduce(ep.u1)
     col = sparse.csr_matrix(mu[interior][:, None])
     bordered = sparse.bmat([[shifted[interior][:, interior], -col], [col.T, None]], format="csc")
     rhs = np.vstack([-d_res[interior], -0.5 * np.tensordot(velocities, row, 2)])

@@ -3,7 +3,8 @@ criteria tied to it.
 
 ``overdet_residual`` measures how far a computed solution is from having
 constant boundary flux, and ``eigen_flux`` is the one assemble -> eigen solve
--> trace path that the CLI, the descent flow and the strip share.
+-> trace path that the CLI, the descent flow and the strip share.  Solutions
+and the P-function are plain arrays of nodal values, one per mesh vertex.
 ``p_function`` evaluates P = |grad u|^2 + 2 F(u),
 the convexity-criterion comparison 2 max F(u) vs alpha^2, and the boundary
 second-derivative/curvature identity, all from ``patch_recover``: a
@@ -75,17 +76,17 @@ def overdet_residual(
     k: sparse.csr_matrix,
     m: sparse.csr_matrix,
     mesh: Mesh,
-    u: fem.ScalarField,
-    source: np.ndarray | None,
+    u: np.ndarray,
+    source: np.ndarray,
 ) -> OverdetReport:
-    """Flux statistics for a Dirichlet solution with reaction values `source`
-    (f(u) per vertex; None for pure Laplace), traced on the mesh's assembled
+    """Flux statistics for a per-vertex Dirichlet solution `u` with reaction
+    values `source` (f(u) per vertex), traced on the mesh's assembled
     matrices `k` and `m`.  The report keeps the trace for later consumers."""
-    tr = fem.neumann_trace(k, m, mesh, u, source=source)
+    tr = fem.neumann_trace(k, m, mesh, u, source)
     w = mesh.boundary_lengths
     total = float(w.sum())
     mean = float((tr.per_edge * w).sum() / total)
-    if abs(mean) < 1e-13 * (1.0 + float(np.max(np.abs(u.values)))):
+    if abs(mean) < 1e-13 * (1.0 + float(np.max(np.abs(u)))):
         raise ZeroBoundary("boundary flux is identically zero")
     spread = math.sqrt(float((((tr.per_edge - mean) ** 2) * w).sum() / total)) / abs(mean)
     max_dev = float(np.max(np.abs(tr.per_edge - mean)))
@@ -119,7 +120,7 @@ def eigen_flux(mesh: Mesh, tol: float, shift: float) -> EigenFlux:
     `tol` and `shift`) and trace its flux, once, for every consumer."""
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh, tol=tol, shift=shift)
-    return EigenFlux(mesh, k, m, ep, overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values))
+    return EigenFlux(mesh, k, m, ep, overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1))
 
 
 # -- polynomial-preserving patch recovery -------------------------------------------
@@ -195,7 +196,8 @@ def patch_recover(mesh: Mesh, values: np.ndarray) -> Recovery:
 
 @dataclass
 class PReport:
-    """P = |grad u|^2 + 2 F(u), its maxima, and the convexity criterion.
+    """P = |grad u|^2 + 2 F(u) per vertex (``p``), its maxima, and the
+    convexity criterion.
 
     ``u_tt`` is the recovered tangential second derivative per boundary
     vertex, signed so that u_tt + alpha_hat * k = 0 on a smooth constant-flux
@@ -203,7 +205,7 @@ class PReport:
     implied curvature is u_tt / (-alpha_hat).
     """
 
-    field: fem.ScalarField
+    p: np.ndarray
     boundary_max: float
     interior_max: float
     criterion_left: float
@@ -220,25 +222,24 @@ class PReport:
 
 def p_function(
     mesh: Mesh,
-    u: fem.ScalarField,
+    u: np.ndarray,
     f: fem.NonlinearitySpec,
     report: OverdetReport,
 ) -> PReport:
-    """P-function of the Dirichlet solution u of -Delta u = f(u).
+    """P-function of the per-vertex Dirichlet solution u of -Delta u = f(u).
 
     `report` must be the overdet_residual report of this same u with source
     f(u): its trace gives |grad u| on the boundary and its alpha_hat the
     flux level of the convexity criterion.
     """
-    rec = patch_recover(mesh, u.values)
+    rec = patch_recover(mesh, u)
     grad_sq = np.einsum("ij,ij->i", rec.gradient, rec.gradient)
-    p_vals = grad_sq + 2.0 * f.antiderivative(u.values)
+    p_vals = grad_sq + 2.0 * f.antiderivative(u)
     alpha_hat = report.alpha_hat
 
     # on the boundary u = 0, so |grad u| is the variational flux magnitude
     tr = report.trace
     b_ids = mesh.boundary_edges[:, 0]
-    p_vals = p_vals.copy()
     p_vals[b_ids] = tr.nodal**2 + 2.0 * f.antiderivative(0.0)
     for dup, base in mesh.periodic_pairs:
         p_vals[dup] = p_vals[base]
@@ -251,9 +252,9 @@ def p_function(
     crit = interior_ids[gnorm[interior_ids] < 0.02 * gmax]  # near-critical: 2 % of max |grad u|
     if len(crit) == 0:
         flags.append("no_critical_point")
-        crit_range = u.values
+        crit_range = u
     else:
-        crit_range = u.values[crit]
+        crit_range = u[crit]
     criterion_left = 2.0 * float(np.max(f.antiderivative(crit_range)))
     criterion_right = alpha_hat**2
     criterion_holds = criterion_left < criterion_right
@@ -287,7 +288,7 @@ def p_function(
         flags.append("criterion_borderline")
 
     return PReport(
-        field=fem.ScalarField(mesh, p_vals),
+        p=p_vals,
         boundary_max=boundary_max,
         interior_max=interior_max,
         criterion_left=criterion_left,
@@ -361,14 +362,15 @@ def _superlevel_components(mesh: Mesh, values: np.ndarray, level: float):
     return out
 
 
-def check_T5(mesh: Mesh, u: fem.ScalarField, lam: float, alpha_hat: float) -> TheoremCheck:
-    """Superlevel sets above the critical-ball center value h0 must fit in
-    balls of radius sqrt(5)/2 * R and have diameter below 2R."""
+def check_T5(mesh: Mesh, u: np.ndarray, lam: float, alpha_hat: float) -> TheoremCheck:
+    """Superlevel sets of the per-vertex solution u above the critical-ball
+    center value h0 must fit in balls of radius sqrt(5)/2 * R and have
+    diameter below 2R."""
     if alpha_hat >= 0:
         raise NonNegativeAlpha("the measured flux must be negative")
     h0 = ball_solution(lam, alpha_hat).h0
     radius = r_lambda(lam)
-    comps = _superlevel_components(mesh, u.values, h0)
+    comps = _superlevel_components(mesh, u, h0)
     if mesh.is_periodic_x:
         # one copy of each physical component: its leftmost point in [0, T)
         comps = [pts for pts in comps if 0.0 <= float(pts[:, 0].min()) < mesh.period]
@@ -429,7 +431,7 @@ def check_cap_heights(mesh: Mesh, lam: float, lines: list[Line]) -> TheoremCheck
 
 def check_T8_convexity(
     mesh: Mesh,
-    u: fem.ScalarField,
+    u: np.ndarray,
     f: fem.NonlinearitySpec,
     report: OverdetReport,
 ) -> TheoremCheck:

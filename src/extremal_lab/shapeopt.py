@@ -3,8 +3,9 @@
 Two routes to extremality: a steepest-descent flow of the first Dirichlet
 eigenvalue at fixed area (boundary vertices move along their normals with
 velocity (du/dn)^2 minus its mean, which is the area-preserving descent
-direction), and pseudo-arclength continuation of constant-flux periodic
-strips in Fourier half-width space, starting from the straight strip at the
+direction; each flow state keeps its boundary as an (n, 2) point array),
+and pseudo-arclength continuation of constant-flux periodic strips in
+Fourier half-width space, starting from the straight strip at the
 period where its flux linearization changes sign.  Every solve is one
 `overdet.eigen_flux`; the strip's come from one `StripCell`, which the
 bifurcation-period search and the continuation share.
@@ -29,7 +30,7 @@ from .errors import (
     StagnatedFlow,
     TruncationInsufficient,
 )
-from .geom2d.domain import DomainSpec, PeriodicStrip, Polygon, _is_simple
+from .geom2d.domain import DomainSpec, PeriodicStrip, Polygon, _is_simple, _signed_area
 from .geom2d.meshing import Mesh, build_domain, strip_grid_counts, structured_strip
 
 # -- eigenvalue shape derivative ----------------------------------------------------
@@ -57,7 +58,7 @@ def shape_derivative(tr: fem.NeumannTrace) -> np.ndarray:
 @dataclass
 class FlowState:
     step: int
-    spec: Polygon
+    boundary: np.ndarray  # (n, 2) counterclockwise polygon points
     area: float
     lambda1: float
     spread: float
@@ -209,8 +210,8 @@ def _poly(pts: np.ndarray) -> Polygon:
 
 
 def _state(step: int, ev: _FlowEval) -> FlowState:
-    spec = _poly(ev.pts)
-    return FlowState(step, spec, spec.area(), ev.sol.eigen.lambda1, ev.sol.report.rel_spread)
+    return FlowState(step, ev.pts, _signed_area(ev.pts), ev.sol.eigen.lambda1,
+                     ev.sol.report.rel_spread)
 
 
 def _rescale(pts: np.ndarray, target_area: float) -> np.ndarray:
@@ -265,8 +266,9 @@ class StripCell:
 
 
 def strip_cell(lam: float, T: float, resolution: int, n_modes: int) -> StripCell:
-    """The straight strip's period cell at T, meshed at `strip_counts`, with
-    the basis and the deviation modes of c_0..c_N for N = n_modes."""
+    """The straight strip's period cell at T, meshed at the `strip_grid_counts`
+    of its `strip_cell_spacing`, with the basis and the deviation modes of
+    c_0..c_N for N = n_modes."""
     if lam <= 0:
         raise InvalidSpec("lambda must be positive")
     a, h = strip_cell_spacing(lam, T, resolution)
@@ -291,11 +293,6 @@ def _strip_velocities(nx: int, ny: int, n_modes: int) -> np.ndarray:
     grid[-1, :, :, 0] = (i / nx)[:, None]
     centres = 0.25 * (grid[:, :-1, :-1] + grid[:, 1:, :-1] + grid[:, 1:, 1:] + grid[:, :-1, 1:])
     return np.concatenate([grid.reshape(p, -1, 2), centres.reshape(p, -1, 2)], axis=1)
-
-
-def strip_counts(lam: float, T: float, resolution: int) -> tuple[int, int]:
-    """Column and row counts (nx, ny) of the period cell's `structured_strip`."""
-    return strip_grid_counts(T, *strip_cell_spacing(lam, T, resolution))
 
 
 def strip_cell_spacing(lam: float, T: float, resolution: int) -> tuple[float, float]:
@@ -376,7 +373,7 @@ class BranchPoint:
     lambda1: float
     converged: bool
     mesh: Mesh = field(repr=False, default=None)
-    u: fem.ScalarField = field(repr=False, default=None)
+    u: np.ndarray = field(repr=False, default=None)  # per mesh vertex
 
 
 def _branch_newton(residual, jacobian, z: np.ndarray):
@@ -418,10 +415,12 @@ def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list
     Accepted points have a flux spread of at most 1e-6; a corrector that
     lands back on the straight strip (|c_1| <= 1e-6 |ds|) raises NoSignChange,
     and then |c_N| above 1e-8 |c_1| raises TruncationInsufficient; the branch
-    stops at 64 points.  Every residual, the straight-strip start at T0
-    included, is a `cell.solve` at basis . (c_0..c_N, T), so the corrector's
-    Newton Jacobian is exact for the mesh it solves: its flux rows come from
-    `cell.flux_jacobian` along that basis, the rest are closed forms.
+    stops at 64 points, or when the step halves below 1e-4 |ds|, which raises
+    NewtonDiverged if no point past the straight strip was accepted.  Every
+    residual, the straight-strip start at T0 included, is a `cell.solve` at
+    basis . (c_0..c_N, T), so the corrector's Newton Jacobian is exact for the
+    mesh it solves: its flux rows come from `cell.flux_jacobian` along that
+    basis, the rest are closed forms.
     """
     n_modes = len(cell.basis) - 2
     if n_modes < 8:
@@ -451,7 +450,7 @@ def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list
         u = sol.eigen.u1
         return BranchPoint(
             period=float(z[t]), s=float(z[1]), coeffs=tuple(z[:t]), lam=cell.lam,
-            alpha_hat=float(z[al]), spread=sol.report.rel_spread, max_u=float(u.values.max()),
+            alpha_hat=float(z[al]), spread=sol.report.rel_spread, max_u=float(u.max()),
             lambda1=sol.eigen.lambda1, converged=converged, mesh=sol.mesh, u=u,
         )
 
@@ -473,9 +472,14 @@ def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list
         z_pred = z_prev + step * tangent
         try:
             z_new, sol = _branch_newton(residual, jacobian, z_pred)
-        except NewtonDiverged:
+        except NewtonDiverged as exc:
             step *= 0.5
             if abs(step) < 1e-4 * abs(ds):
+                if len(points) == 1:  # not one point past the straight strip
+                    raise NewtonDiverged(
+                        f"every corrector from T0 = {T0} diverged, down to step "
+                        f"{step:.1e}, so no branch leaves T0 ({exc})"
+                    ) from exc
                 break
             continue
         c = z_new[: n_modes + 1]

@@ -20,10 +20,10 @@ def _fmt(x: float) -> str:
 
 
 class _Mapper:
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, logx=False, logy=False):
-        self.logx, self.logy = logx, logy
-        xs = np.log10(xs) if logx else xs
-        ys = np.log10(ys) if logy else ys
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, log=False):
+        self.log = log  # log10 on both axes
+        xs = np.log10(xs) if log else xs
+        ys = np.log10(ys) if log else ys
         self.x0, self.x1 = float(np.min(xs)), float(np.max(xs))
         self.y0, self.y1 = float(np.min(ys)), float(np.max(ys))
         if self.x1 == self.x0:
@@ -32,8 +32,8 @@ class _Mapper:
             self.y1 = self.y0 + 1.0
 
     def map(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        x = np.log10(x) if self.logx else np.asarray(x, dtype=float)
-        y = np.log10(y) if self.logy else np.asarray(y, dtype=float)
+        x = np.log10(x) if self.log else np.asarray(x, dtype=float)
+        y = np.log10(y) if self.log else np.asarray(y, dtype=float)
         px = _MARGIN + (x - self.x0) / (self.x1 - self.x0) * (WIDTH - 2 * _MARGIN)
         py = HEIGHT - _MARGIN - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - 2 * _MARGIN)
         return px, py
@@ -119,13 +119,13 @@ def level_set_figure(
 def chart_figure(
     series: list[tuple[np.ndarray, np.ndarray, str]],
     digest: str,
-    logx: bool = False,
-    logy: bool = False,
+    log: bool = False,
 ) -> str:
-    """Simple line chart with min/max tick labels; series = (x, y, label)."""
+    """Simple line chart with min/max tick labels; series = (x, y, label);
+    `log` puts both axes on a log10 scale."""
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    m = _Mapper(xs, ys, logx=logx, logy=logy)
+    m = _Mapper(xs, ys, log=log)
     body = [
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{WIDTH - 2 * _MARGIN}" '
         f'height="{HEIGHT - 2 * _MARGIN}" fill="none" stroke="#999999"/>'

@@ -55,7 +55,7 @@ def strip_solves(strip_mesh):
         mesh = strip_mesh if h == 0.08 else build_domain(PeriodicStrip(2 * np.pi, (np.pi / 2,)), h)
         k, m = fem.assemble(mesh)
         ep = fem.eigen_smallest(k, m, mesh)
-        rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
+        rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1)
         out[h] = (mesh, k, m, ep, rep)
     return out
 

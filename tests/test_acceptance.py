@@ -49,9 +49,9 @@ def critical_disk_solution():
     mesh = build_domain(Disk(analytic.r_lambda(1.0)), 0.02 * analytic.r_lambda(1.0))
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh)
-    rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
-    u = fem.ScalarField(mesh, ep.u1.values * (-1.0 / rep.alpha_hat))
-    rep = overdet.overdet_residual(k, m, mesh, u, 1.0 * u.values)
+    rep = overdet.overdet_residual(k, m, mesh, ep.u1, ep.lambda1 * ep.u1)
+    u = ep.u1 * (-1.0 / rep.alpha_hat)
+    rep = overdet.overdet_residual(k, m, mesh, u, 1.0 * u)
     return mesh, u, rep
 
 
@@ -80,11 +80,11 @@ def test_criterion_1_disk_eigen_convergence(disk_eigens):
 @pytest.mark.slow
 def test_criterion_2_serrin_discrimination(disk_eigens, ellipse_mesh_h02):
     ep, mesh, _ = disk_eigens[0.02]
-    rep_disk = overdet.overdet_residual(*fem.assemble(mesh), mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    rep_disk = overdet.overdet_residual(*fem.assemble(mesh), mesh, ep.u1, ep.lambda1 * ep.u1)
     k, m = fem.assemble(ellipse_mesh_h02)
     epe = fem.eigen_smallest(k, m, ellipse_mesh_h02)
     rep_ell = overdet.overdet_residual(
-        k, m, ellipse_mesh_h02, epe.u1, epe.lambda1 * epe.u1.values
+        k, m, ellipse_mesh_h02, epe.u1, epe.lambda1 * epe.u1
     )
     checks = {
         "disk spread <= 1%": rep_disk.rel_spread <= 0.01,
@@ -100,8 +100,8 @@ def test_criterion_3_h0_oracle(critical_disk_solution, strip_mesh, branch):
     # strip at lambda = 1 scaled to alpha = -1: max u = 1 < h0
     k, m = fem.assemble(strip_mesh)
     eps = fem.eigen_smallest(k, m, strip_mesh)
-    reps = overdet.overdet_residual(k, m, strip_mesh, eps.u1, eps.lambda1 * eps.u1.values)
-    us = fem.ScalarField(strip_mesh, eps.u1.values * (-1.0 / reps.alpha_hat))
+    reps = overdet.overdet_residual(k, m, strip_mesh, eps.u1, eps.lambda1 * eps.u1)
+    us = eps.u1 * (-1.0 / reps.alpha_hat)
     chk_strip = overdet.check_T5(strip_mesh, us, 1.0, -1.0)
     # every branch point sits below its own h0 threshold, so the T5 check is
     # vacuous there: assert the conditional and the vacuous passes
@@ -116,7 +116,7 @@ def test_criterion_3_h0_oracle(critical_disk_solution, strip_mesh, branch):
     checks = {
         "h0(1,-1) = 1/J1(j01) within 1e-6": abs(sol.h0 - H0_UNIT) <= 1e-6,
         "FEM max u on critical disk within 1% of h0": abs(
-            float(u.values.max()) - sol.h0
+            float(u.max()) - sol.h0
         ) / sol.h0 <= 0.01,
         "T5 vacuous pass on the strip (max u < h0)": chk_strip.passed
         and "empty_superlevel" in chk_strip.flags,
@@ -148,7 +148,7 @@ def test_criterion_5_p_function(critical_disk_solution, strip_solves):
     for h in (0.04, 0.02):
         mesh, _, _, ep, rep = strip_solves[h]
         pr = overdet.p_function(mesh, ep.u1, fem.Linear(ep.lambda1), rep)
-        errs[h] = float(np.max(np.abs(pr.field.values - rep.alpha_hat**2)) / rep.alpha_hat**2)
+        errs[h] = float(np.max(np.abs(pr.p - rep.alpha_hat**2)) / rep.alpha_hat**2)
     dmesh, du, drep = critical_disk_solution
     pr_disk = overdet.p_function(dmesh, du, fem.Linear(1.0), drep)
     checks = {
@@ -182,7 +182,7 @@ def test_criterion_6_boundary_identity(critical_disk_solution):
 @pytest.mark.slow
 def test_criterion_7_shape_flow(ellipse_flow):
     res, wall = ellipse_flow
-    pts = np.asarray(res.final.spec.vertices)
+    pts = res.final.boundary
     area, cent = shapeopt._polygon_area_centroid(pts)
     hausdorff = float(np.max(np.abs(np.hypot(*(pts - cent).T) - 1.0)))
     areas = [s.area for s in res.states]

@@ -135,7 +135,8 @@ def _ref_lawson_flips(pts, tris, nfix, tiny, rounds=16):
 
 def _flow_trial_polygon():
     # the shape accepted by the first step of the benchmark's ellipse flow
-    return shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.05, max_steps=1).final.spec
+    res = shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.05, max_steps=1)
+    return shapeopt._poly(res.final.boundary)
 
 
 L_SHAPE = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))

@@ -546,6 +546,17 @@ def test_branch_off_the_bifurcation_period_says_no_branch_leaves(tmp_path):
     assert "TruncationInsufficient" not in error
 
 
+def test_branch_from_a_period_no_corrector_leaves_fails(tmp_path):
+    # at lambda 1, T* is about 6.28: from T 5 every corrector diverges until the
+    # step underflows, which must not pass for a branch of the straight strip alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "branch", "lambda": 1.0, "T": 5.0, "resolution": 8,
+                               "n_modes": 8}))
+    assert cli.main(["branch", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads((tmp_path / "out" / "record.json").read_text())["error"]
+    assert error.startswith("NewtonDiverged: every corrector from T0 = 5.0 diverged")
+
+
 def test_solve_assembles_and_traces_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch)
     rec = _run({"command": "solve", "domain": {"kind": "disk", "radius": 3.0}, "h": 0.2,

@@ -6,10 +6,10 @@ from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 
-from extremal_lab import analytic, fem, shapeopt
+from extremal_lab import analytic, cli, fem, shapeopt
 from extremal_lab.errors import DegenerateTriangle, NonPositiveSolution
 from extremal_lab.geom2d import Ellipse, PeriodicStrip, Polygon, build_domain
-from extremal_lab.geom2d.meshing import mesh_from_arrays
+from extremal_lab.geom2d.meshing import mesh_from_arrays, strip_grid_counts
 
 J01SQ = 5.783185962946785
 
@@ -109,7 +109,7 @@ def test_eigenfunction_properties(disk_mesh_h05):
     k, m = fem.assemble(disk_mesh_h05)
     interior = disk_mesh_h05.interior_dofs()
     ep = fem.eigen_smallest(k, m, disk_mesh_h05)
-    u = disk_mesh_h05.reduce(ep.u1.values)
+    u = disk_mesh_h05.reduce(ep.u1)
     # mass normalization and constant interior sign
     assert u @ (m @ u) == pytest.approx(1.0, abs=1e-10)
     assert np.all(u[interior] > 0)
@@ -161,10 +161,10 @@ def test_allen_cahn_strip_against_shooting_oracle():
     width = math.pi * math.sqrt(2)  # first eigenvalue 1/2 < 1
     oracle = _allen_cahn_1d_max(width)
     mesh = build_domain(PeriodicStrip(2.0, (width / 2,)), 0.05)
-    u0 = fem.ScalarField(mesh, 0.5 * np.cos(math.pi * mesh.vertices[:, 1] / width))
+    u0 = 0.5 * np.cos(math.pi * mesh.vertices[:, 1] / width)
     u = fem.solve_semilinear(*fem.assemble(mesh), mesh, fem.AllenCahn(), u0)
-    assert float(u.values.max()) == pytest.approx(oracle, rel=0.01)
-    assert float(u.values.max()) < 1.0
+    assert float(u.max()) == pytest.approx(oracle, rel=0.01)
+    assert float(u.max()) < 1.0
 
 
 def test_linear_at_eigenvalue_converges_immediately(disk_mesh_h05):
@@ -172,19 +172,19 @@ def test_linear_at_eigenvalue_converges_immediately(disk_mesh_h05):
     ep = fem.eigen_smallest(k, m, disk_mesh_h05)
     u = fem.solve_semilinear(k, m, disk_mesh_h05, fem.Linear(ep.lambda1), ep.u1)
     # returns a multiple of the eigenfunction (here: the input itself)
-    assert np.allclose(u.values, ep.u1.values, atol=1e-12)
+    assert np.allclose(u, ep.u1, atol=1e-12)
 
 
 def test_linear_off_eigenvalue_returns_zero(disk_mesh_h05):
-    u0 = fem.ScalarField(disk_mesh_h05, np.zeros(len(disk_mesh_h05.vertices)))
+    u0 = np.zeros(len(disk_mesh_h05.vertices))
     u = fem.solve_semilinear(*fem.assemble(disk_mesh_h05), disk_mesh_h05, fem.Linear(3.0), u0)
-    assert np.max(np.abs(u.values)) == 0.0
+    assert np.max(np.abs(u)) == 0.0
 
 
 def test_semilinear_wrong_basin_raises():
     width = math.pi * math.sqrt(2)
     mesh = build_domain(PeriodicStrip(2.0, (width / 2,)), 0.08)
-    u0 = fem.ScalarField(mesh, -0.5 * np.cos(math.pi * mesh.vertices[:, 1] / width))
+    u0 = -0.5 * np.cos(math.pi * mesh.vertices[:, 1] / width)
     with pytest.raises(NonPositiveSolution):
         fem.solve_semilinear(*fem.assemble(mesh), mesh, fem.AllenCahn(), u0)
 
@@ -237,7 +237,7 @@ def test_tabulated_lipschitz_enforced():
 def test_disk_trace_constant(disk_eigen_h02, disk_mesh_h02):
     ep = disk_eigen_h02
     tr = fem.neumann_trace(
-        *fem.assemble(disk_mesh_h02), disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values
+        *fem.assemble(disk_mesh_h02), disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1
     )
     w = disk_mesh_h02.boundary_lengths
     mean = float((tr.per_edge * w).sum() / w.sum())
@@ -250,8 +250,7 @@ def test_disk_trace_constant(disk_eigen_h02, disk_mesh_h02):
 def test_strip_trace_matches_alpha(strip_mesh):
     ss = analytic.strip_solution(1.0, -1.0)
     vals = ss.profile(strip_mesh.vertices[:, 1] + math.pi / 2)
-    u = fem.ScalarField(strip_mesh, vals)
-    tr = fem.neumann_trace(*fem.assemble(strip_mesh), strip_mesh, u, source=1.0 * vals)
+    tr = fem.neumann_trace(*fem.assemble(strip_mesh), strip_mesh, vals, source=1.0 * vals)
     w = strip_mesh.boundary_lengths
     mean = float((tr.per_edge * w).sum() / w.sum())
     assert mean == pytest.approx(-1.0, rel=0.01)
@@ -262,11 +261,11 @@ def test_strip_trace_matches_alpha(strip_mesh):
 def test_trace_divergence_identity(disk_eigen_h02, disk_mesh_h02):
     ep = disk_eigen_h02
     k, m = fem.assemble(disk_mesh_h02)
-    tr = fem.neumann_trace(k, m, disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1.values)
+    tr = fem.neumann_trace(k, m, disk_mesh_h02, ep.u1, source=ep.lambda1 * ep.u1)
     total_flux = float((tr.per_edge * disk_mesh_h02.boundary_lengths).sum())
     f_integral = float(
         np.ones(disk_mesh_h02.n_dofs)
-        @ (m @ disk_mesh_h02.reduce(ep.lambda1 * ep.u1.values))
+        @ (m @ disk_mesh_h02.reduce(ep.lambda1 * ep.u1))
     )
     assert abs(total_flux + f_integral) <= 1e-8
 
@@ -278,7 +277,7 @@ def test_trace_divergence_identity(disk_eigen_h02, disk_mesh_h02):
 def disk_trace_h05(disk_mesh_h05):
     k, m = fem.assemble(disk_mesh_h05)
     ep = fem.eigen_smallest(k, m, disk_mesh_h05)
-    return k, m, ep, fem.neumann_trace(k, m, disk_mesh_h05, ep.u1, ep.lambda1 * ep.u1.values)
+    return k, m, ep, fem.neumann_trace(k, m, disk_mesh_h05, ep.u1, ep.lambda1 * ep.u1)
 
 
 def test_shape_derivative_of_a_dilation(disk_mesh_h05, disk_trace_h05):
@@ -307,7 +306,8 @@ def test_strip_flux_jacobian_matches_central_differences():
     z = np.array([math.pi / 2, 0.05, -0.01, 0.004, 2 * math.pi])  # c_0..c_3, then T
 
     cell = shapeopt.strip_cell(lam, 2 * math.pi, resolution, n_modes)
-    assert shapeopt.strip_counts(lam, 2 * math.pi, resolution) == (32, 16)
+    a, h = shapeopt.strip_cell_spacing(lam, 2 * math.pi, resolution)
+    assert strip_grid_counts(2 * math.pi, a, h) == (32, 16)
 
     def flux(zz):  # lambda1, mean flux, deviation modes, nodal trace
         sol, dev = cell.solve(zz)  # the cell moved through the basis, as in every branch residual
@@ -338,7 +338,7 @@ def _ref_p1_coefficients(points, triangles):
 def _ref_eigen_shape_derivative(k, m, mesh, ep, tr, velocities):
     lam, n_vel = ep.lambda1, len(velocities)
     b, c, area = fem.p1_gradients(mesh)
-    ue = ep.u1.values[mesh.triangles]
+    ue = ep.u1[mesh.triangles]
     bu, cu = (b * ue).sum(axis=1)[:, None], (c * ue).sum(axis=1)[:, None]
     four_area = (4.0 * area)[:, None]
     ku = (b * bu + c * cu) / four_area
@@ -356,7 +356,7 @@ def _ref_eigen_shape_derivative(k, m, mesh, ep, tr, velocities):
 
     interior = mesh.interior_dofs()
     shifted = (k - lam * m).tocsr()
-    mu = m @ mesh.reduce(ep.u1.values)
+    mu = m @ mesh.reduce(ep.u1)
     col = sparse.csr_matrix(mu[interior][:, None])
     bordered = sparse.bmat([[shifted[interior][:, interior], -col], [col.T, None]], format="csc")
     rhs = np.vstack([-d_res[interior], -0.5 * u_dm_u])
@@ -378,7 +378,7 @@ def _ref_eigen_shape_derivative(k, m, mesh, ep, tr, velocities):
 def _solved(mesh, tol=1e-10):
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh, tol)
-    return k, m, mesh, ep, fem.neumann_trace(k, m, mesh, ep.u1, ep.lambda1 * ep.u1.values)
+    return k, m, mesh, ep, fem.neumann_trace(k, m, mesh, ep.u1, ep.lambda1 * ep.u1)
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +386,8 @@ def derivative_cases():
     """(K, M, mesh, eigenpair, trace) on a bulged (64, 32) strip cell, whose
     seam column duplicates vertices, and on a relaxed (2, 1) ellipse mesh."""
     cell = shapeopt.strip_cell(1.0, 2 * math.pi, 16, 10)
-    assert shapeopt.strip_counts(1.0, 2 * math.pi, 16) == (64, 32)
+    a, h = shapeopt.strip_cell_spacing(1.0, 2 * math.pi, 16)
+    assert strip_grid_counts(2 * math.pi, a, h) == (64, 32)
     z = np.zeros(12)
     z[[0, 1, 2, 3, -1]] = math.pi / 2, 0.05, -0.01, 0.004, 2 * math.pi
     sol, _ = cell.solve(z)
@@ -407,8 +408,8 @@ def test_shape_derivative_matches_the_per_velocity_loop(derivative_cases, case, 
 
 def _lambda_gradient(mesh, ep):
     """u^T S: the residual blocks contracted with u, summed per vertex (nv, 2)."""
-    blocks, _ = fem._residual_blocks(mesh, ep.u1.values, ep.lambda1)
-    per = np.einsum("at,kajt->kjt", ep.u1.values[mesh.triangles.T], blocks)
+    blocks, _ = fem._residual_blocks(mesh, ep.u1, ep.lambda1)
+    per = np.einsum("at,kajt->kjt", ep.u1[mesh.triangles.T], blocks)
     return np.column_stack([np.bincount(mesh.triangles.T.ravel(), per_k.ravel(),
                                         minlength=len(mesh.vertices)) for per_k in per])
 
@@ -433,8 +434,8 @@ def test_lambda_vertex_gradient():
 
 
 def test_field_csv_export(disk_mesh_h05):
-    u = fem.ScalarField(disk_mesh_h05, np.arange(len(disk_mesh_h05.vertices), dtype=float))
-    csv = u.export_csv()
+    u = np.arange(len(disk_mesh_h05.vertices), dtype=float)
+    csv = cli._field_csv(disk_mesh_h05, u)
     lines = csv.strip().split("\n")
     assert lines[0] == "vertex_index,x,y,value"
     assert len(lines) == len(disk_mesh_h05.vertices) + 1

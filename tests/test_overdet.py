@@ -27,11 +27,11 @@ def critical_disk():
     mesh = build_domain(Disk(R1), 0.02 * R1)
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh)
-    rep = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
+    rep = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1)
     w = mesh.boundary_lengths
     alpha0 = float((rep.per_edge * w).sum() / w.sum())
-    u = fem.ScalarField(mesh, ep.u1.values * (-1.0 / alpha0))
-    report = overdet.overdet_residual(k, m, mesh, u, LAM * u.values)
+    u = ep.u1 * (-1.0 / alpha0)
+    report = overdet.overdet_residual(k, m, mesh, u, LAM * u)
     return mesh, u, report, ep
 
 
@@ -47,7 +47,7 @@ def strip_eigen(strip_solves):
 def test_disk_spread_small(disk_mesh_h02):
     k, m = fem.assemble(disk_mesh_h02)
     ep = fem.eigen_smallest(k, m, disk_mesh_h02)
-    rep = overdet.overdet_residual(k, m, disk_mesh_h02, ep.u1, ep.lambda1 * ep.u1.values)
+    rep = overdet.overdet_residual(k, m, disk_mesh_h02, ep.u1, ep.lambda1 * ep.u1)
     assert rep.rel_spread <= 0.01
     assert rep.alpha_hat < 0
 
@@ -55,15 +55,14 @@ def test_disk_spread_small(disk_mesh_h02):
 def test_ellipse_spread_large(ellipse_mesh_h02):
     k, m = fem.assemble(ellipse_mesh_h02)
     ep = fem.eigen_smallest(k, m, ellipse_mesh_h02)
-    rep = overdet.overdet_residual(k, m, ellipse_mesh_h02, ep.u1, ep.lambda1 * ep.u1.values)
+    rep = overdet.overdet_residual(k, m, ellipse_mesh_h02, ep.u1, ep.lambda1 * ep.u1)
     assert rep.rel_spread >= 0.2
 
 
 def test_strip_interpolated_trace(strip_mesh):
     ss = analytic.strip_solution(1.0, -1.0)
     vals = ss.profile(strip_mesh.vertices[:, 1] + math.pi / 2)
-    u = fem.ScalarField(strip_mesh, vals)
-    rep = overdet.overdet_residual(*fem.assemble(strip_mesh), strip_mesh, u, 1.0 * vals)
+    rep = overdet.overdet_residual(*fem.assemble(strip_mesh), strip_mesh, vals, 1.0 * vals)
     assert rep.alpha_hat == pytest.approx(-1.0, rel=0.01)
     assert abs(rep.loop_means[0] - rep.loop_means[1]) <= 0.005
 
@@ -74,8 +73,8 @@ def test_scaled_report_matches_a_fresh_trace(ellipse_mesh_h02, sign):
     mesh = ellipse_mesh_h02
     sol = overdet.eigen_flux(mesh, 1e-10, 0.0)
     c = sign * -2.0 / sol.report.alpha_hat
-    u = fem.ScalarField(mesh, c * sol.eigen.u1.values)
-    fresh = overdet.overdet_residual(sol.k, sol.m, mesh, u, sol.eigen.lambda1 * u.values)
+    u = c * sol.eigen.u1
+    fresh = overdet.overdet_residual(sol.k, sol.m, mesh, u, sol.eigen.lambda1 * u)
     scaled = sol.report.scaled(c)
     for got, want in [(scaled.alpha_hat, fresh.alpha_hat), (scaled.rel_spread, fresh.rel_spread),
                       (scaled.max_abs_deviation, fresh.max_abs_deviation),
@@ -87,9 +86,9 @@ def test_scaled_report_matches_a_fresh_trace(ellipse_mesh_h02, sign):
 
 
 def test_zero_boundary_raises(disk_mesh_h05):
-    u = fem.ScalarField(disk_mesh_h05, np.zeros(len(disk_mesh_h05.vertices)))
+    u = np.zeros(len(disk_mesh_h05.vertices))
     with pytest.raises(ZeroBoundary):
-        overdet.overdet_residual(*fem.assemble(disk_mesh_h05), disk_mesh_h05, u, None)
+        overdet.overdet_residual(*fem.assemble(disk_mesh_h05), disk_mesh_h05, u, u)
 
 
 # -- patch recovery ---------------------------------------------------------------
@@ -190,8 +189,8 @@ def test_boundary_identity_on_ellipse():
         mesh = build_domain(Ellipse(2.0, 1.0), h)
         k, m = fem.assemble(mesh)
         ep = fem.eigen_smallest(k, m, mesh)
-        tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
-        hess = overdet.patch_recover(mesh, ep.u1.values).hessian[mesh.boundary_edges[:, 0]]
+        tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1)
+        hess = overdet.patch_recover(mesh, ep.u1).hessian[mesh.boundary_edges[:, 0]]
         bg = boundary_geometry(mesh)
         u_tt = -np.einsum("ni,nij,nj->n", bg.tangent, hess, bg.tangent)  # as in p_function
         errs.append(float(np.max(np.abs(u_tt / -tr.nodal - bg.curvature) / bg.curvature)))
@@ -205,11 +204,11 @@ def test_boundary_identity_on_ellipse():
 def test_strip_p_constant_and_monotone(strip_solves):
     errs = {}
     for h, (mesh, k, m, ep, rep) in strip_solves.items():
-        u = fem.ScalarField(mesh, ep.u1.values / abs(rep.alpha_hat))
-        rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u.values)
+        u = ep.u1 / abs(rep.alpha_hat)
+        rep = overdet.overdet_residual(k, m, mesh, u, ep.lambda1 * u)
         pr = overdet.p_function(mesh, u, fem.Linear(ep.lambda1), rep)
         errs[h] = float(
-            np.max(np.abs(pr.field.values - rep.alpha_hat**2)) / rep.alpha_hat**2
+            np.max(np.abs(pr.p - rep.alpha_hat**2)) / rep.alpha_hat**2
         )
     assert errs[0.04] <= 0.02
     assert errs[0.04] <= errs[0.08] / 2.0
@@ -233,7 +232,7 @@ def test_disk_p_maximum_at_center(critical_disk):
 def test_linear_criterion_is_lambda_times_max_u_squared(critical_disk):
     mesh, u, rep, _ = critical_disk
     pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep)
-    assert pr.criterion_left == pytest.approx(LAM * float(u.values.max()) ** 2, rel=1e-9)
+    assert pr.criterion_left == pytest.approx(LAM * float(u.max()) ** 2, rel=1e-9)
 
 
 def test_boundary_identity_on_critical_disk(critical_disk):
@@ -260,10 +259,10 @@ def test_delta_p_identity_strip_symbolic():
 def test_delta_p_identity_disk_numeric(critical_disk):
     mesh, u, rep, _ = critical_disk
     k, m = fem.assemble(mesh)
-    rec = overdet.patch_recover(mesh, u.values)
+    rec = overdet.patch_recover(mesh, u)
     pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep)
     mlump = np.asarray(m.sum(axis=1)).ravel()
-    lap_p = mesh.expand(-(k @ mesh.reduce(pr.field.values)) / mlump)
+    lap_p = mesh.expand(-(k @ mesh.reduce(pr.p)) / mlump)
     # integrate away from the boundary (recovery there is first-order)
     ring = np.zeros(len(mesh.vertices), bool)
     ring[np.unique(mesh.boundary_edges)] = True
@@ -273,7 +272,7 @@ def test_delta_p_identity_disk_numeric(critical_disk):
         ring |= grow
     sel = ~ring
     h2 = np.einsum("vij,vij->v", rec.hessian, rec.hessian)
-    f2 = (LAM * u.values) ** 2
+    f2 = (LAM * u) ** 2
     resid = h2 - f2 - 0.5 * lap_p
     w = mesh.expand(mlump)
     ratio = abs(float((resid[sel] * w[sel]).sum())) / float(
@@ -316,10 +315,10 @@ def test_check_t5_vacuous_on_critical_disk(critical_disk):
 
 def test_check_t5_vacuous_on_strip(strip_eigen):
     mesh, ep, rep = strip_eigen
-    u = fem.ScalarField(mesh, ep.u1.values / abs(rep.alpha_hat))
-    rep2 = overdet.overdet_residual(*fem.assemble(mesh), mesh, u, ep.lambda1 * u.values)
+    u = ep.u1 / abs(rep.alpha_hat)
+    rep2 = overdet.overdet_residual(*fem.assemble(mesh), mesh, u, ep.lambda1 * u)
     # strip max is |alpha|/sqrt(lam) < h0
-    assert float(u.values.max()) < analytic.ball_solution(LAM, rep2.alpha_hat).h0
+    assert float(u.max()) < analytic.ball_solution(LAM, rep2.alpha_hat).h0
     chk = overdet.check_T5(mesh, u, LAM, rep2.alpha_hat)
     assert chk.passed and "empty_superlevel" in chk.flags
 
@@ -328,7 +327,7 @@ def test_check_t5_nonvacuous_pass_and_fail(disk_mesh_h05):
     # synthetic bump: one tight superlevel component around the origin
     mesh = disk_mesh_h05
     r2 = np.einsum("ij,ij->i", mesh.vertices, mesh.vertices)
-    u = fem.ScalarField(mesh, 3.0 * np.exp(-r2 / 0.05))
+    u = 3.0 * np.exp(-r2 / 0.05)
     chk = overdet.check_T5(mesh, u, LAM, -1.0)
     assert chk.passed and not chk.flags
     assert chk.details["n_components"] == 1
@@ -338,7 +337,7 @@ def test_check_t5_nonvacuous_pass_and_fail(disk_mesh_h05):
     rect = build_domain(Polygon(((0, 0), (12, 0), (12, 1), (0, 1))), 0.2)
     vals = np.full(len(rect.vertices), 2.5)
     vals[np.unique(rect.boundary_edges)] = 0.0
-    chk2 = overdet.check_T5(rect, fem.ScalarField(rect, vals), LAM, -1.0)
+    chk2 = overdet.check_T5(rect, vals, LAM, -1.0)
     assert not chk2.passed
     assert chk2.measured > 2 * R1
 

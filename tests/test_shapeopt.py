@@ -14,7 +14,7 @@ from extremal_lab.geom2d import (
     boundary_geometry,
     build_domain,
 )
-from extremal_lab.geom2d.meshing import Mesh, mesh_from_arrays, structured_strip
+from extremal_lab.geom2d.meshing import Mesh, mesh_from_arrays, strip_grid_counts, structured_strip
 
 J01SQ = 5.783185962946785
 
@@ -31,7 +31,7 @@ def disk_eigen(disk_mesh_h05):
 def test_disk_velocity_near_zero_and_mean_free(disk_mesh_h05, disk_eigen):
     tr = fem.neumann_trace(
         *fem.assemble(disk_mesh_h05), disk_mesh_h05, disk_eigen.u1,
-        source=disk_eigen.lambda1 * disk_eigen.u1.values,
+        source=disk_eigen.lambda1 * disk_eigen.u1,
     )
     vel = shapeopt.shape_derivative(tr)
     w = tr.lumped_weights
@@ -45,7 +45,7 @@ def test_ellipse_velocity_signs():
     mesh = build_domain(Ellipse(2.0, 1.0), 0.05)
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh)
-    tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
+    tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1)
     vel = shapeopt.shape_derivative(tr)
     pts = mesh.vertices[mesh.boundary_edges[:, 0]]
     at_y_tip = np.abs(pts[:, 1]) > 0.95
@@ -62,7 +62,7 @@ def _ellipse_morph(h, eps=1e-3):
     mesh = build_domain(Ellipse(1.4, 1 / 1.4), h)
     k, m = fem.assemble(mesh)
     ep = fem.eigen_smallest(k, m, mesh)
-    tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
+    tr = fem.neumann_trace(k, m, mesh, ep.u1, source=ep.lambda1 * ep.u1)
     w = tr.lumped_weights
     th = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
 
@@ -103,7 +103,7 @@ def test_lumped_weights_are_half_edge_lengths(strip_mesh):
     # periodic loops close across the seam: every vertex has two edges
     k, m = fem.assemble(strip_mesh)
     ep = fem.eigen_smallest(k, m, strip_mesh)
-    tr = fem.neumann_trace(k, m, strip_mesh, ep.u1, source=ep.lambda1 * ep.u1.values)
+    tr = fem.neumann_trace(k, m, strip_mesh, ep.u1, source=ep.lambda1 * ep.u1)
     assert tr.lumped_weights.sum() == pytest.approx(strip_mesh.boundary_lengths.sum(), rel=1e-14)
     for sl in strip_mesh.boundary_loops:
         lengths = strip_mesh.boundary_lengths[sl]
@@ -124,7 +124,7 @@ def test_flow_states_record_polygon_area():
     res = shapeopt.flow_to_extremal(Ellipse(1.2, 1 / 1.2), h=0.08, max_steps=2)
     assert len(res.states) == 3
     for s in res.states:
-        shoelace, _ = shapeopt._polygon_area_centroid(np.asarray(s.spec.vertices))
+        shoelace, _ = shapeopt._polygon_area_centroid(s.boundary)
         assert s.area == shoelace
 
 
@@ -136,7 +136,7 @@ def test_ellipse_flow_reaches_disk(ellipse_flow):
     assert all(b <= a * (1 + 1e-12) for a, b in zip(lams, lams[1:]))
     areas = [s.area for s in res.states]
     assert max(abs(a - math.pi) / math.pi for a in areas) <= 1e-3
-    pts = np.asarray(res.final.spec.vertices)
+    pts = res.final.boundary
     area, cent = shapeopt._polygon_area_centroid(pts)
     assert abs(area - math.pi) / math.pi <= 1e-3
     assert float(np.abs(np.hypot(*(pts - cent).T) - 1.0).max()) <= 0.01
@@ -310,7 +310,8 @@ def test_branch_leaves_its_bifurcation_period_downward():
     cell = _cell(1.0, n_modes=10)
     tstar = shapeopt.bifurcation_period(cell)
     # the branch meshes its start with the counts the search used
-    assert shapeopt.strip_counts(1.0, tstar, 16) == shapeopt.strip_counts(1.0, 2 * math.pi, 16)
+    assert strip_grid_counts(tstar, *shapeopt.strip_cell_spacing(1.0, tstar, 16)) == (
+        strip_grid_counts(2 * math.pi, *shapeopt.strip_cell_spacing(1.0, 2 * math.pi, 16)))
     points = shapeopt.continue_branch(cell, tstar, s_max=0.004, ds=0.005)
     assert -2e-5 < points[1].period - tstar < 0
 
