@@ -323,7 +323,7 @@ def _field_csv(mesh, values: np.ndarray) -> str:
 def _boundary_csv(mesh) -> str:
     rows = []
     for li, loop in enumerate(mesh.boundary_polygons()):
-        for x, y in loop:
+        for x, y in loop[:-1]:  # one row per walk start
             rows.append([li, float(x), float(y)])
     return _csv(["loop", "x", "y"], rows)
 
@@ -443,17 +443,14 @@ def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
     mesh = build_domain(cfg["domain"], cfg["h"])
     if "T4" in theorems:
         checks.append(overdet.check_T4(cfg["domain"], lam, grid))
-    needs_solution = {"T5", "L3R", "T8"} & set(theorems)
-    if needs_solution:
+    if {"T5", "T8"} & set(theorems):  # L3R reads the mesh only
         ep, u, rep = _eigen_solution(cfg, mesh)
-        if "T5" in theorems:
-            checks.append(overdet.check_T5(mesh, u, lam, rep.alpha_hat))
-        if "L3R" in theorems:
-            checks.append(overdet.check_cap_heights(mesh, lam, _sample_lines(cfg, mesh)))
-        if "T8" in theorems:
-            checks.append(
-                overdet.check_T8_convexity(mesh, u, fem.Linear(ep.lambda1), rep)
-            )
+    if "T5" in theorems:
+        checks.append(overdet.check_T5(mesh, u, lam, rep.alpha_hat))
+    if "L3R" in theorems:
+        checks.append(overdet.check_cap_heights(mesh, lam, _sample_lines(cfg, mesh)))
+    if "T8" in theorems:
+        checks.append(overdet.check_T8_convexity(mesh, u, fem.Linear(ep.lambda1), rep))
     out.write("boundary.csv", _boundary_csv(mesh))
     out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), cfg.digest()))
     report = {"lambda": lam, "grid": grid, "checks": [c.to_json() for c in checks]}
@@ -476,7 +473,7 @@ def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
         "flow.svg",
         svgfig.chart_figure([(steps, lams, "lambda1")], digest),
     )
-    out.write("domain.svg", svgfig.domain_figure([pts], digest))
+    out.write("domain.svg", svgfig.domain_figure([np.vstack([pts, pts[:1]])], digest))
     report = {
         "reason": res.reason,
         "steps": len(res.states) - 1,

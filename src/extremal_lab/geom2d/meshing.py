@@ -104,8 +104,16 @@ class Mesh:
         return np.asarray(values_dof)[self.dof_of_vertex]
 
     def boundary_polygons(self) -> list[np.ndarray]:
-        """Closed vertex polylines, one per loop, in walk order."""
-        return [self.vertices[self.boundary_edges[sl, 0]] for sl in self.boundary_loops]
+        """Each boundary loop as drawn, in walk order: a closed loop ends at its
+        first point; a periodic wall begins just after the edge whose end is
+        not the next edge's start (the seam) and ends at that edge's end."""
+        out = []
+        for sl in self.boundary_loops:
+            a, b = self.boundary_edges[sl].T
+            seam = np.nonzero(b != np.roll(a, -1))[0]
+            first = seam[0] + 1 if len(seam) else 0
+            out.append(self.vertices[np.append(np.roll(a, -first), b[first - 1])])
+        return out
 
     def unrolled(self) -> "Mesh":
         """Planar cover of a periodic mesh over the period copies -1, 0, 1.

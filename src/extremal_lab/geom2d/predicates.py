@@ -3,7 +3,8 @@
 These back the quantitative domain checks: inscribed-ball radii, sampled on a
 grid inside a domain spec and read from the spec's own signed distance, cap
 reflection across a cutting line (graph-over-chord and reflected-cap
-containment), exact point-set diameters, and minimum enclosing circles.
+containment), and the exact diameters and minimum enclosing circles of point
+sets, both measured on the vertices of Qhull's convex hull.
 Cap reflection unrolls a periodic mesh over three period copies first, so
 caps crossing the cell boundary are handled; components touching the
 unrolled cut are reported as unbounded with their distance to the cut.
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull, QhullError
 
 from ..errors import EmptyDomain, NonTransversal
 from .domain import DomainSpec, _points_in_loops
@@ -51,69 +53,28 @@ class Line:
         return (pts - np.asarray(self.point)) @ np.asarray(self.direction)
 
 
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+# -- diameters, enclosing circles ------------------------------------------------
 
 
-# -- hulls, diameters, enclosing circles ---------------------------------------
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, counterclockwise, strict turns only."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) <= 2:
+def _extreme_points(points: np.ndarray) -> np.ndarray:
+    """The vertices of Qhull's convex hull of the distinct points, or all of
+    them where Qhull builds no hull: fewer than three, or a set flat to
+    Qhull's precision (a tiny set can underflow to flat)."""
+    pts = np.unique(points, axis=0)
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except QhullError:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def build(seq):
-        out: list[np.ndarray] = []
-        for p in seq:
-            while (
-                len(out) >= 2
-                and _cross2(out[-1] - out[-2], p - out[-2]) <= 0
-            ):
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = np.asarray(lower[:-1] + upper[:-1])
-    return hull
 
 
 def component_diameter(points: np.ndarray) -> float:
-    """Exact max pairwise distance via rotating calipers on the convex hull."""
+    """Exact max pairwise distance, measured over every pair of extreme
+    points: a diameter joins two vertices of the convex hull."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise ValueError("component_diameter needs a nonempty point set")
-    hull = convex_hull(pts)
-    m = len(hull)
-    if m == 1:
-        return 0.0
-    if m == 2:
-        return float(np.hypot(*(hull[1] - hull[0])))
-
-    def d2(i, j):
-        v = hull[j] - hull[i]
-        return float(v @ v)
-
-    best, pair = 0.0, (0, 0)
-    j = 1
-    for i in range(m):
-        ni = (i + 1) % m
-        e = hull[ni] - hull[i]
-        while True:
-            nj = (j + 1) % m
-            if _cross2(e, hull[nj] - hull[i]) > _cross2(e, hull[j] - hull[i]):
-                j = nj
-            else:
-                break
-        for cand in ((i, j), (ni, j)):
-            if d2(*cand) > best:
-                best, pair = d2(*cand), cand
-    return float(np.hypot(*(hull[pair[1]] - hull[pair[0]])))
+    ext = _extreme_points(pts)
+    return max(float(np.hypot(*(p - ext).T).max()) for p in ext)
 
 
 def _circumcircle(a, b, c) -> tuple[np.ndarray, float] | None:
@@ -127,10 +88,12 @@ def _circumcircle(a, b, c) -> tuple[np.ndarray, float] | None:
 
 
 def min_enclosing_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest circle containing the points (Welzl, seeded shuffle)."""
-    pts = [np.asarray(p, dtype=float) for p in np.unique(np.asarray(points, float), axis=0)]
-    if not pts:
+    """Smallest circle containing the points (Welzl, seeded shuffle), run on
+    the hull vertices, which fix it."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(pts) == 0:
         raise ValueError("min_enclosing_circle needs points")
+    pts = list(_extreme_points(pts))
     rng = random.Random(0x5EED)
     rng.shuffle(pts)
     eps = 1e-10

@@ -234,15 +234,15 @@ def p_function(
     """
     rec = patch_recover(mesh, u)
     grad_sq = np.einsum("ij,ij->i", rec.gradient, rec.gradient)
-    p_vals = grad_sq + 2.0 * f.antiderivative(u)
+    p_dof = mesh.reduce(grad_sq + 2.0 * f.antiderivative(u))
     alpha_hat = report.alpha_hat
 
-    # on the boundary u = 0, so |grad u| is the variational flux magnitude
+    # on the boundary u = 0, so |grad u| is the variational flux magnitude;
+    # set per DOF, so both copies of a periodic seam vertex get it
     tr = report.trace
     b_ids = mesh.boundary_edges[:, 0]
-    p_vals[b_ids] = tr.nodal**2 + 2.0 * f.antiderivative(0.0)
-    for dup, base in mesh.periodic_pairs:
-        p_vals[dup] = p_vals[base]
+    p_dof[mesh.dof_of_vertex[b_ids]] = tr.nodal**2 + 2.0 * f.antiderivative(0.0)
+    p_vals = mesh.expand(p_dof)
 
     interior_ids = np.nonzero(np.isin(mesh.dof_of_vertex, mesh.interior_dofs()))[0]
 

@@ -86,16 +86,6 @@ def _resample_closed(pts: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def _polygon_area_centroid(pts: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * float(cross.sum())
-    cx = float(((x + xn) * cross).sum() / (6.0 * area))
-    cy = float(((y + yn) * cross).sum() / (6.0 * area))
-    return area, np.array([cx, cy])
-
-
 def _vertex_normals(pts: np.ndarray) -> np.ndarray:
     # CCW polygon: outward normal is the right-hand rotation of the tangent
     tang = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
@@ -215,7 +205,12 @@ def _state(step: int, ev: _FlowEval) -> FlowState:
 
 
 def _rescale(pts: np.ndarray, target_area: float) -> np.ndarray:
-    area, cent = _polygon_area_centroid(pts)
+    """The polygon scaled about its centroid to the target area."""
+    area = _signed_area(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    cent = np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()]) / (6.0 * area)
     return cent + (pts - cent) * math.sqrt(target_area / area)
 
 

@@ -73,11 +73,10 @@ def _equal_aspect_mapper(curves: list[np.ndarray]) -> _Mapper:
 
 
 def domain_figure(loops: list[np.ndarray], digest: str) -> str:
-    """Closed boundary loops drawn at equal aspect."""
-    closed = [np.vstack([lp, lp[:1]]) for lp in loops]
-    m = _equal_aspect_mapper(closed)
+    """Boundary polylines, drawn as given, at equal aspect."""
+    m = _equal_aspect_mapper(loops)
     body = []
-    for i, lp in enumerate(closed):
+    for i, lp in enumerate(loops):
         px, py = m.map(lp[:, 0], lp[:, 1])
         body.append(_polyline(px, py, _PALETTE[i % len(_PALETTE)], 1.6))
     return _document(body, digest)
@@ -91,11 +90,11 @@ def level_set_figure(
     digest: str,
     n_levels: int = 9,
 ) -> str:
-    """Marching-triangle level sets of a nodal field plus the outline."""
-    closed = [np.vstack([lp, lp[:1]]) for lp in loops]
-    m = _equal_aspect_mapper(closed)
+    """Marching-triangle level sets of a nodal field plus the outline, whose
+    polylines are drawn as given."""
+    m = _equal_aspect_mapper(loops)
     body = []
-    for i, lp in enumerate(closed):
+    for lp in loops:
         px, py = m.map(lp[:, 0], lp[:, 1])
         body.append(_polyline(px, py, "#333333", 1.6))
     vmin, vmax = float(values.min()), float(values.max())

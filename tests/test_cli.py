@@ -56,6 +56,19 @@ def test_eigen_alpha_rescaling(tmp_path, monkeypatch):
     assert calls == {"assemble": 1, "neumann_trace": 1, "eigen_smallest": 1}
 
 
+def test_check_of_cap_heights_only_makes_no_eigen_solve(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("L3R reads the mesh only")
+
+    monkeypatch.setattr(fem, "eigen_smallest", refuse)
+    config = tmp_path / "check.json"
+    config.write_text(json.dumps({"command": "check", "domain": {"kind": "disk", "radius": 2.5},
+                                  "h": 0.2, "n_lines": 4, "theorems": ["L3R"]}))
+    assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    checks = json.loads((tmp_path / "out" / "checks.json").read_text())["checks"]
+    assert [c["theorem"] for c in checks] == ["L3R"]
+
+
 def test_determinism_byte_identical(tmp_path):
     data = {"command": "eigen", "domain": DISK, "h": 0.08, "seed": 3}
     rec1 = _run(data, tmp_path / "a")

@@ -203,10 +203,9 @@ def _ref_superlevel_components(mesh, values, level):
 
 
 def _ref_level_set_figure(vertices, triangles, values, loops, digest, n_levels=9):
-    closed = [np.vstack([lp, lp[:1]]) for lp in loops]
-    m = svgfig._equal_aspect_mapper(closed)
+    m = svgfig._equal_aspect_mapper(loops)
     body = []
-    for lp in closed:
+    for lp in loops:
         px, py = m.map(lp[:, 0], lp[:, 1])
         body.append(svgfig._polyline(px, py, "#333333", 1.6))
     vmin, vmax = float(values.min()), float(values.max())

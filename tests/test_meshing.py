@@ -128,6 +128,17 @@ def test_periodic_strip_identification():
         assert abs(abs(y) - spec.half_width(x)) <= 1e-9
 
 
+def test_boundary_polygons_are_drawn_without_a_seam_chord():
+    # each wall spans one period from a seam copy to the other, in short steps
+    h = 0.15
+    strip = build_domain(PeriodicStrip(6.283, (1.5707963, 0.3)), h)
+    for poly in strip.boundary_polygons():
+        assert float(np.hypot(*np.diff(poly, axis=0).T).max()) <= 2 * h
+        assert sorted([poly[0, 0], poly[-1, 0]]) == [0.0, 6.283]
+    (disk,) = build_domain(Disk(1.0), 0.1).boundary_polygons()
+    assert np.array_equal(disk[-1], disk[0])
+
+
 def test_invalid_h_rejected():
     with pytest.raises(InvalidSpec):
         build_domain(Disk(1.0), 2.0)

@@ -215,6 +215,19 @@ def test_strip_p_constant_and_monotone(strip_solves):
     assert errs[0.02] <= errs[0.04]
 
 
+def test_p_holds_the_flux_on_both_copies_of_a_seam_vertex():
+    mesh = build_domain(PeriodicStrip(6.283, (1.5707963, 0.3)), 0.15)
+    sol = overdet.eigen_flux(mesh, 1e-10, 0.0)
+    f = fem.Linear(sol.eigen.lambda1)
+    pr = overdet.p_function(mesh, sol.eigen.u1, f, sol.report)
+    nodal = sol.report.trace.nodal  # one row per walk start
+    row = {d: i for i, d in enumerate(mesh.dof_of_vertex[mesh.boundary_edges[:, 0]])}
+    ends = np.unique(mesh.boundary_edges)
+    assert len(ends) == len(row) + 2  # each wall has a seam copy that starts no edge
+    for v in ends:
+        assert pr.p[v] == nodal[row[mesh.dof_of_vertex[v]]] ** 2 + 2.0 * f.antiderivative(0.0)
+
+
 def test_disk_p_maximum_at_center(critical_disk):
     mesh, u, rep, _ = critical_disk
     pr = overdet.p_function(mesh, u, fem.Linear(LAM), rep)
@@ -340,6 +353,17 @@ def test_check_t5_nonvacuous_pass_and_fail(disk_mesh_h05):
     chk2 = overdet.check_T5(rect, vals, LAM, -1.0)
     assert not chk2.passed
     assert chk2.measured > 2 * R1
+
+
+def test_check_t5_measures_the_exact_component_diameter(disk_mesh_h04):
+    # the disk's superlevel set is centrally symmetric, up to the mesh
+    mesh, lam = disk_mesh_h04, 200.0
+    sol = overdet.eigen_flux(mesh, 1e-10, 0.0)
+    u, alpha = sol.eigen.u1, sol.report.alpha_hat
+    chk = overdet.check_T5(mesh, u, lam, alpha)
+    (pts,) = overdet._superlevel_components(mesh, u, analytic.ball_solution(lam, alpha).h0)
+    brute = max(float(np.hypot(*(p - pts).T).max()) for p in pts)
+    assert chk.measured == brute
 
 
 def test_check_t5_requires_negative_alpha(critical_disk):

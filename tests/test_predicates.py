@@ -36,6 +36,21 @@ def test_diameter_trivial_cases():
     assert component_diameter([(2, 3)]) == 0.0
 
 
+def _brute_diameter(pts):
+    brute = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            brute = max(brute, float(np.hypot(*(pts[i] - pts[j]))))
+    return brute
+
+
+def test_diameter_of_a_parallelogram():
+    # centrally symmetric: its antipodal hull edges are parallel
+    pts = np.array([(0.249, 0.457), (-0.249, -0.457), (0.057, 0.022), (-0.057, -0.022)])
+    assert component_diameter(pts) == _brute_diameter(pts)
+    assert component_diameter(pts) == pytest.approx(1.04087, abs=1e-5)
+
+
 def test_diameter_random_disk_cloud():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1, 1, size=(1000, 2))
@@ -48,22 +63,28 @@ def test_diameter_random_disk_cloud():
     assert d <= 2.0
 
 
+_COORD = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+# float points together with their mirror images through the origin: a
+# centrally symmetric hull, whose antipodal edges are parallel
+_MIRRORED = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=20).map(
+    lambda pts: pts + [(-x, -y) for x, y in pts]
+)
+
+
 @given(
-    st.lists(
-        st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
-        min_size=1,
-        max_size=40,
+    st.one_of(
+        st.lists(
+            st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+            min_size=1,
+            max_size=40,
+        ),
+        _MIRRORED,
     )
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=240, deadline=None)
 def test_diameter_matches_bruteforce_on_integers(points):
     pts = np.asarray(points, dtype=float)
-    d = component_diameter(pts)
-    brute = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            brute = max(brute, float(np.hypot(*(pts[i] - pts[j]))))
-    assert d == brute
+    assert component_diameter(pts) == _brute_diameter(pts)
 
 
 # -- min_enclosing_circle ------------------------------------------------------
