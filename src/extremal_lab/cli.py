@@ -19,14 +19,16 @@ error (nothing written).
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -48,7 +50,7 @@ _SNAPSHOT_PARSED = {"command", "domain", "nonlinearity", "alpha", "h", "toleranc
                     "seed"}
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     command: str
     out_dir: str
@@ -261,22 +263,13 @@ def load_config(data: dict, command: str | None = None, out_dir: str | None = No
     return RunConfig(cmd, out_dir or values["out_dir"], values, dict(data))
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentRecord:
     config: dict
     version: str
     wall_time: float
     manifest: list[dict]
     error: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "wall_time": self.wall_time,
-            "manifest": self.manifest,
-            "error": self.error,
-        }
 
 
 class _Outputs:
@@ -299,33 +292,37 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_cell(c) -> str:
-    if isinstance(c, float):
-        return repr(c)
-    if isinstance(c, (np.floating,)):
-        return repr(float(c))
-    return str(c)
+def _csv(header: list[str], columns: list[list]) -> str:
+    """An RFC 4180 table, text cells quoted.  Each column is a list of Python
+    ints, floats or strings, such as an array's `.tolist()`: a numpy scalar
+    would print through numpy's formatter, not `float.__repr__`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue()
 
 
 def _field_csv(mesh, values: np.ndarray) -> str:
-    rows = [[i, float(x), float(y), float(v)]
-            for i, ((x, y), v) in enumerate(zip(mesh.vertices, values))]
-    return _csv(["vertex_index", "x", "y", "value"], rows)
+    v = mesh.vertices
+    return _csv(["vertex_index", "x", "y", "value"],
+                [list(range(len(v))), v[:, 0].tolist(), v[:, 1].tolist(), values.tolist()])
 
 
-def _boundary_csv(mesh) -> str:
-    rows = []
-    for li, loop in enumerate(mesh.boundary_polygons()):
-        for x, y in loop[:-1]:  # one row per walk start
-            rows.append([li, float(x), float(y)])
-    return _csv(["loop", "x", "y"], rows)
+def _write_mesh_files(out: _Outputs, cfg: RunConfig, mesh,
+                      fields: dict[str, np.ndarray]) -> None:
+    """boundary.csv (one row per walk start) and domain.svg, then each nodal
+    field of `fields` under its name: a table if it ends in .csv, else its
+    level-set figure."""
+    loops, digest = mesh.boundary_polygons(), cfg.digest()
+    starts = np.concatenate([lp[:-1] for lp in loops])
+    loop_of = np.repeat(np.arange(len(loops)), [len(lp) - 1 for lp in loops])
+    out.write("boundary.csv", _csv(["loop", "x", "y"], [loop_of.tolist(), starts[:, 0].tolist(),
+                                                        starts[:, 1].tolist()]))
+    out.write("domain.svg", svgfig.domain_figure(loops, digest))
+    for name, values in fields.items():
+        out.write(name, _field_csv(mesh, values) if name.endswith(".csv") else
+                  svgfig.level_set_figure(mesh.vertices, mesh.triangles, values, loops, digest))
 
 
 def _eigen_solution(cfg: RunConfig, mesh):
@@ -343,15 +340,7 @@ def _solve_eigen(cfg: RunConfig, out: _Outputs) -> dict:
     mesh = build_domain(cfg["domain"], cfg["h"])
     ep, u, rep = _eigen_solution(cfg, mesh)
     out.write("u.csv", _field_csv(mesh, u))
-    out.write("boundary.csv", _boundary_csv(mesh))
-    digest = cfg.digest()
-    out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), digest))
-    out.write(
-        "levels.svg",
-        svgfig.level_set_figure(
-            mesh.vertices, mesh.triangles, u, mesh.boundary_polygons(), digest
-        ),
-    )
+    _write_mesh_files(out, cfg, mesh, {"levels.svg": u})
     report = {
         "lambda1": ep.lambda1,
         "eigen_residual": ep.residual,
@@ -386,25 +375,12 @@ def _run_solve(cfg: RunConfig, out: _Outputs) -> dict:
         "nonlinearity": _nonlinearity_to_json(cfg["nonlinearity"]),
     }
     out.write("u.csv", _field_csv(mesh, u))
-    out.write("boundary.csv", _boundary_csv(mesh))
-    digest = cfg.digest()
-    out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), digest))
-    if not trivial:
+    if trivial:
+        _write_mesh_files(out, cfg, mesh, {})
+    else:
         rep = overdet.overdet_residual(k, m, mesh, u, cfg["nonlinearity"].f(u))
         pr = overdet.p_function(mesh, u, cfg["nonlinearity"], rep)
-        out.write("p.csv", _field_csv(mesh, pr.p))
-        out.write(
-            "levels.svg",
-            svgfig.level_set_figure(
-                mesh.vertices, mesh.triangles, u, mesh.boundary_polygons(), digest
-            ),
-        )
-        out.write(
-            "p_field.svg",
-            svgfig.level_set_figure(
-                mesh.vertices, mesh.triangles, pr.p, mesh.boundary_polygons(), digest
-            ),
-        )
+        _write_mesh_files(out, cfg, mesh, {"p.csv": pr.p, "levels.svg": u, "p_field.svg": pr.p})
         report.update(
             {
                 "alpha_hat": rep.alpha_hat,
@@ -451,8 +427,7 @@ def _run_check(cfg: RunConfig, out: _Outputs) -> dict:
         checks.append(overdet.check_cap_heights(mesh, lam, _sample_lines(cfg, mesh)))
     if "T8" in theorems:
         checks.append(overdet.check_T8_convexity(mesh, u, fem.Linear(ep.lambda1), rep))
-    out.write("boundary.csv", _boundary_csv(mesh))
-    out.write("domain.svg", svgfig.domain_figure(mesh.boundary_polygons(), cfg.digest()))
+    _write_mesh_files(out, cfg, mesh, {})
     report = {"lambda": lam, "grid": grid, "checks": [c.to_json() for c in checks]}
     out.write("checks.json", _json_dumps(report))
     return report
@@ -462,17 +437,15 @@ def _run_flow(cfg: RunConfig, out: _Outputs) -> dict:
     res = shapeopt.flow_to_extremal(
         cfg["domain"], cfg["h"], cfg["max_steps"], spread_tol=cfg["tolerances.spread_tol"]
     )
-    rows = [[s.step, s.lambda1, s.area, s.spread] for s in res.states]
-    out.write("trajectory.csv", _csv(["step", "lambda1", "area", "spread"], rows))
+    steps = [s.step for s in res.states]
+    lams, areas, spreads = np.array([(s.lambda1, s.area, s.spread) for s in res.states]).T
+    out.write("trajectory.csv", _csv(["step", "lambda1", "area", "spread"],
+                                     [steps, lams.tolist(), areas.tolist(), spreads.tolist()]))
     pts = res.final.boundary
-    out.write("final_boundary.csv", _csv(["x", "y"], [[float(x), float(y)] for x, y in pts]))
+    out.write("final_boundary.csv", _csv(["x", "y"], [pts[:, 0].tolist(), pts[:, 1].tolist()]))
     digest = cfg.digest()
-    steps = np.array([s.step for s in res.states], dtype=float)
-    lams = np.array([s.lambda1 for s in res.states])
-    out.write(
-        "flow.svg",
-        svgfig.chart_figure([(steps, lams, "lambda1")], digest),
-    )
+    out.write("flow.svg", svgfig.chart_figure([(np.array(steps, dtype=float), lams, "lambda1")],
+                                              digest))
     out.write("domain.svg", svgfig.domain_figure([np.vstack([pts, pts[:1]])], digest))
     report = {
         "reason": res.reason,
@@ -498,21 +471,15 @@ def _run_branch(cfg: RunConfig, out: _Outputs) -> dict:
         ["T", "s"] + [f"c_{i}" for i in range(n_modes + 1)]
         + ["alpha_hat", "spread", "max_u", "lambda"]
     )
-    rows = []
-    for p in points:
-        rows.append(
-            [p.period, p.s] + [float(c) for c in p.coeffs]
-            + [p.alpha_hat, p.spread, p.max_u, p.lam]
-        )
-    out.write("branch.csv", _csv(header, rows))
-    digest = cfg.digest()
-    s_vals = np.array([p.s for p in points])
-    max_us = np.array([p.max_u for p in points])
-    threshold = np.array([abs(p.alpha_hat) / math.sqrt(lam) for p in points])
+    table = np.array([(p.period, p.s, *p.coeffs, p.alpha_hat, p.spread, p.max_u, p.lam)
+                      for p in points])
+    out.write("branch.csv", _csv(header, table.T.tolist()))
+    s_vals, alphas, max_us = table[:, 1], table[:, -4], table[:, -2]
     out.write(
         "branch.svg",
         svgfig.chart_figure(
-            [(s_vals, max_us, "max u"), (s_vals, threshold, "|alpha|/sqrt(lambda)")], digest
+            [(s_vals, max_us, "max u"), (s_vals, np.abs(alphas) / math.sqrt(lam),
+                                         "|alpha|/sqrt(lambda)")], cfg.digest()
         ),
     )
     report = {
@@ -550,7 +517,7 @@ def run(cfg: RunConfig) -> ExperimentRecord:
         error=error,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "record.json").write_text(_json_dumps(record.to_json()))
+    (out_dir / "record.json").write_text(_json_dumps(dataclasses.asdict(record)))
     return record
 
 
@@ -598,10 +565,13 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
         except (ExtremalLabError, OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigInvalid(f"{cmd} record in {base} lacks a readable output: {exc!r}") from exc
 
-    rows = [[tag, c["pass"], c["fail"], c["na"]] for tag, c in sorted(check_counts.items())]
-    files = {"check_counts.csv": _csv(["theorem", "pass", "fail", "not_applicable"], rows)}
+    tags = sorted(check_counts)
+    files = {"check_counts.csv": _csv(["theorem", "pass", "fail", "not_applicable"],
+                                      [tags, *([check_counts[t][k] for t in tags]
+                                               for k in ("pass", "fail", "na"))])}
 
-    conv_rows = []
+    # the convergence table's columns; the observed order is blank on each domain's last row
+    doms, hs, errs, order_col = [], [], [], []
     orders = []
     by_domain: dict[str, list[tuple[float, float]]] = {}
     for h, lam1, dom in eigen_rows:
@@ -621,19 +591,20 @@ def report(records: list[tuple[Path, dict]], out: _Outputs, digest: str = "") ->
             (h1, l1), (h2, l2) = pairs[-2], pairs[-1]
             r = (h1 / h2) ** 2
             lam_ref = l2 + (l2 - l1) / (r - 1.0)
-        errs = [(h, abs(l - lam_ref)) for h, l in pairs]
-        for i in range(len(errs) - 1):
-            (ha, ea), (hb, eb) = errs[i], errs[i + 1]
-            order = math.log(ea / eb) / math.log(ha / hb) if ea > 0 and eb > 0 else float("nan")
-            orders.append(order)
-            conv_rows.append([dom, ha, ea, order])
-        conv_rows.append([dom, errs[-1][0], errs[-1][1], ""])
-    files["convergence.csv"] = _csv(["domain", "h", "lambda1_error", "observed_order"], conv_rows)
-    if conv_rows:
-        hs = np.array([r[1] for r in conv_rows], dtype=float)
-        es = np.array([max(float(r[2]), 1e-16) for r in conv_rows], dtype=float)
+        dom_hs = [h for h, _ in pairs]
+        dom_errs = [abs(l - lam_ref) for _, l in pairs]
+        dom_orders = [math.log(ea / eb) / math.log(ha / hb) if ea > 0 and eb > 0 else float("nan")
+                      for ha, hb, ea, eb in zip(dom_hs, dom_hs[1:], dom_errs, dom_errs[1:])]
+        orders += dom_orders
+        doms += [dom] * len(pairs)
+        hs += dom_hs
+        errs += dom_errs
+        order_col += [*dom_orders, ""]
+    files["convergence.csv"] = _csv(["domain", "h", "lambda1_error", "observed_order"],
+                                    [doms, hs, errs, order_col])
+    if hs:
         files["convergence.svg"] = svgfig.chart_figure(
-            [(hs, es, "lambda1 error")], digest, log=True
+            [(np.array(hs), np.maximum(errs, 1e-16), "lambda1 error")], digest, log=True
         )
     summary = {
         "n_records": len(records),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -27,7 +27,6 @@ class BoundaryLoop:
 
     points: np.ndarray  # (n, 2), consecutive vertices, closed implicitly
     corner_mask: np.ndarray  # (n,) bool, True at preserved polygon corners
-    is_hole: bool
 
 
 def _circle_points(radius: float, n: int, ccw: bool = True) -> np.ndarray:
@@ -68,7 +67,7 @@ class Disk:
     def boundary_loops(self, h: float) -> list[BoundaryLoop]:
         n = max(12, int(round(2 * math.pi * self.radius / h)))
         pts = _circle_points(self.radius, n)
-        return [BoundaryLoop(pts, np.zeros(n, dtype=bool), is_hole=False)]
+        return [BoundaryLoop(pts, np.zeros(n, dtype=bool))]
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class Ellipse:
         n = max(16, int(round(per / h)))
         theta = np.interp(per * np.arange(n) / n, s, dense)
         pts = self._point(theta)
-        return [BoundaryLoop(pts, np.zeros(n, dtype=bool), is_hole=False)]
+        return [BoundaryLoop(pts, np.zeros(n, dtype=bool))]
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ class Polygon:
             for k in range(m):
                 pts.append(a + (b - a) * (k / m))
                 corners.append(k == 0)
-        return [BoundaryLoop(np.asarray(pts), np.asarray(corners), is_hole=False)]
+        return [BoundaryLoop(np.asarray(pts), np.asarray(corners))]
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,8 @@ class Annulus:
         outer = _circle_points(self.r_out, n_out, ccw=True)
         inner = _circle_points(self.r_in, n_in, ccw=False)
         return [
-            BoundaryLoop(outer, np.zeros(n_out, dtype=bool), is_hole=False),
-            BoundaryLoop(inner, np.zeros(n_in, dtype=bool), is_hole=True),
+            BoundaryLoop(outer, np.zeros(n_out, dtype=bool)),
+            BoundaryLoop(inner, np.zeros(n_in, dtype=bool)),
         ]
 
 
@@ -274,21 +273,8 @@ _KINDS = {cls.kind: cls for cls in (Disk, Ellipse, Polygon, Annulus, PeriodicStr
 
 
 def domain_spec_to_json(spec: DomainSpec) -> dict:
-    if isinstance(spec, Disk):
-        return {"kind": spec.kind, "radius": spec.radius}
-    if isinstance(spec, Ellipse):
-        return {"kind": spec.kind, "semi_a": spec.semi_a, "semi_b": spec.semi_b}
-    if isinstance(spec, Polygon):
-        return {"kind": spec.kind, "vertices": [list(v) for v in spec.vertices]}
-    if isinstance(spec, Annulus):
-        return {"kind": spec.kind, "r_in": spec.r_in, "r_out": spec.r_out}
-    if isinstance(spec, PeriodicStrip):
-        return {
-            "kind": spec.kind,
-            "period": spec.period,
-            "half_width_coeffs": list(spec.half_width_coeffs),
-        }
-    raise InvalidSpec(f"unknown spec type {type(spec)!r}")
+    """The spec's kind and fields; tuples stay tuples, which `json.dumps` writes as lists."""
+    return {"kind": spec.kind, **asdict(spec)}
 
 
 def json_number(value) -> float:

@@ -410,8 +410,10 @@ def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list
     Accepted points have a flux spread of at most 1e-6; a corrector that
     lands back on the straight strip (|c_1| <= 1e-6 |ds|) raises NoSignChange,
     and then |c_N| above 1e-8 |c_1| raises TruncationInsufficient; the branch
-    stops at 64 points, or when the step halves below 1e-4 |ds|, which raises
-    NewtonDiverged if no point past the straight strip was accepted.  Every
+    stops at 64 points, or when the step halves below 1e-4 |ds|.  The first
+    corrector, from the straight strip, is not retried at a smaller step: if it
+    diverges, NewtonDiverged says that no branch leaves T0, since off T* the
+    straight strip is the only nearby solution at any step.  Every
     residual, the straight-strip start at T0 included, is a `cell.solve` at
     basis . (c_0..c_N, T), so the corrector's Newton Jacobian is exact for the
     mesh it solves: its flux rows come from `cell.flux_jacobian` along that
@@ -468,13 +470,13 @@ def continue_branch(cell: StripCell, T0: float, s_max: float, ds: float) -> list
         try:
             z_new, sol = _branch_newton(residual, jacobian, z_pred)
         except NewtonDiverged as exc:
+            if len(points) == 1:  # not one point past the straight strip
+                raise NewtonDiverged(
+                    f"the corrector from T0 = {T0} diverged at step {step:.1e}, "
+                    f"so no branch leaves T0 ({exc})"
+                ) from exc
             step *= 0.5
-            if abs(step) < 1e-4 * abs(ds):
-                if len(points) == 1:  # not one point past the straight strip
-                    raise NewtonDiverged(
-                        f"every corrector from T0 = {T0} diverged, down to step "
-                        f"{step:.1e}, so no branch leaves T0 ({exc})"
-                    ) from exc
+            if step < 1e-4 * abs(ds):
                 break
             continue
         c = z_new[: n_modes + 1]

@@ -15,10 +15,6 @@ _MARGIN = 50
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a7d44", "#8d5a97", "#c98a2b", "#4f6d7a")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 class _Mapper:
     def __init__(self, xs: np.ndarray, ys: np.ndarray, log=False):
         self.log = log  # log10 on both axes
@@ -50,9 +46,14 @@ def _document(body: list[str], digest: str) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
-def _polyline(px: np.ndarray, py: np.ndarray, color: str, width: float = 1.2) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py))
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+def _points(px: np.ndarray, py: np.ndarray) -> list[str]:
+    """Each mapped point as "x,y", both to two decimals."""
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
+
+
+def _polyline(points: list[str], color: str, width: float) -> str:
+    return (f'<polyline points="{" ".join(points)}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}"/>')
 
 
 def _equal_aspect_mapper(curves: list[np.ndarray]) -> _Mapper:
@@ -75,10 +76,8 @@ def _equal_aspect_mapper(curves: list[np.ndarray]) -> _Mapper:
 def domain_figure(loops: list[np.ndarray], digest: str) -> str:
     """Boundary polylines, drawn as given, at equal aspect."""
     m = _equal_aspect_mapper(loops)
-    body = []
-    for i, lp in enumerate(loops):
-        px, py = m.map(lp[:, 0], lp[:, 1])
-        body.append(_polyline(px, py, _PALETTE[i % len(_PALETTE)], 1.6))
+    body = [_polyline(_points(*m.map(lp[:, 0], lp[:, 1])), _PALETTE[i % len(_PALETTE)], 1.6)
+            for i, lp in enumerate(loops)]
     return _document(body, digest)
 
 
@@ -93,10 +92,7 @@ def level_set_figure(
     """Marching-triangle level sets of a nodal field plus the outline, whose
     polylines are drawn as given."""
     m = _equal_aspect_mapper(loops)
-    body = []
-    for lp in loops:
-        px, py = m.map(lp[:, 0], lp[:, 1])
-        body.append(_polyline(px, py, "#333333", 1.6))
+    body = [_polyline(_points(*m.map(lp[:, 0], lp[:, 1])), "#333333", 1.6) for lp in loops]
     vmin, vmax = float(values.min()), float(values.max())
     if vmax <= vmin:
         return _document(body, digest)
@@ -108,10 +104,8 @@ def level_set_figure(
         cross, pts = edge_crossings(pa, pb, va, vb, level)
         # a triangle with exactly two crossing edges holds one segment
         n = cross.sum(axis=1)
-        px, py = m.map(*pts[np.repeat(n == 2, n)].T)
-        body.extend(
-            _polyline(px[k : k + 2], py[k : k + 2], color, 0.9) for k in range(0, len(px), 2)
-        )
+        xy = _points(*m.map(*pts[np.repeat(n == 2, n)].T))
+        body.extend(_polyline(xy[k : k + 2], color, 0.9) for k in range(0, len(xy), 2))
     return _document(body, digest)
 
 
@@ -132,7 +126,7 @@ def chart_figure(
     for i, (x, y, label) in enumerate(series):
         px, py = m.map(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         color = _PALETTE[i % len(_PALETTE)]
-        body.append(_polyline(px, py, color, 1.5))
+        body.append(_polyline(_points(px, py), color, 1.5))
         body.append(
             f'<text x="{WIDTH - _MARGIN - 150}" y="{_MARGIN + 18 + 16 * i}" '
             f'font-size="12" fill="{color}">{label}</text>'

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from extremal_lab import analytic, cli, fem, shapeopt
+from extremal_lab import analytic, cli, fem, overdet, shapeopt
 from extremal_lab.errors import ConfigInvalid, VersionMismatch
 from extremal_lab.geom2d.domain import DomainSpec
 from extremal_lab.geom2d.predicates import MAX_GRID_POINTS, grid_point_count
@@ -560,14 +561,33 @@ def test_branch_off_the_bifurcation_period_says_no_branch_leaves(tmp_path):
 
 
 def test_branch_from_a_period_no_corrector_leaves_fails(tmp_path):
-    # at lambda 1, T* is about 6.28: from T 5 every corrector diverges until the
-    # step underflows, which must not pass for a branch of the straight strip alone
+    # at lambda 1, T* is about 6.28: from T 5 the corrector diverges, which must
+    # not pass for a branch of the straight strip alone
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "branch", "lambda": 1.0, "T": 5.0, "resolution": 8,
                                "n_modes": 8}))
     assert cli.main(["branch", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     error = json.loads((tmp_path / "out" / "record.json").read_text())["error"]
-    assert error.startswith("NewtonDiverged: every corrector from T0 = 5.0 diverged")
+    assert error.startswith("NewtonDiverged: the corrector from T0 = 5.0 diverged")
+
+
+def test_branch_off_the_bifurcation_period_fails_after_one_corrector(tmp_path, monkeypatch):
+    # off T* no corrector converges at any step, and from T 6 each one stalls
+    # after 60 to 100 eigen solves: halving the step down to 1e-4 ds costs 458
+    calls = []
+    original = overdet.eigen_flux
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(overdet, "eigen_flux", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "branch", "lambda": 1.0, "T": 6.0, "resolution": 16}))
+    assert cli.main(["branch", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads((tmp_path / "out" / "record.json").read_text())["error"]
+    assert error.startswith("NewtonDiverged: the corrector from T0 = 6.0 diverged")
+    assert len(calls) < 458 / 3
 
 
 def test_solve_assembles_and_traces_once(tmp_path, monkeypatch):
@@ -612,8 +632,77 @@ def test_report_aggregation(tmp_path):
     assert counts["T8"]["na"] == 1
     assert len(summary["observed_orders"]) == 1
     assert 1.5 <= summary["observed_orders"][0] <= 2.5
-    assert (out / "convergence.csv").exists()
     assert (out / "convergence.svg").exists()
+    # the domain cell is quoted JSON, so a CSV reader keeps every column in place
+    with (out / "convergence.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [json.loads(r["domain"]) for r in rows] == [DISK, DISK]
+    assert [float(r["h"]) for r in rows] == [0.08, 0.04]
+    assert all(float(r["lambda1_error"]) > 0 for r in rows)
+    assert float(rows[0]["observed_order"]) == summary["observed_orders"][0]
+    assert rows[1]["observed_order"] == ""  # blank on the domain's last row
+
+
+_INT_COLUMNS = {"vertex_index", "loop", "step", "pass", "fail", "not_applicable"}
+_TEXT_COLUMNS = {"domain", "theorem"}
+STRIP = {"kind": "periodic_strip", "period": 2 * math.pi, "half_width_coeffs": [math.pi / 2]}
+
+
+def _reference_csv(rows: list[list]) -> str:
+    """Row by row: repr for floats, str for ints and strings, and a string
+    quoted when it holds a comma, a quote or a line break (RFC 4180)."""
+
+    def cell(c) -> str:
+        if isinstance(c, float):
+            return repr(c)
+        if isinstance(c, str) and any(ch in c for ch in ',"\r\n'):
+            return '"' + c.replace('"', '""') + '"'
+        return str(c)
+
+    return "".join(",".join(cell(c) for c in row) + "\n" for row in rows)
+
+
+def _typed_table(text: str) -> list[list]:
+    """The header, then each row with its cells read by the column's type;
+    only the observed order may be blank."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+
+    def parse(name: str, c: str):
+        if name in _TEXT_COLUMNS or (name == "observed_order" and c == ""):
+            return c
+        return int(c) if name in _INT_COLUMNS else float(c)
+
+    return [header, *([parse(n, c) for n, c in zip(header, row, strict=True)] for row in rows)]
+
+
+def test_every_csv_table_matches_a_row_by_row_writer(tmp_path):
+    runs = {
+        "eigen_a": {"command": "eigen", "domain": DISK, "h": 0.2},
+        "eigen_b": {"command": "eigen", "domain": DISK, "h": 0.1},
+        "solve": {"command": "solve", "domain": {"kind": "disk", "radius": 3.0}, "h": 0.3,
+                  "nonlinearity": {"kind": "allen_cahn"}},
+        "check": {"command": "check", "domain": STRIP, "h": 0.2, "n_lines": 4},
+        "branch": {"command": "branch", "lambda": 1.0, "s_max": 0.01, "ds": 0.005},
+        "flow": {"command": "flow", "h": 0.1, "max_steps": 2,
+                 "domain": {"kind": "ellipse", "semi_a": 1.2, "semi_b": 1 / 1.2}},
+    }
+    runs["report"] = {"command": "report", "records": [
+        str(tmp_path / name / "record.json") for name in ("eigen_a", "eigen_b", "check")]}
+    tables = set()
+    for name, data in runs.items():
+        rec = _run(data, tmp_path / name)
+        assert rec.error is None
+        for entry in rec.manifest:
+            if entry["path"].endswith(".csv"):
+                text = (tmp_path / name / entry["path"]).read_text()
+                rows = _typed_table(text)
+                assert len(rows) > 1, entry["path"]
+                assert text == _reference_csv(rows), entry["path"]
+                tables.add(entry["path"])
+    assert tables == {"u.csv", "p.csv", "boundary.csv", "trajectory.csv", "final_boundary.csv",
+                      "branch.csv", "check_counts.csv", "convergence.csv"}
+    convergence = (tmp_path / "report" / "convergence.csv").read_text().splitlines()
+    assert convergence[1].startswith('"{""kind"": ""disk"", ""radius"": 1.0}",0.2,')
 
 
 def test_report_empty_and_version_mismatch(tmp_path):

@@ -202,12 +202,17 @@ def _ref_superlevel_components(mesh, values, level):
     return out
 
 
+def _ref_polyline(px, py, color, width):
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+
+
 def _ref_level_set_figure(vertices, triangles, values, loops, digest, n_levels=9):
     m = svgfig._equal_aspect_mapper(loops)
     body = []
     for lp in loops:
         px, py = m.map(lp[:, 0], lp[:, 1])
-        body.append(svgfig._polyline(px, py, "#333333", 1.6))
+        body.append(_ref_polyline(px, py, "#333333", 1.6))
     vmin, vmax = float(values.min()), float(values.max())
     if vmax <= vmin:
         return svgfig._document(body, digest)
@@ -225,7 +230,7 @@ def _ref_level_set_figure(vertices, triangles, values, loops, digest, n_levels=9
             if len(pts) == 2:
                 p, q = pts
                 px, py = m.map(np.array([p[0], q[0]]), np.array([p[1], q[1]]))
-                body.append(svgfig._polyline(px, py, color, 0.9))
+                body.append(_ref_polyline(px, py, color, 0.9))
     return svgfig._document(body, digest)
 
 
