@@ -1,10 +1,11 @@
 """Conforming triangulations of the domain specs.
 
 Bounded specs are meshed by seeding a hexagonal lattice inside the exact
-boundary samples and relaxing it as a uniform truss, whose sweeps repair the
-last Delaunay triangulation by Lawson flips (Qhull starts each mesh; ties keep
-their diagonal); the fixed boundary vertices sit on the parametric curve to
-machine precision.
+boundary samples and relaxing its boundary band as a uniform truss, whose
+sweeps repair the last Delaunay triangulation by Lawson flips (Qhull starts
+each mesh on the band; ties keep their diagonal); the lattice core deeper than
+CORE_DEPTH h never moves.  The fixed boundary vertices sit on the parametric
+curve to machine precision.
 Periodic strips use a mapped structured grid: translation-invariant in x,
 mirror-symmetric in y, with the right vertex column an exact duplicate of the
 left one.  Both paths are deterministic functions of (spec, h).
@@ -12,8 +13,8 @@ left one.  Both paths are deterministic functions of (spec, h).
 Each mesh pairs its half-edge twins once (`_twins`); the boundary edges are
 the half-edges without a twin, stored loop after loop in walk order.  The
 relaxation pairs each Qhull triangulation alike, carries the twins through its
-flips and lists its truss edges from them; the strip grid and the periodic
-cover are built by index arithmetic.
+flips and lists its truss edges from them; the lattice core, the strip grid
+and the periodic cover are built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from ..errors import InvalidSpec, MeshQualityFailure
 from .domain import BoundaryLoop, DomainSpec, PeriodicStrip, _orient, _points_in_loops
 
 MIN_ANGLE_DEG = 20.0
+CORE_DEPTH = 10.0  # in h: free lattice points deeper than this never move
 
 
 @dataclass
@@ -320,31 +322,49 @@ def structured_strip(spec: PeriodicStrip, nx: int, ny: int) -> Mesh:
 
 
 def _hex_lattice(bbox, h: float, offset: tuple[float, float]) -> np.ndarray:
+    """Hexagonal lattice over ``bbox`` as a (rows, cols, 2) array: row j lies
+    (offset[1] + j) h sqrt(3) / 2 above the bottom, odd rows shifted by h / 2."""
     xmin, xmax, ymin, ymax = bbox
     dy = h * math.sqrt(3) / 2
-    rows = int((ymax - ymin) / dy) + 2
-    cols = int((xmax - xmin) / h) + 2
-    pts = []
-    for j in range(rows):
-        y = ymin + (offset[1] + j) * dy
-        shift = 0.5 * h if j % 2 else 0.0
-        x = xmin + (offset[0] * h + shift) + h * np.arange(cols)
-        pts.append(np.column_stack([x, np.full(cols, y)]))
-    return np.concatenate(pts)
+    j = np.arange(int((ymax - ymin) / dy) + 2)[:, None]
+    x = xmin + (offset[0] * h + 0.5 * h * (j % 2)) + h * np.arange(int((xmax - xmin) / h) + 2)
+    return np.stack(np.broadcast_arrays(x, ymin + (offset[1] + j) * dy), axis=-1)
 
 
-def _delaunay(pts: np.ndarray, nfix: int):
-    """Qhull's triangulation of ``pts``, counterclockwise; the twin of each
-    half-edge 3t + i (tris[t, i] -> tris[t, i + 1]) in the other triangle, or
-    -1 on the hull; and whether flips may carry it: Qhull left no point out and
-    every hull edge joins two of the ``nfix`` fixed points.  A flip never
-    changes the hull, and a free point that leaves it inverts a triangle."""
+def _lattice_core(lattice: np.ndarray, core: np.ndarray):
+    """The triangles of `_hex_lattice` with every corner in the (rows, cols)
+    mask ``core``, on flat ids j * cols + i, and the squared-length sum and
+    count of the lattice edges with both ends in it.  Point a = (j, i) has
+    a + 1 to its right and c = (j + 1, i + j % 2) up to the right, so its cell
+    holds the triangles (a, a + 1, c) and (a + 1, c + 1, c): no rhombus of
+    the lattice is cocircular, so they are its Delaunay triangles.  The last
+    row and the last two columns lie too near the bbox to hold core points."""
+    rows, cols = core.shape
+    a = np.arange((rows - 1) * cols).reshape(rows - 1, cols)[:, :-2]
+    c = a + cols + np.arange(rows - 1)[:, None] % 2
+    tris = np.stack([a, a + 1, c, a + 1, c + 1, c], axis=-1).reshape(-1, 3)
+    edges = np.stack([a, a + 1, a, c, a + 1, c], axis=-1).reshape(-1, 2)
+    flat, pts = core.ravel(), lattice.reshape(-1, 2)
+    edges = edges[flat[edges].all(axis=1)]
+    d = pts[edges[:, 1]] - pts[edges[:, 0]]
+    return tris[flat[tris].all(axis=1)], float(np.sum(np.hypot(d[:, 0], d[:, 1]) ** 2)), len(edges)
+
+
+def _delaunay(pts: np.ndarray, nfix: int, core: np.ndarray):
+    """Qhull's triangulation of ``pts`` less the triangles with every corner in
+    the mask ``core``, counterclockwise; the twin of each half-edge 3t + i
+    (tris[t, i] -> tris[t, i + 1]) in the other triangle, or -1 on the border;
+    and whether flips may carry it: Qhull left no point out and every border
+    edge joins two points that never move (the ``nfix`` fixed ones or core
+    ones).  A flip never changes the border; a free point crossing it inverts a triangle."""
     tri = Delaunay(pts)
     tris = _orient_ccw(pts, tri.simplices)
+    tris = tris[~np.all(core[tris], axis=1)]
     a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
     twin = _twins(np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b))
-    # the hull is a cycle, so every hull vertex starts one hull half-edge
-    return tris, twin, len(tri.coplanar) == 0 and bool(np.all(a[twin < 0] < nfix))
+    # the border is a union of cycles, so every border vertex starts a border half-edge
+    still = core | (np.arange(len(pts)) < nfix)
+    return tris, twin, len(tri.coplanar) == 0 and bool(np.all(still[a[twin < 0]]))
 
 
 def _lawson_flips(pts: np.ndarray, tris: np.ndarray, twin: np.ndarray, tiny: float):
@@ -407,75 +427,89 @@ def _relaxed_mesh(
     fixed = np.concatenate([lp.points for lp in loops])
     corner_mask = np.concatenate([lp.corner_mask for lp in loops])
     loop_points = [lp.points for lp in loops]
-    loop_sizes = [len(lp.points) for lp in loops]
     nfix = len(fixed)
 
+    # Free points deeper than CORE_DEPTH h (the core) never move: the core is
+    # triangulated by index once, and the sweeps see only the band of the fixed
+    # points, the other free ones and, held still, two seam rows of the core.
     bbox = spec.bbox()
     lattice = _hex_lattice(bbox, h, offset)
-    keep = spec.signed_distance(lattice) < -0.55 * h
-    pts = np.vstack([fixed, lattice[keep]])
-
-    def inside_tris(simplices: np.ndarray) -> np.ndarray:
-        cent = pts[simplices].mean(axis=1)
-        return _points_in_loops(cent, loop_points, tol=0.0)
+    flat = lattice.reshape(-1, 2)
+    depth = -spec.signed_distance(flat)
+    keep, core = depth > 0.55 * h, depth > CORE_DEPTH * h
+    band = keep & (depth <= (CORE_DEPTH + 2) * h)
+    core_tris, core_sum, core_count = _lattice_core(lattice, core.reshape(lattice.shape[:2]))
+    vid = nfix - 1 + np.cumsum(keep)  # vertex id of each kept lattice point
+    ids = np.concatenate([np.arange(nfix), vid[band]])  # of each band point, ascending
+    pts = np.vstack([fixed, flat[band]])
+    seam = np.concatenate([np.zeros(nfix, dtype=bool), core[band]])
+    free = nfix + np.nonzero(~core[band])[0]
 
     scale = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
-    # Qhull starts each mesh; ties keep their diagonal.  Each sweep carries its
+    # Qhull starts each mesh on the band, less its triangles with every corner
+    # in the core; ties keep their diagonal.  Each sweep carries its
     # triangulation and half-edge twins to the next, which repairs both by
     # flips, and so does the final one; Qhull runs again only when it left a
     # point out or a repair is not certified.  Truss edges come from the twins
-    # in sorted key order, so the sweeps do not depend on simplex order.
+    # in sorted key order (band ids ascend as vertex ids do), so the sweeps do
+    # not depend on simplex order; core-core edges add a constant to l0's mean.
     tiny, certified, moved = 1e-9 * h * h, False, math.inf
     for sweep in range(81):  # 80 sweeps, then the final triangulation
         flipped = _lawson_flips(pts, tris, twin, tiny) if certified else None
         if flipped is None:
-            tris, twin, certified = _delaunay(pts, nfix)
+            tris, twin, certified = _delaunay(pts, nfix, seam)
         else:
             tris, twin = flipped
-        inside = inside_tris(tris)
-        simp = tris[inside]
+        inside = _points_in_loops(pts[tris].mean(axis=1), loop_points, tol=0.0)
         if sweep == 80 or moved < 0.02 * h:
             break
         half = np.nonzero(np.repeat(inside, 3))[0]
         tw = twin[half]
         half = half[(tw < 0) | (tw > half) | ~inside[tw // 3]]
         a, b = tris[half // 3, half % 3], tris[half // 3, (half + 1) % 3]
+        truss = ~seam[a] | ~seam[b]  # core-core edges are in core_sum
+        a, b = a[truss], b[truss]
         keys = np.sort(np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b))
         edges = np.column_stack(np.divmod(keys, len(pts)))  # lexicographic (lo, hi)
         d = pts[edges[:, 1]] - pts[edges[:, 0]]
         lengths = np.hypot(d[:, 0], d[:, 1])
-        l0 = 1.2 * math.sqrt(float(np.mean(lengths**2)))
+        l0 = 1.2 * math.sqrt((float(np.sum(lengths**2)) + core_sum) / (len(lengths) + core_count))
         f = np.maximum(l0 - lengths, 0.0) / lengths
         fvec = f[:, None] * d
         ends, signed = edges.T.ravel(), np.concatenate([-fvec, fvec])  # e0's terms, then e1's
         force = np.column_stack([np.bincount(ends, signed[:, c], len(pts)) for c in (0, 1)])
-        move = 0.2 * force[nfix:]
-        pts[nfix:] += move
-        out = ~spec.contains(pts[nfix:], tol=0.0)
+        move = 0.2 * force[free]
+        p = pts[free] + move
+        out = ~spec.contains(p, tol=0.0)
         if np.any(out):
             eps = 1e-7 * scale
-            p = pts[nfix:][out]
-            probes = [p, p + [eps, 0.0], p - [eps, 0.0], p + [0.0, eps], p - [0.0, eps]]
+            q = p[out]
+            probes = [q, q + [eps, 0.0], q - [eps, 0.0], q + [0.0, eps], q - [0.0, eps]]
             sd = spec.signed_distance(np.concatenate(probes))  # one sweep, element-wise
             sd_out, sxp, sxm, syp, sym = sd.reshape(5, -1)
             gx = (sxp - sxm) / (2 * eps)
             gy = (syp - sym) / (2 * eps)
             g2 = np.maximum(gx**2 + gy**2, 1e-12)
-            p[:, 0] -= sd_out * gx / g2
-            p[:, 1] -= sd_out * gy / g2
-            pts[nfix:][out] = p
+            q[:, 0] -= sd_out * gx / g2
+            q[:, 1] -= sd_out * gy / g2
+            p[out] = q
+        pts[free] = p
         moved = float(np.hypot(move[:, 0], move[:, 1]).max(initial=0.0))
 
+    # vertices [fixed, lattice[keep]]: the band's inside triangles and the core's
+    vertices = np.vstack([fixed, flat[keep]])
+    vertices[ids] = pts
+    simp = np.concatenate([ids[tris[inside]], vid[core_tris]])
     used = np.unique(simp)
-    remap = -np.ones(len(pts), dtype=int)
+    remap = -np.ones(len(vertices), dtype=int)
     remap[used] = np.arange(len(used))
     corners = remap[:nfix][corner_mask]
-    mesh = mesh_from_arrays(pts[used], remap[simp], corner_vertices=corners[corners >= 0])
+    mesh = mesh_from_arrays(vertices[used], remap[simp], corner_vertices=corners[corners >= 0])
 
     # the discrete boundary must consist of consecutive boundary samples
     if not np.array_equal(np.sort(mesh.boundary_edges[:, 0]), np.arange(nfix)):
         raise MeshQualityFailure("boundary chord missing from the triangulation")
-    offsets = np.cumsum([0] + loop_sizes)
+    offsets = np.cumsum([0] + [len(lp) for lp in loop_points])
     a, b = mesh.boundary_edges.T
     li = np.searchsorted(offsets, a, side="right") - 1
     lo, hi = offsets[li], offsets[li + 1]  # the sampled loop that a lies on

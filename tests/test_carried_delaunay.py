@@ -1,10 +1,11 @@
 """The relaxation carries its Delaunay triangulation from sweep to sweep and
 repairs it by Lawson flips, to the end: Qhull builds the first triangulation
-of each mesh and is the fallback when a repair is not certified.  The meshes
-match a relaxation that calls Qhull on every sweep, up to the diagonal a
-cocircular quad keeps, and the flip kernel returns a Delaunay triangulation
-or None: the one a full rescan of every edge in every round gives, with
-half-edge twins equal to a fresh rebuild."""
+of each mesh, on the boundary band alone, and is the fallback when a repair is
+not certified.  The meshes match a relaxation that calls Qhull on every point
+at every sweep, up to the diagonal a cocircular quad keeps, and one that moves
+the lattice core too, to within 1e-12 h; the flip kernel returns a Delaunay
+triangulation or None: the one a full rescan of every edge in every round
+gives, with half-edge twins equal to a fresh rebuild."""
 
 import math
 
@@ -21,19 +22,24 @@ from extremal_lab.geom2d import Annulus, Disk, Ellipse, Polygon, build_domain, m
 from extremal_lab.geom2d.domain import _points_in_loops
 from extremal_lab.geom2d.meshing import _delaunay, _lawson_flips, _orient_ccw, mesh_from_arrays
 
-# -- reference: the relaxation with a fresh Qhull triangulation every sweep ------
+# -- reference: the relaxation with a fresh Qhull triangulation of every point
+# every sweep, the same frozen lattice core and the same l0 sum ------------------
 
 
 def _ref_relaxed_mesh(spec, h, loops, offset):
     fixed = np.concatenate([lp.points for lp in loops])
     corner_mask = np.concatenate([lp.corner_mask for lp in loops])
     loop_points = [lp.points for lp in loops]
-    loop_sizes = [len(lp.points) for lp in loops]
     nfix = len(fixed)
 
     lattice = meshing._hex_lattice(spec.bbox(), h, offset)
-    keep = spec.signed_distance(lattice) < -0.55 * h
-    pts = np.vstack([fixed, lattice[keep]])
+    flat = lattice.reshape(-1, 2)
+    sd = spec.signed_distance(flat)
+    keep, core = sd < -0.55 * h, sd < -meshing.CORE_DEPTH * h
+    _, core_sum, core_count = meshing._lattice_core(lattice, core.reshape(lattice.shape[:2]))
+    pts = np.vstack([fixed, flat[keep]])
+    frozen = np.concatenate([np.zeros(nfix, dtype=bool), core[keep]])
+    free = nfix + np.nonzero(~core[keep])[0]
 
     def inside_tris(simplices):
         cent = pts[simplices].mean(axis=1)
@@ -46,14 +52,102 @@ def _ref_relaxed_mesh(spec, h, loops, offset):
         e = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]).astype(np.int64)
         keys = np.unique(e.min(axis=1) * len(pts) + e.max(axis=1))
         edges = np.column_stack(np.divmod(keys, len(pts)))
+        edges = edges[~np.all(frozen[edges], axis=1)]
         d = pts[edges[:, 1]] - pts[edges[:, 0]]
         lengths = np.hypot(d[:, 0], d[:, 1])
-        l0 = 1.2 * math.sqrt(float(np.mean(lengths**2)))
+        l0 = 1.2 * math.sqrt((float(np.sum(lengths**2)) + core_sum) / (len(lengths) + core_count))
         f = np.maximum(l0 - lengths, 0.0) / lengths
         fvec = f[:, None] * d
         force = np.zeros_like(pts)
         np.add.at(force, edges[:, 0], -fvec)
         np.add.at(force, edges[:, 1], fvec)
+        move = 0.2 * force[free]
+        pts[free] += move
+        out = ~spec.contains(pts[free], tol=0.0)
+        if np.any(out):
+            eps = 1e-7 * scale
+            p = pts[free][out]
+            probes = [p, p + [eps, 0.0], p - [eps, 0.0], p + [0.0, eps], p - [0.0, eps]]
+            sd_out, sxp, sxm, syp, sym = spec.signed_distance(np.concatenate(probes)).reshape(5, -1)
+            gx = (sxp - sxm) / (2 * eps)
+            gy = (syp - sym) / (2 * eps)
+            g2 = np.maximum(gx**2 + gy**2, 1e-12)
+            p[:, 0] -= sd_out * gx / g2
+            p[:, 1] -= sd_out * gy / g2
+            pts[free[out]] = p
+        interior_move = np.hypot(move[:, 0], move[:, 1]) if len(move) else np.zeros(1)
+        if float(interior_move.max(initial=0.0)) < 0.02 * h:
+            break
+
+    tri = meshing.Delaunay(pts)
+    return _finish(pts, tri.simplices[inside_tris(tri.simplices)], loops, corner_mask)
+
+
+def _finish(pts, simp, loops, corner_mask):
+    """The mesh of the inside triangles ``simp``, checked as the mesher checks it."""
+    nfix = len(corner_mask)
+    used = np.unique(simp)
+    remap = -np.ones(len(pts), dtype=int)
+    remap[used] = np.arange(len(used))
+    corners = remap[np.nonzero(corner_mask)[0]]
+    mesh = mesh_from_arrays(pts[used], remap[simp], corner_vertices=corners[corners >= 0])
+    if not np.array_equal(np.unique(mesh.boundary_edges), np.arange(nfix)):
+        raise MeshQualityFailure("boundary chord missing from the triangulation")
+    offsets = np.cumsum([0] + [len(lp.points) for lp in loops])
+    a, b = mesh.boundary_edges.T
+    li = np.searchsorted(offsets, a, side="right") - 1
+    lo, hi = offsets[li], offsets[li + 1]
+    step = (a - b) % (hi - lo)
+    if not np.all((lo <= b) & (b < hi) & ((step == 1) | (step == hi - lo - 1))):
+        raise MeshQualityFailure("boundary edge does not follow the sampled loop")
+    return mesh
+
+
+# -- reference: the relaxation that moves every lattice point, with Qhull on all
+# of them at the first sweep and carried flips after it -------------------------
+
+
+def _all_points_relaxed_mesh(spec, h, loops, offset):
+    fixed = np.concatenate([lp.points for lp in loops])
+    corner_mask = np.concatenate([lp.corner_mask for lp in loops])
+    loop_points = [lp.points for lp in loops]
+    nfix = len(fixed)
+
+    bbox = spec.bbox()
+    lattice = meshing._hex_lattice(bbox, h, offset).reshape(-1, 2)
+    keep = spec.signed_distance(lattice) < -0.55 * h
+    pts = np.vstack([fixed, lattice[keep]])
+    no_core = np.zeros(len(pts), dtype=bool)
+
+    def inside_tris(simplices):
+        cent = pts[simplices].mean(axis=1)
+        return _points_in_loops(cent, loop_points, tol=0.0)
+
+    scale = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
+    tiny, certified, moved = 1e-9 * h * h, False, math.inf
+    for sweep in range(81):
+        flipped = _lawson_flips(pts, tris, twin, tiny) if certified else None
+        if flipped is None:
+            tris, twin, certified = _delaunay(pts, nfix, no_core)
+        else:
+            tris, twin = flipped
+        inside = inside_tris(tris)
+        simp = tris[inside]
+        if sweep == 80 or moved < 0.02 * h:
+            break
+        half = np.nonzero(np.repeat(inside, 3))[0]
+        tw = twin[half]
+        half = half[(tw < 0) | (tw > half) | ~inside[tw // 3]]
+        a, b = tris[half // 3, half % 3], tris[half // 3, (half + 1) % 3]
+        keys = np.sort(np.minimum(a, b).astype(np.int64) * len(pts) + np.maximum(a, b))
+        edges = np.column_stack(np.divmod(keys, len(pts)))
+        d = pts[edges[:, 1]] - pts[edges[:, 0]]
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        l0 = 1.2 * math.sqrt(float(np.mean(lengths**2)))
+        f = np.maximum(l0 - lengths, 0.0) / lengths
+        fvec = f[:, None] * d
+        ends, signed = edges.T.ravel(), np.concatenate([-fvec, fvec])
+        force = np.column_stack([np.bincount(ends, signed[:, c], len(pts)) for c in (0, 1)])
         move = 0.2 * force[nfix:]
         pts[nfix:] += move
         out = ~spec.contains(pts[nfix:], tol=0.0)
@@ -68,27 +162,8 @@ def _ref_relaxed_mesh(spec, h, loops, offset):
             p[:, 0] -= sd_out * gx / g2
             p[:, 1] -= sd_out * gy / g2
             pts[nfix:][out] = p
-        interior_move = np.hypot(move[:, 0], move[:, 1]) if len(move) else np.zeros(1)
-        if float(interior_move.max(initial=0.0)) < 0.02 * h:
-            break
-
-    tri = meshing.Delaunay(pts)
-    simp = tri.simplices[inside_tris(tri.simplices)]
-    used = np.unique(simp)
-    remap = -np.ones(len(pts), dtype=int)
-    remap[used] = np.arange(len(used))
-    corners = remap[np.nonzero(corner_mask)[0]]
-    mesh = mesh_from_arrays(pts[used], remap[simp], corner_vertices=corners[corners >= 0])
-    if not np.array_equal(np.unique(mesh.boundary_edges), np.arange(nfix)):
-        raise MeshQualityFailure("boundary chord missing from the triangulation")
-    offsets = np.cumsum([0] + loop_sizes)
-    a, b = mesh.boundary_edges.T
-    li = np.searchsorted(offsets, a, side="right") - 1
-    lo, hi = offsets[li], offsets[li + 1]
-    step = (a - b) % (hi - lo)
-    if not np.all((lo <= b) & (b < hi) & ((step == 1) | (step == hi - lo - 1))):
-        raise MeshQualityFailure("boundary edge does not follow the sampled loop")
-    return mesh
+        moved = float(np.hypot(move[:, 0], move[:, 1]).max(initial=0.0))
+    return _finish(pts, simp, loops, corner_mask)
 
 
 # -- reference: the flip kernel that rebuilds the adjacency and tests every edge
@@ -181,13 +256,14 @@ def _by_edge(mesh):
 
 
 def _count_calls(monkeypatch, refuse=None):
-    """Count the mesher's Qhull calls and flip repairs; the repair numbered
-    ``refuse`` (from 1) returns None instead of the repaired triangles and
-    their twins, as an uncertified one does."""
-    calls = {"qhull": 0, "flips": 0}
+    """Count the mesher's Qhull calls, the points they receive and its flip
+    repairs; the repair numbered ``refuse`` (from 1) returns None instead of
+    the repaired triangles and their twins, as an uncertified one does."""
+    calls = {"qhull": 0, "qhull_points": 0, "flips": 0}
 
     def qhull(points):
         calls["qhull"] += 1
+        calls["qhull_points"] += len(points)
         return Delaunay(points)
 
     def flips(pts, tris, twin, tiny):
@@ -199,7 +275,7 @@ def _count_calls(monkeypatch, refuse=None):
     return calls
 
 
-@pytest.mark.parametrize(
+MESH_ZOO = pytest.mark.parametrize(
     "spec, h, ties",
     [
         (Disk(1.0), 0.04, False),
@@ -219,6 +295,20 @@ def _count_calls(monkeypatch, refuse=None):
     ids=["disk_h0.04", "disk_h0.02", "ellipse", "annulus", "l_shape", "l_shape_h0.05",
          "annulus_0.4", "flow_trial", "disk_h0.08", "disk_r3", "critical_disk", "flow_ellipse"],
 )
+
+
+def _assert_same_simplices_up_to_ties(fast, ref, ties):
+    if not ties:
+        assert _simplex_set(fast.triangles) == _simplex_set(ref.triangles)
+    else:
+        # the two triangulations differ only in the diagonal of cocircular quads
+        ours, theirs = _edge_set(fast.triangles), _edge_set(ref.triangles)
+        assert ours - theirs <= _tie_edges(fast.vertices, fast.triangles)
+        assert theirs - ours <= _tie_edges(ref.vertices, ref.triangles)
+        assert len(fast.triangles) == len(ref.triangles)
+
+
+@MESH_ZOO
 def test_build_domain_mesh_matches_per_sweep_qhull(spec, h, ties, monkeypatch):
     if spec == "flow trial":
         spec = _flow_trial_polygon()
@@ -231,14 +321,32 @@ def test_build_domain_mesh_matches_per_sweep_qhull(spec, h, ties, monkeypatch):
     # boundary edges come in the order of their triangles, so compare them by edge
     for got, want in zip(_by_edge(fast), _by_edge(ref)):
         assert np.array_equal(got, want)
-    if not ties:
-        assert _simplex_set(fast.triangles) == _simplex_set(ref.triangles)
-    else:
-        # the two triangulations differ only in the diagonal of cocircular quads
-        ours, theirs = _edge_set(fast.triangles), _edge_set(ref.triangles)
-        assert ours - theirs <= _tie_edges(fast.vertices, fast.triangles)
-        assert theirs - ours <= _tie_edges(ref.vertices, ref.triangles)
-        assert len(fast.triangles) == len(ref.triangles)
+    _assert_same_simplices_up_to_ties(fast, ref, ties)
+
+
+@MESH_ZOO
+def test_frozen_core_matches_the_relaxation_that_moves_it(spec, h, ties, monkeypatch):
+    # free points deeper than CORE_DEPTH h stay on their lattice sites: the mesh
+    # keeps the vertex numbering and the triangles of one that moves them all,
+    # and no vertex lies more than 1e-12 h away
+    if spec == "flow trial":
+        spec = _flow_trial_polygon()
+    fast = build_domain(spec, h)
+    monkeypatch.setattr(meshing, "_relaxed_mesh", _all_points_relaxed_mesh)
+    ref = build_domain(spec, h)
+    assert fast.vertices.shape == ref.vertices.shape
+    assert np.max(np.abs(fast.vertices - ref.vertices)) <= 1e-12 * h
+    assert np.array_equal(fast.corner_vertices, ref.corner_vertices)
+    _assert_same_simplices_up_to_ties(fast, ref, ties)
+
+
+def test_qhull_sees_the_band_alone(monkeypatch):
+    # at h 0.02 the unit disk's core reaches radius 0.8: Qhull gets the boundary
+    # samples, the free points outside the core and two seam rows of it
+    calls = _count_calls(monkeypatch)
+    mesh = build_domain(Disk(1.0), 0.02)
+    assert calls["qhull"] == 1
+    assert calls["qhull_points"] <= 0.6 * len(mesh.vertices)
 
 
 def test_tie_on_every_sweep_keeps_one_qhull_call(monkeypatch):
@@ -315,7 +423,7 @@ def _moved_triangulation(boundary, n_boundary, interior, snap, amplitude, n_loos
     nfix = len(fixed) - n_loose  # loose hull samples move too, so the hull can change
     if len(Delaunay(pts).coplanar):
         return None
-    tris, twin, certified = _delaunay(pts, nfix)
+    tris, twin, certified = _delaunay(pts, nfix, np.zeros(len(pts), dtype=bool))
     moved = pts.copy()
     moved[nfix:] += np.random.default_rng(seed).uniform(-amplitude, amplitude, (len(pts) - nfix, 2))
     return tris, twin, certified, nfix, moved
@@ -418,7 +526,7 @@ def test_point_pushed_across_the_hull_is_not_certified():
     # a square with one inner point, which moves out through the top side: the
     # triangles at that side fold, and no in-circle or hull test sees it
     pts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-0.14, 0.23]])
-    tris, twin, certified = _delaunay(pts, 4)
+    tris, twin, certified = _delaunay(pts, 4, np.zeros(len(pts), dtype=bool))
     assert certified
     assert _lawson_flips(pts, tris, twin, 1e-12)[0] is tris  # already Delaunay, no tie
     moved = pts.copy()

@@ -798,6 +798,28 @@ def test_solve_from_a_huge_seed_is_a_numerical_failure(amplitude, tmp_path):
     assert error.startswith("NewtonDiverged: residual norm is")
 
 
+@pytest.mark.parametrize("amplitude", [1e20, 1e50])
+def test_solve_from_a_seed_newton_cannot_bring_back_fails_early(amplitude, tmp_path, monkeypatch):
+    # the cubic term dominates and each Newton step shrinks u by 2/3: about 110
+    # steps from 1e20, so the observed rate stops the run instead of 60 steps
+    steps = []
+    original = fem.splu
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "solve", "domain": {"kind": "disk", "radius": 3.0},
+                               "h": 0.1, "nonlinearity": {"kind": "allen_cahn"},
+                               "seed_amplitude": amplitude}))
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads((tmp_path / "out" / "record.json").read_text())["error"]
+    assert error.startswith("NewtonDiverged: residual") and "too slowly" in error
+    assert 1 <= len(steps) <= 10
+
+
 def test_branch_at_a_vanishing_lambda_is_a_numerical_failure(tmp_path):
     # the cell is 1.6e100 wide, so the eigen iterate's M-norm overflows
     cfg = tmp_path / "cfg.json"

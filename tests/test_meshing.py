@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from extremal_lab.errors import InvalidSpec, MeshQualityFailure
 from extremal_lab.geom2d import (
@@ -144,6 +145,45 @@ def test_invalid_h_rejected():
         build_domain(Disk(1.0), 2.0)
     with pytest.raises(InvalidSpec):
         build_domain(Disk(1.0), -0.1)
+
+
+OFFSETS = [(0.5, 0.5), (0.17, 0.61), (0.83, 0.29)]  # the offsets build_domain tries
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_hex_lattice_rows_match_a_row_loop(offset):
+    bbox, h = (-1.0, 2.0, -0.5, 1.5), 0.07
+    dy = h * math.sqrt(3) / 2
+    lattice = meshing._hex_lattice(bbox, h, offset)
+    assert lattice.shape == (int(2.0 / dy) + 2, int(3.0 / h) + 2, 2)
+    for j, row in enumerate(lattice):
+        x = bbox[0] + (offset[0] * h + (0.5 * h if j % 2 else 0.0)) + h * np.arange(len(row))
+        assert np.array_equal(row[:, 0], x)
+        assert np.all(row[:, 1] == bbox[2] + (offset[1] + j) * dy)
+
+
+@pytest.mark.parametrize("first_row", [2, 3], ids=["even", "odd"])
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_lattice_core_is_qhulls_triangulation(offset, first_row):
+    # a random core patch starting on an even or an odd row: its index
+    # triangles are Qhull's triangles of the whole lattice with every corner in
+    # the core, and its edge sum runs over Qhull's edges with both ends in it
+    lattice = meshing._hex_lattice((0.0, 2.0, 0.0, 2.0), 0.1, offset)
+    rows, cols = lattice.shape[:2]
+    core = np.zeros((rows, cols), dtype=bool)
+    rng = np.random.default_rng(first_row)
+    core[first_row:first_row + 12, 1:cols - 3] = rng.random((12, cols - 4)) < 0.8
+    tris, core_sum, core_count = meshing._lattice_core(lattice, core)
+    flat, in_core = lattice.reshape(-1, 2), core.ravel()
+    qhull = Delaunay(flat).simplices
+    want = qhull[in_core[qhull].all(axis=1)]
+    assert {tuple(sorted(t)) for t in tris.tolist()} == {tuple(sorted(t)) for t in want.tolist()}
+    assert len(tris) == len(want)
+    e = np.sort(np.concatenate([qhull[:, [0, 1]], qhull[:, [1, 2]], qhull[:, [2, 0]]]), axis=1)
+    e = np.unique(e[in_core[e].all(axis=1)], axis=0)
+    assert core_count == len(e)
+    d = flat[e[:, 1]] - flat[e[:, 0]]
+    assert core_sum == pytest.approx(float(np.sum(d * d)), rel=1e-12)
 
 
 def test_determinism():
